@@ -9,8 +9,8 @@ the fiber counting statistics homomesic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poset import enumerate_antichains, fibers, product_of_chains
 
@@ -73,8 +73,7 @@ def st_word_combinatorial(a, b, antichain):
     return word
 
 
-@dataclass(frozen=True)
-class CombinatorialOrbit:
+class CombinatorialOrbit(NamedTuple):
     """One rowmotion orbit on antichains of [a]x[b], with exact statistics."""
 
     antichains: tuple

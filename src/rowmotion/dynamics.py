@@ -25,9 +25,9 @@ toggle products along any linear extension, bottom to top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import SingularValue
 from .labeling import Labeling
@@ -220,8 +220,7 @@ def polytope_membership(kind, poset, values):
     raise ValueError(f"unknown polytope kind {kind!r}")
 
 
-@dataclass
-class Orbit:
+class Orbit(NamedTuple):
     """Iteration record: labelings step by step, with detected first return."""
 
     labelings: list

@@ -10,8 +10,8 @@ The CLI ``fixtures`` command prints the pass/fail table.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorial import (
     combinatorial_orbits,
@@ -30,8 +30,7 @@ from .sampling import derive_seed, symbolic_labeling
 from .stword import constant_power, fiber_orbit_product, st_word
 
 
-@dataclass(frozen=True)
-class FixtureResult:
+class FixtureResult(NamedTuple):
     name: str
     source: str
     passed: bool

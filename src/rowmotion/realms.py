@@ -18,11 +18,55 @@ central by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import SingularValue
 from .ratfun import RationalFunction
 
 FUZZ_PRIME = 2**61 - 1
+
+# Miller-Rabin with the first 12 prime bases is deterministic below the
+# smallest strong pseudoprime to all of them (Sorenson and Webster, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_CERTIFIED_BELOW = 318665857834031151167461
+
+
+@lru_cache(maxsize=64)
+def is_prime(n):
+    """Deterministic primality test for n < MR_CERTIFIED_BELOW.
+
+    Raises ValueError for larger n, which this test cannot certify.  Cached:
+    it takes about 0.2 ms for a 61-bit prime, and every fuzz cell and every
+    sampled matrix realm checks its modulus.
+    """
+    if n >= MR_CERTIFIED_BELOW:
+        raise ValueError(f"p = {n} is too large to certify as prime "
+                         f"(limit {MR_CERTIFIED_BELOW})")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def require_prime(p):
+    """Refuse, with ValueError, a modulus that is not a certified prime."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
 
 
 class Realm:
@@ -237,8 +281,7 @@ class FpMatrixRealm(_MatrixRealm):
     name = "matp"
 
     def __init__(self, p, d, c=1):
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        require_prime(p)
         c = c % p
         if c == 0:
             raise ValueError("the central constant must be nonzero")

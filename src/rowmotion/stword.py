@@ -16,8 +16,8 @@ realms), and in the tropical realm fiber sums average b/(a+b) and a/(a+b).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dynamics import antichain_rowmotion, polytope_membership
 from .labeling import Labeling
@@ -26,12 +26,14 @@ from .realms import TropicalRealm
 from .sampling import derive_seed, sample_chain_polytope_point
 
 
-@dataclass(frozen=True)
 class STWord:
     """A length-(a+b) word of realm values with cyclic 1-based indexing."""
 
-    entries: tuple
-    realm: object
+    __slots__ = ("entries", "realm")
+
+    def __init__(self, entries, realm):
+        self.entries = entries
+        self.realm = realm
 
     def entry(self, i):
         """Entry at cyclic index i: entry(i) == entry(i + len)."""
@@ -79,8 +81,7 @@ def _st_word_ordered(poset, g, positive_descending, negative_ascending):
     return STWord(tuple(entries), r)
 
 
-@dataclass(frozen=True)
-class RotationReport:
+class RotationReport(NamedTuple):
     ok: bool
     per_index: tuple  # (index, matched) pairs, index 1..a+b
 

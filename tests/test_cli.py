@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rowmotion.cli import main
 
 
@@ -138,3 +140,18 @@ def test_output_stable_across_runs(tmp_path):
         assert main(["orbits", "--chains", "2", "3", "--realm", "comb",
                      "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_fuzz_refuses_composite_modulus(capsys):
+    assert main(["fuzz-nar", "--p", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: p = 4 is not prime\n"
+
+
+@pytest.mark.parametrize("p", [5, 2**61 - 1, 2**64 - 59])
+def test_fuzz_accepts_prime_modulus(p, capsys):
+    code, rep = run(["fuzz-nar", "--amax", "1", "--bmax", "2", "--dmax", "2",
+                     "--trials", "3", "--p", str(p)], capsys)
+    assert code in (0, 1)
+    assert rep["grid"]["p"] == p
+    assert all(c["trials"] == 3 for c in rep["cells"])

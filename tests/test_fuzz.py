@@ -1,5 +1,10 @@
 """Fuzzer cells, accounting, and determinism."""
 
+import hashlib
+import json
+
+import pytest
+
 from rowmotion.fuzz import CONJECTURE_NOTES, fuzz_grid, fuzz_nar_periodicity
 from rowmotion.realms import FUZZ_PRIME
 
@@ -48,3 +53,18 @@ def test_small_prime_counts_singulars():
     cell = fuzz_nar_periodicity(2, 2, 1, trials=10, seed=7, p=5)
     assert cell["trials"] == 10
     assert cell["passes"] + cell["failures"] + cell["exhausted"] == 10
+
+
+@pytest.mark.parametrize("p,digest", [
+    # p = 2 exhausts trials; p = 5 resamples singular draws.
+    (2, "a197ade2590d8aa217b0ed60f76e7bb43d35f7a27db5553cb2f2184acff2d520"),
+    (5, "51612d5a1e7a0196468f10b1dfef4426b2be3c21bfb24ffe202dbf98e45964a2"),
+    (FUZZ_PRIME, "8aabcee0b8a642258e01b58099ebb42d2e15a0da903aaa354bb3493434f5031f"),
+])
+def test_cell_reports_pinned(p, digest):
+    """Seeds, resample counts and outcomes of every cell up to (2, 2, 2) are
+    pinned byte for byte, whichever kernel runs them."""
+    cells = [fuzz_nar_periodicity(a, b, d, trials=5, seed=0, p=p)
+             for a in (1, 2) for b in (1, 2) for d in (1, 2)]
+    text = json.dumps(cells, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
