@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the toggle-rowmotion kernels: compiled vs pure Python.
+"""Benchmark the rowmotion kernel against the generic realm code path.
 
-Measures steps/second on [3]x[3] with 2x2 matrices over the fuzzing prime,
-the workload the throughput target is stated for, then a few other shapes.
-The generic realm code path is timed alongside for context.
+Measures kernel steps/second on [3]x[3] with 2x2 matrices over the fuzzing
+prime, the workload the throughput target is stated for, then a few other
+shapes.  The generic realm code path (toggle mode) is timed alongside for
+context.
 
 Run:  python benchmarks/bench_kernels.py
 """

@@ -18,7 +18,6 @@ from .dynamics import (
     Orbit,
     TransferKind,
     antichain_rowmotion,
-    chain_expansion_check,
     closed_form_first_pass,
     iterate,
     order_rowmotion,

@@ -3,7 +3,9 @@
 Subcommands: poset, orbits, rowmotion, stword, homomesy, fuzz-nar, fixtures.
 All reports are JSON, deterministic given the seed, and always record the
 seed they were produced with.  The exit code is 0 exactly when every check
-the invocation requested passed.
+the invocation requested passed, 1 when one failed, and 2 with a one-line
+``error:`` on stderr when the input is refused or a file cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report, ok = args.handler(args)
-    except (PosetError, SingularValue, SamplingExhausted, ValueError) as exc:
+        if report is not None:
+            _emit(report, args)
+    except (OSError, PosetError, SingularValue, SamplingExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if report is not None:
-        _emit(report, args)
     return 0 if ok else 1
 
 

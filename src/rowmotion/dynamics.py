@@ -14,9 +14,10 @@ labeling f to:
   inverse down         x -> f(x) * (sum of results over lower covers)
   inverse up           x -> (sum of results over upper covers) * f(x)
 
-The two inverses are dynamic programs along a linear extension; expanding
-them as sums over saturated chains (with factors ordered from the top of the
-chain down) is kept only as a test oracle, since chain counts grow fast.
+The two inverses are dynamic programs along a linear extension; their
+expansion as sums over saturated chains (with factors ordered from the top
+of the chain down) lives in the test suite as an oracle, since chain counts
+grow fast.
 
 Antichain rowmotion is (down-transfer o complementation o inverse-up); order
 rowmotion is (complementation o inverse-up o down-transfer).  Both are also
@@ -73,26 +74,6 @@ def transfer(kind, poset, g):
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
-def chain_expansion_check(kind, poset, g):
-    """Recompute an inverse transfer by explicit saturated-chain sums.
-
-    Returns True when the chain expansion agrees with the recurrence at every
-    element.  Factor order within each chain runs from the top element down.
-    """
-    if kind not in (TransferKind.DOWN_INV, TransferKind.UP_INV):
-        raise ValueError("chain expansion applies to the inverse transfers only")
-    r = g.realm
-    fast = transfer(kind, poset, g)
-    for x in range(poset.n):
-        if kind is TransferKind.DOWN_INV:
-            terms = [_descending_product(r, g, path) for path in _paths(poset, x, upward=False)]
-        else:
-            terms = [_ascending_product(r, g, path) for path in _paths(poset, x, upward=True)]
-        if not r.eq(r.sum(terms), fast[x]):
-            return False
-    return True
-
-
 def toggle(poset, g, v):
     """Antichain toggle at v: only the label at v changes.
 
@@ -107,20 +88,6 @@ def toggle(poset, g, v):
         g[v],
     )
     return g.replace(v, new)
-
-
-def toggle_chain_form(poset, g, v):
-    """Toggle at v via the maximal-chain expansion (test oracle).
-
-    Sums, over maximal chains through v, the product of labels strictly below
-    v (walking down from v) times the product of labels from the top of the
-    chain down to v; the new label is C times the inverse of that sum.
-    """
-    r = g.realm
-    lowers = [_descending_product(r, g, path[1:]) for path in _paths(poset, v, upward=False)]
-    uppers = [_ascending_product(r, g, path) for path in _paths(poset, v, upward=True)]
-    total = r.sum(r.mul(lo, up) for lo in lowers for up in uppers)
-    return g.replace(v, r.mul(r.constant(), _inv_at(r, total, v)))
 
 
 def antichain_rowmotion(poset, g, mode="transfer", extension=None):
@@ -292,41 +259,3 @@ def _down_inv_at(poset, g, v):
         if poset.leq(x, v):
             val[x] = r.mul(g[x], r.sum(val[y] for y in poset.down_covers(x)))
     return val[v]
-
-
-def _paths(poset, v, upward):
-    """Saturated chains from v to a maximal (upward) or minimal element.
-
-    Each path starts at v; factor products read the path from its far end
-    back toward v, matching the chain sums in the transfer definitions.
-    """
-    out = []
-    step = poset.up_covers if upward else poset.down_covers
-    stack = [(v, (v,))]
-    while stack:
-        x, path = stack.pop()
-        nxt = step(x)
-        if not nxt:
-            out.append(path)
-        else:
-            for y in nxt:
-                stack.append((y, path + (y,)))
-    return out
-
-
-def _ascending_product(realm, g, path):
-    """For an ascending path (v, u1, .., um): g(um) * .. * g(u1) * g(v).
-
-    Factors always run from the top of the chain down."""
-    total = None
-    for x in path:
-        total = g[x] if total is None else realm.mul(g[x], total)
-    return realm.one() if total is None else total
-
-
-def _descending_product(realm, g, path):
-    """For a descending path (v, z1, .., zk): g(v) * g(z1) * .. * g(zk)."""
-    total = None
-    for x in path:
-        total = g[x] if total is None else realm.mul(total, g[x])
-    return realm.one() if total is None else total

@@ -2,12 +2,13 @@
 
 Each trial samples a matrix labeling of [a]x[b] over F_p, runs antichain
 rowmotion a+b times through the kernel, and checks exact return to the
-start.  The kernel raises ``SingularValue`` on exactly the draws where
-toggle-mode rowmotion would, so resample counts do not depend on the
-backend; a counterexample is replayed through generic toggle mode, an
-independent code path.  Whether the order is a+b for general (a, b) once
-labels stop commuting is an open conjecture; only the 2x2 rectangle has a
-fully worked exact orbit, so the grid gathers evidence, nothing more.
+start.  The kernel works in transfer form and raises ``SingularValue`` on
+exactly the draws where toggle-mode rowmotion would, so resample counts are
+those of toggle mode; a counterexample is replayed through generic toggle
+mode, an independent code path.  Whether the order is a+b for general
+(a, b) once labels stop commuting is an open conjecture; only the 2x2
+rectangle has a fully worked exact orbit, so the grid gathers evidence,
+nothing more.
 
 Reports are deterministic functions of the master seed: every trial draws
 from a sub-seed derived by hashing (seed, cell, trial index), so scheduling
@@ -35,7 +36,7 @@ CONJECTURE_NOTES = [
 ]
 
 
-def fuzz_nar_periodicity(a, b, d, trials, seed, p=FUZZ_PRIME, module=None):
+def fuzz_nar_periodicity(a, b, d, trials, seed, p=FUZZ_PRIME):
     """Run one (a, b, d, p) fuzz cell; returns its report dict.
 
     A trial passes when the first return time divides a+b (an earlier return
@@ -45,7 +46,7 @@ def fuzz_nar_periodicity(a, b, d, trials, seed, p=FUZZ_PRIME, module=None):
     realm code path before being reported.
     """
     poset = product_of_chains(a, b)
-    engine = kernel.make_engine(poset, d, p, module=module)
+    engine = kernel.make_engine(poset, d, p)
     steps = a + b
     passes = failures = exhausted = early_returns = singular_resamples = 0
     counterexamples = []
@@ -106,7 +107,7 @@ def fuzz_grid(a_max=3, b_max=3, d_max=3, trials=100, seed=0, p=FUZZ_PRIME):
         "seed": seed,
         "grid": {"a_max": a_max, "b_max": b_max, "d_max": d_max,
                  "trials_per_cell": trials, "p": p},
-        "kernel_backend": kernel.backend_name(p),
+        "kernel_backend": kernel.backend_name(),
         "cells": cells,
         "counterexample_count": bad,
         "all_pass": bad == 0 and all(c["exhausted"] == 0 for c in cells),

@@ -1,66 +1,62 @@
-"""Kernel selection: compiled extension when present, pure Python otherwise.
+"""Antichain-rowmotion kernel over prime-field matrices.
 
-The kernels run antichain rowmotion over prime-field matrix labels, the hot
-loop of the periodicity fuzzer.  The compiled kernel is a toggle product;
-the pure-Python kernel is the transfer composition with batched inverses
-(see ``_kernel_py``).  Both raise ``SingularValue`` on exactly the inputs
-where generic toggle mode does.  Both backends share one interface;
-`backend_name()` reports which one is live, and the benchmark drives both
-side by side.
+The hot loop of the periodicity fuzzer.  Labels travel as a flat list of
+n*d*d integers in [0, p), row-major per element in id order
+(``labeling_to_flat``/``flat_to_labeling`` convert).
+
+The kernel works in transfer form.  One step of antichain rowmotion is
+
+  D(x)   = (sum of D over upper covers of x) * g(x)     up-inverse DP
+  E(x)   = c * inv(D(x))                                 complement
+  out(x) = E(x) * inv(sum of E over lower covers of x)   down-transfer
+
+with empty sums read as the identity, so ``out(x) = E(x)`` at a minimal x.
+That is one matrix product per cover plus two batches of inverses, instead
+of the up-set and down-set DP at every toggle.  Each batch inverts its
+matrices as adj(M) * det(M)^-1, with all the determinants inverted together
+by Montgomery's trick: one modular inverse plus 3(k-1) products for k
+matrices.  d = 1, 2, 3 use closed-form determinants and adjugates and
+unrolled products; d >= 4 falls back to the realm's Gauss-Jordan inverse.
+
+Refusals match toggle mode exactly.  A toggle pass along a linear extension
+sees D(v) as the up-value at v and g(v) * (sum of E over lower covers of v)
+as the down-value, so it raises ``SingularValue`` exactly when some D(v),
+some g(v) or some lower-cover sum is singular.  A singular g(v) makes
+D(v) = (...) * g(v) singular too, so the two batches see every refusal and
+the input needs no separate check.
 
 The modulus must be a prime the package can certify (``realms.is_prime``).
-The compiled kernel's 128-bit products assume p < 2^63, so larger primes go
-to the pure kernel unless a module is given explicitly.
 """
 
 from __future__ import annotations
 
-try:
-    from . import _speedups as _impl
-except ImportError:  # extension not built; fall back to the reference kernel
-    from . import _kernel_py as _impl
+import sys
 
-from . import _kernel_py
+from .errors import SingularValue
 from .labeling import Labeling
-from .realms import require_prime
+from .realms import FpMatrixRealm, require_prime
 
-COMPILED_P_LIMIT = 2**63
-
-
-def _module_for(p):
-    return _kernel_py if p is not None and p >= COMPILED_P_LIMIT else _impl
+BACKEND = "pure-python"
 
 
-def backend_name(p=None):
-    """The live backend, or the one ``make_engine`` picks for modulus p."""
-    return _module_for(p).BACKEND
+def backend_name():
+    """The kernel's name, as reports and benchmark metrics record it."""
+    return BACKEND
 
 
 def available_backends():
-    """Mapping backend name -> kernel module, for side-by-side comparison."""
-    out = {_kernel_py.BACKEND: _kernel_py}
-    if _impl is not _kernel_py:
-        out[_impl.BACKEND] = _impl
-    return out
+    """Mapping backend name -> module holding ``FpToggleEngine``."""
+    return {BACKEND: sys.modules[__name__]}
 
 
 def make_engine(poset, d, p, module=None):
     """Build a rowmotion engine for ``poset`` over d x d matrices mod p.
 
-    Raises ValueError unless p is a certified prime.  The up-sets and
-    down-sets, O(n^2) ``leq`` calls, are computed only for the compiled
-    toggle kernel; the transfer-form kernel does not read them.
+    ``module`` is a value of ``available_backends()``.  Raises ValueError
+    unless p is a certified prime.
     """
-    require_prime(p)
-    mod = module or _module_for(p)
-    topo = list(poset.topo_order())
-    up = [list(poset.up_covers(x)) for x in range(poset.n)]
-    down = [list(poset.down_covers(x)) for x in range(poset.n)]
-    upsets = downsets = None
-    if mod is not _kernel_py:
-        upsets = [[x for x in reversed(topo) if poset.leq(v, x)] for v in range(poset.n)]
-        downsets = [[x for x in topo if poset.leq(x, v)] for v in range(poset.n)]
-    return mod.FpToggleEngine(up, down, topo, upsets, downsets, d, p)
+    engine = FpToggleEngine if module is None else module.FpToggleEngine
+    return engine(poset, d, p)
 
 
 def labeling_to_flat(g):
@@ -81,3 +77,160 @@ def flat_to_labeling(realm, flat):
         block = flat[start:start + dd]
         values.append(tuple(tuple(block[i * d:(i + 1) * d]) for i in range(d)))
     return Labeling(realm, values)
+
+
+def _ops(d, p):
+    """(mul, det, adj) for d x d matrices as row-major tuples mod p.
+
+    ``mul`` reduces its result; ``det`` returns a residue; ``adj(m, k)`` is
+    k times the adjugate, reduced.  Inputs may be unreduced.
+    """
+    if d == 1:
+        def mul(x, y):
+            return (x[0] * y[0] % p,)
+
+        def det(m):
+            return m[0] % p
+
+        def adj(m, k):
+            return (k,)
+    elif d == 2:
+        def mul(x, y):
+            a, b, c, e = x
+            f, g, h, i = y
+            return ((a * f + b * h) % p, (a * g + b * i) % p,
+                    (c * f + e * h) % p, (c * g + e * i) % p)
+
+        def det(m):
+            a, b, c, e = m
+            return (a * e - b * c) % p
+
+        def adj(m, k):
+            a, b, c, e = m
+            return (e * k % p, -b * k % p, -c * k % p, a * k % p)
+    elif d == 3:
+        def mul(x, y):
+            a, b, c, e, f, g, h, i, j = x
+            k, l, m, n, o, q, r, s, t = y
+            return ((a * k + b * n + c * r) % p, (a * l + b * o + c * s) % p,
+                    (a * m + b * q + c * t) % p, (e * k + f * n + g * r) % p,
+                    (e * l + f * o + g * s) % p, (e * m + f * q + g * t) % p,
+                    (h * k + i * n + j * r) % p, (h * l + i * o + j * s) % p,
+                    (h * m + i * q + j * t) % p)
+
+        def det(m):
+            a, b, c, e, f, g, h, i, j = m
+            return (a * (f * j - g * i) + b * (g * h - e * j) + c * (e * i - f * h)) % p
+
+        def adj(m, k):
+            a, b, c, e, f, g, h, i, j = m
+            return ((f * j - g * i) * k % p, (c * i - b * j) * k % p, (b * g - c * f) * k % p,
+                    (g * h - e * j) * k % p, (a * j - c * h) * k % p, (c * e - a * g) * k % p,
+                    (e * i - f * h) * k % p, (b * h - a * i) * k % p, (a * f - b * e) * k % p)
+    else:
+        return _mul_general(d, p), None, None
+    return mul, det, adj
+
+
+def _mul_general(d, p):
+    rows = range(0, d * d, d)
+    cols = range(d)
+
+    def mul(x, y):
+        out = []
+        for r in rows:
+            xr = x[r:r + d]
+            for j in cols:
+                out.append(sum(a * y[k * d + j] for k, a in enumerate(xr)) % p)
+        return tuple(out)
+
+    return mul
+
+
+def _cover_sum(vals, covers):
+    """Entrywise sum of ``vals`` over a nonempty cover list, unreduced."""
+    s = vals[covers[0]]
+    for y in covers[1:]:
+        s = tuple(map(int.__add__, s, vals[y]))
+    return s
+
+
+class FpToggleEngine:
+    """Antichain rowmotion stepper for one poset shape, d and prime p."""
+
+    def __init__(self, poset, d, p):
+        require_prime(p)
+        self.n = poset.n
+        self.d = d
+        self.p = p
+        self.dd = d * d
+        self._up = [poset.up_covers(x) for x in range(self.n)]
+        self._down = [poset.down_covers(x) for x in range(self.n)]
+        topo = poset.topo_order()
+        self._top_down = tuple(reversed(topo))
+        self._nonminimal = tuple(x for x in topo if self._down[x])
+        self._mul, self._det, self._adj = _ops(d, p)
+        self._realm = FpMatrixRealm(p, d) if self._det is None else None
+
+    def _inverses(self, mats, scale, elements, what):
+        """``scale * inv(m)`` for every m in ``mats`` (``elements`` names
+        them for the error); raises SingularValue if one is singular."""
+        p = self.p
+        det, adj = self._det, self._adj
+        if det is None:
+            d = self.d
+            out = []
+            for x, m in zip(elements, mats):
+                try:
+                    inv = self._realm.inv([[v % p for v in m[r:r + d]]
+                                           for r in range(0, self.dd, d)])
+                except SingularValue:
+                    raise SingularValue(what, element=x) from None
+                out.append(tuple(v * scale % p for row in inv for v in row))
+            return out
+        dets = [det(m) for m in mats]
+        prefix = []
+        acc = 1
+        for x, t in zip(elements, dets):
+            if not t:
+                raise SingularValue(what, element=x)
+            prefix.append(acc)
+            acc = acc * t % p
+        inv = pow(acc, -1, p) * scale % p
+        out = [None] * len(mats)
+        for i in range(len(mats) - 1, -1, -1):
+            out[i] = adj(mats[i], inv * prefix[i] % p)
+            inv = inv * dets[i] % p
+        return out
+
+    def _advance(self, g, c):
+        """One rowmotion step on per-element tuples; returns new tuples."""
+        mul, up, nonminimal = self._mul, self._up, self._nonminimal
+        D = [None] * self.n
+        for x in self._top_down:
+            D[x] = mul(_cover_sum(D, up[x]), g[x]) if up[x] else g[x]
+        E = self._inverses(D, c, range(self.n), "singular inverse-up value")
+        sums = [_cover_sum(E, self._down[x]) for x in nonminimal]
+        out = list(E)
+        for x, s in zip(nonminimal,
+                        self._inverses(sums, 1, nonminimal, "singular lower-cover sum")):
+            out[x] = mul(E[x], s)
+        return out
+
+    def _split(self, labels):
+        dd = self.dd
+        return [tuple(labels[o:o + dd]) for o in range(0, self.n * dd, dd)]
+
+    def step(self, labels, c):
+        """One rowmotion step; returns the new flat label list."""
+        return [v for m in self._advance(self._split(labels), c) for v in m]
+
+    def first_return(self, labels, c, max_steps):
+        """Smallest m <= max_steps with step^m(labels) == labels, else 0."""
+        initial = self._split(labels)
+        cur = initial
+        for m in range(1, max_steps + 1):
+            cur = self._advance(cur, c)
+            if cur == initial:
+                return m
+        return 0

@@ -44,13 +44,14 @@ def labeling_from_json(obj, poset=None, realm=None):
     """Read a labeling from {"realm": ..., "labels": {...}}.
 
     Label keys are element ids, or "i,j" coordinates when ``poset`` is a
-    rectangle.  A pre-built ``realm`` overrides the config block.
+    rectangle.  A pre-built ``realm`` overrides the config block.  A missing
+    key raises ValueError.
     """
-    from .realms import realm_from_config
+    from .realms import json_field, realm_from_config
 
     if realm is None:
-        realm = realm_from_config(obj["realm"])
-    raw = obj["labels"]
+        realm = realm_from_config(json_field(obj, "realm", "labeling"))
+    raw = json_field(obj, "labels", "labeling")
     values = {}
     for key, val in raw.items():
         if "," in key:

@@ -334,17 +334,32 @@ class FractionMatrixRealm(_MatrixRealm):
 
 
 def realm_from_config(cfg):
-    """Instantiate a realm from its JSON config block."""
-    kind = cfg["realm"]
+    """Instantiate a realm from its JSON config block.
+
+    Raises ValueError for an unknown realm or a missing required key."""
+    def field(key):
+        return json_field(cfg, key, "realm config")
+
+    kind = field("realm")
     if kind == "tropical":
         return TropicalRealm(Fraction(cfg.get("c", 1)))
     if kind == "ratfun":
-        return RationalFunctionRealm(cfg["variables"])
+        return RationalFunctionRealm(field("variables"))
     if kind == "matp":
-        return FpMatrixRealm(int(cfg["p"]), int(cfg["d"]), int(cfg.get("c", 1)))
+        return FpMatrixRealm(int(field("p")), int(field("d")), int(cfg.get("c", 1)))
     if kind == "matq":
-        return FractionMatrixRealm(int(cfg["d"]), Fraction(cfg.get("c", 1)))
+        return FractionMatrixRealm(int(field("d")), Fraction(cfg.get("c", 1)))
     raise ValueError(f"unknown realm {kind!r}")
+
+
+def json_field(obj, key, what):
+    """``obj[key]`` for a JSON input object; a missing key, or an ``obj``
+    that is not an object, raises ValueError naming ``what`` it is."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} key")
+    return obj[key]
 
 
 def symbolic_variable_names(n):

@@ -13,7 +13,6 @@ from rowmotion import (
     Labeling,
     TropicalRealm,
     antichain_rowmotion,
-    chain_expansion_check,
     closed_form_first_pass,
     combinatorial_orbits,
     enumerate_antichains,
@@ -39,6 +38,8 @@ from rowmotion.fixtures import (
 from rowmotion.fuzz import fuzz_grid
 from rowmotion.realms import FUZZ_PRIME
 from rowmotion.sampling import derive_seed, sample_chain_polytope_point
+
+from chain_sums import chain_expansion_check
 
 SEED = 20240801
 

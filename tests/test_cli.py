@@ -133,6 +133,45 @@ def test_missing_poset_source_fails(capsys):
     assert main(["rowmotion", "--realm", "ratfun"]) == 2
 
 
+def _refused(args, capsys):
+    """Exit code and stderr of a refused run; nothing reaches stdout."""
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    code, err = _refused(["poset", "--poset", str(missing)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    code, err = _refused(["poset", "--chains", "2", "2",
+                          "--out", str(tmp_path / "no-dir" / "out.json")], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"realm": {"realm": "tropical"}}, "labeling has no 'labels' key"),
+    ({"labels": {"0": "1"}}, "labeling has no 'realm' key"),
+    ({"realm": {"c": "1"}, "labels": {}}, "realm config has no 'realm' key"),
+    ({"realm": {"realm": "matp", "d": 2}, "labels": {}}, "realm config has no 'p' key"),
+    ({"realm": {"realm": "ratfun"}, "labels": {}}, "realm config has no 'variables' key"),
+    ([1], "labeling must be a JSON object"),
+    ({"realm": "matp", "labels": {}}, "realm config must be a JSON object"),
+])
+def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(payload))
+    code, err = _refused(["rowmotion", "--chains", "2", "2", "--in", str(src)], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_output_stable_across_runs(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

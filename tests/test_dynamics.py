@@ -13,7 +13,6 @@ from rowmotion import (
     TransferKind,
     antichain_rowmotion,
     build_poset,
-    chain_expansion_check,
     closed_form_first_pass,
     iterate,
     order_rowmotion,
@@ -23,9 +22,10 @@ from rowmotion import (
     toggle,
     transfer,
 )
-from rowmotion.dynamics import toggle_chain_form
 from rowmotion.realms import FUZZ_PRIME
 from rowmotion.sampling import derive_seed, symbolic_labeling
+
+from chain_sums import chain_expansion_check, toggle_chain_form
 
 PRIME = 10007
 
