@@ -24,7 +24,8 @@ from .labeling import labeling_from_json
 from .poset import poset_from_json, poset_to_json, product_of_chains
 from .realms import FUZZ_PRIME
 from .sampling import derive_seed, sample_generic_labeling
-from .stword import constant_power, fiber_orbit_product, pl_homomesy_report, st_word
+from .stword import (constant_power, fiber_orbit_product, orbit_window, pl_homomesy_report,
+                     st_word)
 
 
 def main(argv=None):
@@ -220,13 +221,14 @@ def _cmd_homomesy(args):
 
 def _fiber_product_checks(poset, g, a, b):
     r = g.realm
+    orbit = orbit_window(poset, g)
     out = []
     for k in range(1, a + 1):
-        got = fiber_orbit_product(poset, g, ("positive", k))
+        got = fiber_orbit_product(poset, g, ("positive", k), orbit)
         out.append({"fiber": f"positive {k}", "expected": f"C^{b}",
                     "pass": r.eq(got, constant_power(r, b))})
     for l in range(1, b + 1):
-        got = fiber_orbit_product(poset, g, ("negative", l))
+        got = fiber_orbit_product(poset, g, ("negative", l), orbit)
         out.append({"fiber": f"negative {l}", "expected": f"C^{a}",
                     "pass": r.eq(got, constant_power(r, a))})
     return out

@@ -27,7 +27,7 @@ from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm, TropicalRealm
 from .sampling import derive_seed, symbolic_labeling
-from .stword import constant_power, fiber_orbit_product, st_word
+from .stword import constant_power, fiber_orbit_product, orbit_window, st_word
 
 
 class FixtureResult(NamedTuple):
@@ -288,10 +288,11 @@ def _fx_fiber_products_2x2(samples, seed):
     ]
     worked = r.product(factors)
     checks = [r.eq(worked, c2)]
+    orbit = orbit_window(p, g)
     for k in (1, 2):
-        checks.append(r.eq(fiber_orbit_product(p, g, ("positive", k)), c2))
+        checks.append(r.eq(fiber_orbit_product(p, g, ("positive", k), orbit), c2))
     for l in (1, 2):
-        checks.append(r.eq(fiber_orbit_product(p, g, ("negative", l)), c2))
+        checks.append(r.eq(fiber_orbit_product(p, g, ("negative", l), orbit), c2))
     return all(checks), f"checks {checks}"
 
 
@@ -300,10 +301,11 @@ def _fx_fiber_products_2x3(samples, seed):
     c3 = constant_power(r, 3)
     c2 = constant_power(r, 2)
     checks = []
+    orbit = orbit_window(p, g)
     for k in (1, 2):
-        checks.append(r.eq(fiber_orbit_product(p, g, ("positive", k)), c3))
+        checks.append(r.eq(fiber_orbit_product(p, g, ("positive", k), orbit), c3))
     for l in (1, 2, 3):
-        checks.append(r.eq(fiber_orbit_product(p, g, ("negative", l)), c2))
+        checks.append(r.eq(fiber_orbit_product(p, g, ("negative", l), orbit), c2))
     return all(checks), f"checks {checks}"
 
 

@@ -297,13 +297,37 @@ def poset_to_json(poset):
 
 
 def poset_from_json(obj):
-    """Read a poset from {"chains": [a, b]} or {"elements": ..., "covers": ...}."""
+    """Read a poset from {"chains": [a, b]} or {"elements": ..., "covers": ...}.
+
+    Element ids are strings or integers.  Input of the wrong shape raises
+    PosetError saying which part is malformed.
+    """
+    if not isinstance(obj, dict):
+        raise PosetError("poset must be a JSON object")
     if "chains" in obj:
-        a, b = obj["chains"]
-        return product_of_chains(int(a), int(b))
-    covers = [tuple(c) for c in obj.get("covers", [])]
+        chains = obj["chains"]
+        if not (isinstance(chains, (list, tuple)) and len(chains) == 2
+                and all(_is_int(c) for c in chains)):
+            raise PosetError("poset 'chains' must be two integers")
+        return product_of_chains(*chains)
+    covers = obj.get("covers", [])
+    if not (isinstance(covers, (list, tuple))
+            and all(isinstance(c, (list, tuple)) and len(c) == 2
+                    and all(_is_id(e) for e in c) for c in covers)):
+        raise PosetError("poset 'covers' must be a list of [lower, upper] id pairs")
     elements = obj.get("elements")
-    return build_poset(covers, elements=elements)
+    if elements is not None and not (isinstance(elements, (list, tuple))
+                                     and all(_is_id(e) for e in elements)):
+        raise PosetError("poset 'elements' must be a list of string or integer ids")
+    return build_poset([tuple(c) for c in covers], elements=elements)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_id(x):
+    return isinstance(x, str) or _is_int(x)
 
 
 def _topological_order(n, up_adj):

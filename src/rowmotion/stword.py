@@ -8,9 +8,11 @@ these specialize to the row sums and to 1 minus the column sums, and on 0/1
 indicator labelings to the binary fiber word of an antichain.
 
 One rowmotion step rotates the word one place to the right; hence fiber
-statistics are homomesic: over a full (a+b)-step orbit, positive fiber
-products multiply to C^b and negative fiber products to C^a (commutative
-realms), and in the tropical realm fiber sums average b/(a+b) and a/(a+b).
+statistics are homomesic: over the a+b consecutive labelings g, rho(g), ...,
+rho^(a+b-1)(g), positive fiber products multiply to C^b and negative fiber
+products to C^a (commutative realms), and in the tropical realm fiber sums
+average b/(a+b) and a/(a+b).  That window costs a+b-1 rowmotion steps
+(``orbit_window``); every fiber of a job reads the same window.
 """
 
 from __future__ import annotations
@@ -103,13 +105,26 @@ def check_rotation(poset, g, mode="transfer", image=None):
     return RotationReport(all(m for _, m in per_index), per_index)
 
 
-def fiber_orbit_product(poset, g, fiber):
-    """Product of a fiber statistic over the full (a+b)-step orbit.
+def orbit_window(poset, g):
+    """The a+b labelings [g, rho(g), ..., rho^(a+b-1)(g)] on [a]x[b].
+
+    Costs a+b-1 rowmotion steps; rho^(a+b)(g) is not computed.
+    """
+    window = [g]
+    for _ in range(poset.a + poset.b - 1):
+        window.append(antichain_rowmotion(poset, window[-1]))
+    return window
+
+
+def fiber_orbit_product(poset, g, fiber, orbit=None):
+    """Product of a fiber statistic over the a+b labelings of an orbit window.
 
     ``fiber`` is ("positive", k) or ("negative", l), 1-based.  The statistic
     of a labeling is the plain product of its labels along that fiber; the
-    orbit product is taken over a+b consecutive rowmotion images.  Requires a
-    commutative realm (contract: C^b on positive fibers, C^a on negative).
+    product runs over ``orbit``, the window ``orbit_window(poset, g)``, which
+    is built when not given so that callers checking several fibers share
+    one.  Requires a commutative realm (contract: C^b on positive fibers,
+    C^a on negative).
     """
     r = g.realm
     if not r.commutative:
@@ -122,12 +137,15 @@ def fiber_orbit_product(poset, g, fiber):
         elems = [poset.id(i, index) for i in range(1, a + 1)]
     else:
         raise ValueError(f"unknown fiber kind {kind!r}")
+    if orbit is None:
+        orbit = orbit_window(poset, g)
+    elif len(orbit) != a + b:
+        raise ValueError(f"an orbit window on [{a}]x[{b}] has {a + b} labelings, "
+                         f"got {len(orbit)}")
     total = None
-    cur = g
-    for _ in range(a + b):
-        step = r.product(cur[x] for x in elems)
+    for lab in orbit:
+        step = r.product(lab[x] for x in elems)
         total = step if total is None else r.mul(total, step)
-        cur = antichain_rowmotion(poset, cur)
     return total
 
 
@@ -139,10 +157,11 @@ def constant_power(realm, k):
 def pl_homomesy_report(a, b, samples, seed):
     """Orbit averages of fiber sums for sampled chain-polytope points.
 
-    Runs tropical rowmotion with constant 1 on each sampled point for a+b
-    steps and takes exact arithmetic means over the orbit.  Contract: every
-    positive fiber mean is b/(a+b), every negative fiber mean is a/(a+b),
-    and the label-sum mean is ab/(a+b).  Failures record the sample seed.
+    Runs tropical rowmotion with constant 1 on each sampled point over its
+    orbit window (a+b labelings, a+b-1 steps) and takes exact arithmetic
+    means over the window.  Contract: every positive fiber mean is b/(a+b),
+    every negative fiber mean is a/(a+b), and the label-sum mean is
+    ab/(a+b).  Failures record the sample seed.
     """
     poset = product_of_chains(a, b)
     realm = TropicalRealm(Fraction(1))
@@ -156,9 +175,7 @@ def pl_homomesy_report(a, b, samples, seed):
         sub = derive_seed(seed, "pl-sample", idx)
         rng = random.Random(sub)
         values = sample_chain_polytope_point(poset, rng)
-        orbit = [Labeling(realm, values)]
-        for _ in range(period - 1):
-            orbit.append(antichain_rowmotion(poset, orbit[-1]))
+        orbit = orbit_window(poset, Labeling(realm, values))
         for lab in orbit[1:]:
             if not polytope_membership("chain", poset, lab):
                 membership_failures.append(sub)

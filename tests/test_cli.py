@@ -1,9 +1,11 @@
 """CLI subcommands: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from rowmotion import stword
 from rowmotion.cli import main
 
 
@@ -109,6 +111,45 @@ def test_homomesy_tropical(capsys):
     assert rep["report"]["all_exact"]
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["--realm", "ratfun", "--a", "2", "--b", "3"],
+     "9b8cf7ab4ecdb43849c73c6be39a7ccc23f1f6725da60274534183ea90f7814f"),
+    (["--realm", "ratfun", "--a", "3", "--b", "2"],
+     "03771b1b4612e63a8414e01209e0f7c321c046dded5e4c4ffd211170a32fea17"),
+    (["--realm", "matp", "--a", "3", "--b", "4", "--samples", "20", "--seed", "1"],
+     "0bc51db230984d0cf152b97a48397974e99dce7403da63ed068feb9e1281b52f"),
+    (["--realm", "tropical", "--a", "3", "--b", "3", "--samples", "10", "--seed", "1"],
+     "1634266f3c36a079b5ba27ca867d962bb49d4a3e77b7def2f85a4a6cd187cbf5"),
+])
+def test_homomesy_reports_pinned(args, digest, capsys):
+    """The homomesy reports are pinned byte for byte, however the orbit
+    window behind them is computed."""
+    assert main(["homomesy"] + args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,steps", [
+    (["--realm", "ratfun", "--a", "2", "--b", "3"], 4),
+    (["--realm", "matp", "--a", "2", "--b", "3", "--samples", "7"], 7 * 4),
+    (["--realm", "matp", "--a", "3", "--b", "3", "--samples", "3"], 3 * 5),
+])
+def test_homomesy_steps_once_per_window(args, steps, monkeypatch, capsys):
+    """A homomesy job takes a+b-1 rowmotion steps per labeling, shared by
+    all a+b fibers: no fiber walks its own orbit and no closing step is
+    computed."""
+    calls = []
+    step = stword.antichain_rowmotion
+
+    def counted(*a, **kw):
+        calls.append(None)
+        return step(*a, **kw)
+
+    monkeypatch.setattr(stword, "antichain_rowmotion", counted)
+    assert main(["homomesy"] + args) == 0
+    assert len(calls) == steps
+
+
 def test_fuzz_command_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "fuzz1.json"
     out2 = tmp_path / "fuzz2.json"
@@ -194,3 +235,24 @@ def test_fuzz_accepts_prime_modulus(p, capsys):
     assert code in (0, 1)
     assert rep["grid"]["p"] == p
     assert all(c["trials"] == 3 for c in rep["cells"])
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([1, 2], "poset must be a JSON object"),
+    ("chains", "poset must be a JSON object"),
+    ({"covers": 5}, "poset 'covers' must be a list of [lower, upper] id pairs"),
+    ({"covers": [[0, 1, 2]]}, "poset 'covers' must be a list of [lower, upper] id pairs"),
+    ({"covers": [[[0], 1]]}, "poset 'covers' must be a list of [lower, upper] id pairs"),
+    ({"chains": [2]}, "poset 'chains' must be two integers"),
+    ({"chains": [2, "3"]}, "poset 'chains' must be two integers"),
+    ({"chains": 4}, "poset 'chains' must be two integers"),
+    ({"elements": 3}, "poset 'elements' must be a list of string or integer ids"),
+    ({"elements": [[0]], "covers": []},
+     "poset 'elements' must be a list of string or integer ids"),
+])
+def test_malformed_poset_exits_2(payload, message, tmp_path, capsys):
+    src = tmp_path / "poset.json"
+    src.write_text(json.dumps(payload))
+    code, err = _refused(["poset", "--poset", str(src)], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"

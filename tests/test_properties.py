@@ -2,9 +2,12 @@
 
 Posets are random DAGs of at most six elements, built through
 ``build_poset`` with element ids shuffled so the ids are not a linear
-extension.  Primes run from 2 (singular draws are common) to 2^64 - 59
-(beyond fixed-width 128-bit sums of products).
+extension, or rectangles [a]x[b] with a, b <= 3 for the fiber word.  Primes
+run from 2 (singular draws are common) to 2^64 - 59 (beyond fixed-width
+128-bit sums of products).
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,10 @@ from rowmotion import (
     TransferKind,
     antichain_rowmotion,
     build_poset,
+    check_rotation,
     kernel,
+    labeling_from_json,
+    product_of_chains,
     transfer,
 )
 from rowmotion.realms import FpMatrixRealm
@@ -32,10 +38,13 @@ def posets(draw):
     return build_poset(covers, elements=range(n))
 
 
+RECTANGLES = st.builds(product_of_chains, st.integers(1, 3), st.integers(1, 3))
+
+
 @st.composite
-def matrix_labelings(draw):
+def matrix_labelings(draw, shapes=posets()):
     """(poset, d, p, flat labels, central constant c, labeling)."""
-    poset = draw(posets())
+    poset = draw(shapes)
     d = draw(st.integers(1, 3))
     p = draw(st.sampled_from(PRIMES))
     size = poset.n * d * d
@@ -81,3 +90,30 @@ def test_transfers_undo_their_inverses(case):
         except SingularValue:
             continue
         assert back.eq(g)
+
+
+@PROPERTY
+@given(matrix_labelings(RECTANGLES))
+def test_fiber_word_rotates(case):
+    """The noncommutative fiber word of rho(g) is the word of g shifted one
+    place right, over matrices of every size d <= 3."""
+    poset, _, _, _, _, g = case
+    image = _outcome(lambda: antichain_rowmotion(poset, g))
+    if image is SingularValue:
+        return
+    assert check_rotation(poset, g, image=image).ok
+
+
+@PROPERTY
+@given(matrix_labelings(RECTANGLES), st.booleans())
+def test_labeling_json_round_trips(case, coordinate_keys):
+    """``labeling_from_json`` reads back the ``labels`` and ``realm`` blocks
+    that reports write, with id or "i,j" keys."""
+    poset, _, _, _, _, g = case
+    obj = json.loads(json.dumps(g.to_json()))
+    if coordinate_keys:
+        obj["labels"] = {"{},{}".format(*poset.coord(int(x))): v
+                         for x, v in obj["labels"].items()}
+    back = labeling_from_json(obj, poset=poset)
+    assert back.realm.config() == g.realm.config()
+    assert back.values == g.values

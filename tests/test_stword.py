@@ -9,6 +9,8 @@ from rowmotion import (
     antichain_rowmotion,
     check_rotation,
     fiber_orbit_product,
+    iterate,
+    orbit_window,
     pl_homomesy_report,
     product_of_chains,
     sample_generic_labeling,
@@ -175,6 +177,28 @@ def test_fiber_products_scalar_samples():
             for l in range(1, b + 1):
                 assert r.eq(fiber_orbit_product(p, g, ("negative", l)),
                             constant_power(r, a))
+
+
+def test_orbit_window_is_the_orbit_prefix():
+    for a, b in [(1, 1), (2, 3), (3, 2)]:
+        p = product_of_chains(a, b)
+        g = matrix_labeling(p, 1, seed=40 + a)
+        window = orbit_window(p, g)
+        orbit = iterate(p, g).labelings
+        assert len(window) == a + b and window[0] is g
+        assert all(w.eq(o) for w, o in zip(window, orbit))
+
+
+def test_fiber_product_over_a_given_window():
+    p = product_of_chains(2, 3)
+    g = symbolic_labeling(p)
+    r = g.realm
+    window = orbit_window(p, g)
+    for fiber in [("positive", 2), ("negative", 3)]:
+        assert r.eq(fiber_orbit_product(p, g, fiber, window),
+                    fiber_orbit_product(p, g, fiber))
+    with pytest.raises(ValueError, match="has 5 labelings, got 4"):
+        fiber_orbit_product(p, g, ("positive", 1), window[:-1])
 
 
 def test_fiber_product_rejects_noncommutative():
