@@ -51,6 +51,7 @@ from .stword import (
     STWord,
     check_rotation,
     fiber_orbit_product,
+    fiber_product_checks,
     orbit_window,
     pl_homomesy_report,
     st_word,

@@ -197,11 +197,9 @@ class Orbit(NamedTuple):
 
     def to_json(self):
         realm = self.labelings[0].realm
-        steps = []
-        for lab, word in zip(self.labelings, self.st_words):
-            entry = {"labels": {str(x): realm.value_to_json(v) for x, v in enumerate(lab.values)}}
-            entry["st_word"] = None if word is None else [realm.value_to_json(v) for v in word.entries]
-            steps.append(entry)
+        steps = [{"labels": lab.to_json()["labels"],
+                  "st_word": None if word is None else word.to_json()}
+                 for lab, word in zip(self.labelings, self.st_words)]
         return {"period": self.period, "mode": self.mode, "realm": realm.config(), "steps": steps}
 
 

@@ -27,7 +27,7 @@ from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm, TropicalRealm
 from .sampling import derive_seed, symbolic_labeling
-from .stword import constant_power, fiber_orbit_product, orbit_window, st_word
+from .stword import constant_power, fiber_product_checks, orbit_window, st_word
 
 
 class FixtureResult(NamedTuple):
@@ -278,7 +278,6 @@ def _fx_bar_2x3_orbit(samples, seed):
 
 def _fx_fiber_products_2x2(samples, seed):
     p, g, r, cc, w, x, y, z = _vars_2x2()
-    c2 = constant_power(r, 2)
     # The worked per-step factors of the first-row product.
     factors = [
         w, y,
@@ -286,26 +285,14 @@ def _fx_fiber_products_2x2(samples, seed):
         z, cc / (w * x * z),
         x * y / (x + y), (x + y) * z / y,
     ]
-    worked = r.product(factors)
-    checks = [r.eq(worked, c2)]
-    orbit = orbit_window(p, g)
-    for k in (1, 2):
-        checks.append(r.eq(fiber_orbit_product(p, g, ("positive", k), orbit), c2))
-    for l in (1, 2):
-        checks.append(r.eq(fiber_orbit_product(p, g, ("negative", l), orbit), c2))
+    checks = [r.eq(r.product(factors), constant_power(r, 2))]
+    checks += [f["pass"] for f in fiber_product_checks(p, orbit_window(p, g))]
     return all(checks), f"checks {checks}"
 
 
 def _fx_fiber_products_2x3(samples, seed):
-    p, g, r = _vars_2x3()[:3]
-    c3 = constant_power(r, 3)
-    c2 = constant_power(r, 2)
-    checks = []
-    orbit = orbit_window(p, g)
-    for k in (1, 2):
-        checks.append(r.eq(fiber_orbit_product(p, g, ("positive", k), orbit), c3))
-    for l in (1, 2, 3):
-        checks.append(r.eq(fiber_orbit_product(p, g, ("negative", l), orbit), c2))
+    p, g = _vars_2x3()[:2]
+    checks = [f["pass"] for f in fiber_product_checks(p, orbit_window(p, g))]
     return all(checks), f"checks {checks}"
 
 

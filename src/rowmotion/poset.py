@@ -99,7 +99,9 @@ class FinitePoset:
         for lo, hi in self.covers:
             dn_adj[hi].append(lo)
         self._down_covers = tuple(tuple(sorted(dn_adj[x])) for x in range(n))
-        self._topo = _topological_order(n, [list(t) for t in self._up_covers])
+        # Same order as on the reduced covers: min-id Kahn depends only on
+        # reachability, which the reduction keeps.
+        self._topo = topo
 
     # -- order queries -------------------------------------------------
 

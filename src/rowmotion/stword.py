@@ -1,18 +1,20 @@
 """Fiber words of labelings on [a]x[b] and the homomesy checks they drive.
 
-The word of a labeling g has a+b entries.  Entry i <= a multiplies the i-th
-row with the column index descending: g(i,b) * ... * g(i,1).  Entry a+l is
-the constant times inverses up the l-th column with the row index ascending:
-C * inv(g(1,l)) * ... * inv(g(a,l)).  In the tropical realm with constant 1
-these specialize to the row sums and to 1 minus the column sums, and on 0/1
-indicator labelings to the binary fiber word of an antichain.
+Fibers come from ``poset.fibers``: positive fiber k is row k, negative fiber
+l is column l.  The word of a labeling g has a+b entries.  Entry k <= a
+multiplies positive fiber k with the column index descending:
+g(k,b) * ... * g(k,1).  Entry a+l is the constant times inverses up
+negative fiber l with the row index ascending: C * inv(g(1,l)) * ... *
+inv(g(a,l)).  In the tropical realm with constant 1 these specialize to the
+row sums and to 1 minus the column sums, and on 0/1 indicator labelings to
+the binary fiber word of an antichain.
 
 One rowmotion step rotates the word one place to the right; hence fiber
-statistics are homomesic: over the a+b consecutive labelings g, rho(g), ...,
-rho^(a+b-1)(g), positive fiber products multiply to C^b and negative fiber
-products to C^a (commutative realms), and in the tropical realm fiber sums
-average b/(a+b) and a/(a+b).  That window costs a+b-1 rowmotion steps
-(``orbit_window``); every fiber of a job reads the same window.
+statistics are homomesic: over the window g, rho(g), ..., rho^(a+b-1)(g)
+(``orbit_window``, a+b-1 steps), positive fibers multiply to C^b and
+negative fibers to C^a in a commutative realm (``fiber_product_checks``).
+Read tropically (product is sum, C^k is k*c) that is the piecewise-linear
+fiber-mean homomesy ``pl_homomesy_report`` checks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 from .dynamics import antichain_rowmotion, polytope_membership
 from .labeling import Labeling
-from .poset import RectanglePoset, product_of_chains
+from .poset import RectanglePoset, fibers, product_of_chains
 from .realms import TropicalRealm
 from .sampling import derive_seed, sample_chain_polytope_point
 
@@ -46,38 +48,27 @@ class STWord:
             return False
         return all(self.realm.eq(a, b) for a, b in zip(self.entries, other.entries))
 
+    def to_json(self):
+        return [self.realm.value_to_json(v) for v in self.entries]
+
     def __len__(self):
         return len(self.entries)
 
 
 def st_word(poset, g):
     """The fiber word of a labeling on a rectangle poset."""
-    return _st_word_ordered(poset, g, positive_descending=True, negative_ascending=True)
-
-
-def _st_word_ordered(poset, g, positive_descending, negative_ascending):
-    """Fiber word with explicit index orders.
-
-    The published orders are descending columns on positive fibers and
-    ascending rows on negative fibers; the flags exist so tests can show the
-    wrong order breaks rotation once labels stop commuting.
-    """
     if not isinstance(poset, RectanglePoset):
         raise ValueError("fiber words are defined on rectangle posets")
     r = g.realm
-    a, b = poset.a, poset.b
-    entries = []
-    for i in range(1, a + 1):
-        cols = range(b, 0, -1) if positive_descending else range(1, b + 1)
-        entries.append(r.product(g[poset.id(i, j)] for j in cols))
-    for l in range(1, b + 1):
-        rows = range(1, a + 1) if negative_ascending else range(a, 0, -1)
+    positive, negative = fibers(poset.a, poset.b)
+    entries = [r.product(g[x] for x in reversed(row)) for row in positive]
+    for column in negative:
         # Fold right to left; the factor order C, inv(g(1,l)), .., inv(g(a,l))
         # is unchanged, and the constant joins last, which cancels better in
         # the symbolic realm.
         val = None
-        for i in reversed(rows):
-            term = r.inv(g[poset.id(i, l)])
+        for x in reversed(column):
+            term = r.inv(g[x])
             val = term if val is None else r.mul(term, val)
         entries.append(r.mul(r.constant(), val))
     return STWord(tuple(entries), r)
@@ -116,35 +107,30 @@ def orbit_window(poset, g):
     return window
 
 
-def fiber_orbit_product(poset, g, fiber, orbit=None):
-    """Product of a fiber statistic over the a+b labelings of an orbit window.
+def fiber_orbit_product(poset, window, fiber):
+    """Product of one fiber statistic over an orbit window.
 
-    ``fiber`` is ("positive", k) or ("negative", l), 1-based.  The statistic
-    of a labeling is the plain product of its labels along that fiber; the
-    product runs over ``orbit``, the window ``orbit_window(poset, g)``, which
-    is built when not given so that callers checking several fibers share
-    one.  Requires a commutative realm (contract: C^b on positive fibers,
-    C^a on negative).
+    ``window`` is ``orbit_window(poset, g)``; ``fiber`` is ("positive", k)
+    or ("negative", l), 1-based.  The statistic of a labeling is the plain
+    product of its labels along the fiber.  Requires a commutative realm
+    (contract: C^b on positive fibers, C^a on negative).
     """
-    r = g.realm
+    a, b = poset.a, poset.b
+    if len(window) != a + b:
+        raise ValueError(f"an orbit window on [{a}]x[{b}] has {a + b} labelings, "
+                         f"got {len(window)}")
+    r = window[0].realm
     if not r.commutative:
         raise ValueError("orbit fiber products are a commutative-realm contract")
     kind, index = fiber
-    a, b = poset.a, poset.b
-    if kind == "positive":
-        elems = [poset.id(index, j) for j in range(1, b + 1)]
-    elif kind == "negative":
-        elems = [poset.id(i, index) for i in range(1, a + 1)]
-    else:
+    members = dict(zip(("positive", "negative"), fibers(a, b))).get(kind)
+    if members is None:
         raise ValueError(f"unknown fiber kind {kind!r}")
-    if orbit is None:
-        orbit = orbit_window(poset, g)
-    elif len(orbit) != a + b:
-        raise ValueError(f"an orbit window on [{a}]x[{b}] has {a + b} labelings, "
-                         f"got {len(orbit)}")
+    if not 1 <= index <= len(members):
+        raise ValueError(f"no {kind} fiber {index} on [{a}]x[{b}]")
     total = None
-    for lab in orbit:
-        step = r.product(lab[x] for x in elems)
+    for lab in window:
+        step = r.product(lab[x] for x in members[index - 1])
         total = step if total is None else r.mul(total, step)
     return total
 
@@ -154,55 +140,54 @@ def constant_power(realm, k):
     return realm.product(realm.constant() for _ in range(k))
 
 
+def fiber_product_checks(poset, window):
+    """Every fiber product over an orbit window against its contract.
+
+    One {"fiber", "expected", "pass"} entry per fiber, positive fibers
+    first: each positive fiber must multiply to C^b, each negative fiber
+    to C^a.
+    """
+    r = window[0].realm
+    out = []
+    for kind, count, power in (("positive", poset.a, poset.b),
+                               ("negative", poset.b, poset.a)):
+        expected = constant_power(r, power)
+        for k in range(1, count + 1):
+            got = fiber_orbit_product(poset, window, (kind, k))
+            out.append({"fiber": f"{kind} {k}", "expected": f"C^{power}",
+                        "pass": r.eq(got, expected)})
+    return out
+
+
 def pl_homomesy_report(a, b, samples, seed):
     """Orbit averages of fiber sums for sampled chain-polytope points.
 
     Runs tropical rowmotion with constant 1 on each sampled point over its
-    orbit window (a+b labelings, a+b-1 steps) and takes exact arithmetic
-    means over the window.  Contract: every positive fiber mean is b/(a+b),
-    every negative fiber mean is a/(a+b), and the label-sum mean is
+    orbit window (a+b labelings, a+b-1 steps).  Contract: every positive
+    fiber mean is b/(a+b), every negative fiber mean is a/(a+b) (the fiber
+    products C^b and C^a, read tropically), and the label-sum mean is
     ab/(a+b).  Failures record the sample seed.
     """
     poset = product_of_chains(a, b)
     realm = TropicalRealm(Fraction(1))
-    period = a + b
-    expected_pos = Fraction(b, period)
-    expected_neg = Fraction(a, period)
-    expected_sum = Fraction(a * b, period)
     failures = []
     membership_failures = []
     for idx in range(samples):
         sub = derive_seed(seed, "pl-sample", idx)
-        rng = random.Random(sub)
-        values = sample_chain_polytope_point(poset, rng)
-        orbit = orbit_window(poset, Labeling(realm, values))
-        for lab in orbit[1:]:
-            if not polytope_membership("chain", poset, lab):
-                membership_failures.append(sub)
-                break
-        pos_means = [
-            sum(sum(lab[poset.id(k, j)] for j in range(1, b + 1)) for lab in orbit) / period
-            for k in range(1, a + 1)
-        ]
-        neg_means = [
-            sum(sum(lab[poset.id(i, l)] for i in range(1, a + 1)) for lab in orbit) / period
-            for l in range(1, b + 1)
-        ]
-        sum_mean = sum(sum(lab.values) for lab in orbit) / period
-        ok = (
-            all(m == expected_pos for m in pos_means)
-            and all(m == expected_neg for m in neg_means)
-            and sum_mean == expected_sum
-        )
-        if not ok:
+        values = sample_chain_polytope_point(poset, random.Random(sub))
+        window = orbit_window(poset, Labeling(realm, values))
+        if not all(polytope_membership("chain", poset, lab) for lab in window[1:]):
+            membership_failures.append(sub)
+        if not (all(f["pass"] for f in fiber_product_checks(poset, window))
+                and sum(sum(lab.values) for lab in window) == a * b):
             failures.append(sub)
     return {
         "chains": [a, b],
         "samples": samples,
         "seed": seed,
-        "positive_fiber_mean": str(expected_pos),
-        "negative_fiber_mean": str(expected_neg),
-        "label_sum_mean": str(expected_sum),
+        "positive_fiber_mean": str(Fraction(b, a + b)),
+        "negative_fiber_mean": str(Fraction(a, a + b)),
+        "label_sum_mean": str(Fraction(a * b, a + b)),
         "failing_sample_seeds": failures,
         "membership_failing_sample_seeds": membership_failures,
         "all_exact": not failures and not membership_failures,

@@ -129,6 +129,31 @@ def test_homomesy_reports_pinned(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["stword", "--chains", "2", "3", "--realm", "matp", "--d", "2", "--seed", "3"],
+     "159ee5f1b45c2660cf56d8a2100d3f01aca6c2eceb9fa50a1a3cbfb328522e7a"),
+    (["stword", "--chains", "3", "2"],
+     "304e1d311cae8d90e696ea51d235934be6a99c4a6cbedb753788afc9f969e3c3"),
+    (["stword", "--chains", "2", "3", "--realm", "tropical", "--seed", "4"],
+     "7918107ae9e714432c6d120604f94f14ae502194a84a533f8b6382d995193e91"),
+    (["rowmotion", "--chains", "2", "3", "--realm", "matp", "--d", "2", "--seed", "3"],
+     "e3586296560804da6298f4ccfa5c18c60a66c704495e667358145cdf45d88a42"),
+    (["rowmotion", "--chains", "2", "2"],
+     "f60a0932e012e93a7d08ee928746c70e3afbdbbddfe9b435685fd2bcdb863b84"),
+    (["fixtures", "--samples", "5"],
+     "ebc012aa7c344272f5a6aa3c6ee8ee652d4a5df26d0637bae4c2d711361a0661"),
+    (["homomesy", "--realm", "tropical", "--a", "4", "--b", "5", "--samples", "20",
+      "--seed", "9"],
+     "1da5831dc84059fcc8b6b53f92bd770b6a9fc7fba389133de1f83622cedf7080"),
+])
+def test_word_orbit_and_fixture_reports_pinned(args, digest, capsys):
+    """The labeling and fiber-word JSON encoding, the fixture details and
+    the tropical means are pinned byte for byte (stdout only)."""
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args,steps", [
     (["--realm", "ratfun", "--a", "2", "--b", "3"], 4),
     (["--realm", "matp", "--a", "2", "--b", "3", "--samples", "7"], 7 * 4),
@@ -256,3 +281,21 @@ def test_malformed_poset_exits_2(payload, message, tmp_path, capsys):
     code, err = _refused(["poset", "--poset", str(src)], capsys)
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["homomesy", "--realm", "matp", "--a", "2", "--b", "2", "--samples", "-3"],
+    ["homomesy", "--realm", "tropical", "--a", "2", "--b", "2", "--samples", "0"],
+    ["fixtures", "--samples", "0"],
+    ["fuzz-nar", "--trials", "0"],
+    ["fuzz-nar", "--amax", "0"],
+    ["fuzz-nar", "--bmax", "0"],
+    ["fuzz-nar", "--dmax", "0"],
+    ["rowmotion", "--chains", "2", "2", "--realm", "matp", "--steps", "-1"],
+])
+def test_count_below_one_exits_2(args, capsys):
+    """A count below 1 is refused rather than reported as a vacuous pass."""
+    code, err = _refused(args, capsys)
+    flag, value = args[-2:]
+    assert code == 2
+    assert err == f"error: {flag} must be at least 1, got {value}\n"

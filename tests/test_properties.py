@@ -1,10 +1,11 @@
-"""Property tests on random small posets over prime fields.
+"""Property tests on random small posets over prime fields and tropically.
 
 Posets are random DAGs of at most six elements, built through
 ``build_poset`` with element ids shuffled so the ids are not a linear
-extension, or rectangles [a]x[b] with a, b <= 3 for the fiber word.  Primes
-run from 2 (singular draws are common) to 2^64 - 59 (beyond fixed-width
-128-bit sums of products).
+extension, or rectangles [a]x[b] with a, b <= 3 for the fiber word and the
+fiber products.  Primes run from 2 (singular draws are common) to
+2^64 - 59 (beyond fixed-width 128-bit sums of products).  Tropical
+labelings take arbitrary rationals and an arbitrary constant.
 """
 
 import json
@@ -13,13 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowmotion import (
+    Labeling,
     SingularValue,
     TransferKind,
+    TropicalRealm,
     antichain_rowmotion,
     build_poset,
     check_rotation,
+    fiber_product_checks,
     kernel,
     labeling_from_json,
+    orbit_window,
     product_of_chains,
     transfer,
 )
@@ -42,10 +47,10 @@ RECTANGLES = st.builds(product_of_chains, st.integers(1, 3), st.integers(1, 3))
 
 
 @st.composite
-def matrix_labelings(draw, shapes=posets()):
+def matrix_labelings(draw, shapes=posets(), dims=st.integers(1, 3)):
     """(poset, d, p, flat labels, central constant c, labeling)."""
     poset = draw(shapes)
-    d = draw(st.integers(1, 3))
+    d = draw(dims)
     p = draw(st.sampled_from(PRIMES))
     size = poset.n * d * d
     # half the entries near p: large residues are where products overflow
@@ -54,6 +59,15 @@ def matrix_labelings(draw, shapes=posets()):
     c = draw(st.integers(1, p - 1))
     g = kernel.flat_to_labeling(FpMatrixRealm(p, d, c=c), flat)
     return poset, d, p, flat, c, g
+
+
+@st.composite
+def tropical_labelings(draw):
+    """(rectangle, labeling) with arbitrary rational labels and constant."""
+    poset = draw(RECTANGLES)
+    c = draw(st.fractions())
+    values = draw(st.lists(st.fractions(), min_size=poset.n, max_size=poset.n))
+    return poset, Labeling(TropicalRealm(c), values)
 
 
 def _outcome(f):
@@ -102,6 +116,32 @@ def test_fiber_word_rotates(case):
     if image is SingularValue:
         return
     assert check_rotation(poset, g, image=image).ok
+
+
+def _fiber_products_hit_their_constants(poset, g):
+    """Over an orbit window every positive fiber multiplies to C^b and every
+    negative fiber to C^a, or rowmotion met a singular value."""
+    window = _outcome(lambda: orbit_window(poset, g))
+    if window is SingularValue:
+        return
+    checks = fiber_product_checks(poset, window)
+    assert len(checks) == poset.a + poset.b
+    assert all(f["pass"] for f in checks)
+
+
+@PROPERTY
+@given(tropical_labelings())
+def test_tropical_fiber_sums_hit_their_constants(case):
+    """Tropically the contract reads: fiber sums over the window are b*c and
+    a*c, for any rational labels and constant c."""
+    _fiber_products_hit_their_constants(*case)
+
+
+@PROPERTY
+@given(matrix_labelings(RECTANGLES, st.just(1)))
+def test_scalar_fiber_products_hit_their_constants(case):
+    poset, _, _, _, _, g = case
+    _fiber_products_hit_their_constants(poset, g)
 
 
 @PROPERTY

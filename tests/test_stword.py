@@ -8,6 +8,7 @@ from rowmotion import (
     TropicalRealm,
     antichain_rowmotion,
     check_rotation,
+    STWord,
     fiber_orbit_product,
     iterate,
     orbit_window,
@@ -17,7 +18,7 @@ from rowmotion import (
     st_word,
 )
 from rowmotion.sampling import symbolic_labeling
-from rowmotion.stword import _st_word_ordered, constant_power
+from rowmotion.stword import constant_power
 
 PRIME = 10007
 
@@ -104,6 +105,19 @@ def test_rotation_tropical_samples():
             assert check_rotation(p, g).ok
 
 
+def _word_with_orders(p, g, positive_descending, negative_ascending):
+    """The fiber word with chosen index orders; ``st_word`` is (True, True)."""
+    r = g.realm
+    entries = []
+    for i in range(1, p.a + 1):
+        cols = range(p.b, 0, -1) if positive_descending else range(1, p.b + 1)
+        entries.append(r.product(g[p.id(i, j)] for j in cols))
+    for l in range(1, p.b + 1):
+        rows = range(1, p.a + 1) if negative_ascending else range(p.a, 0, -1)
+        entries.append(r.product([r.constant()] + [r.inv(g[p.id(i, l)]) for i in rows]))
+    return STWord(tuple(entries), r)
+
+
 def test_wrong_factor_order_breaks_rotation():
     """Ascending positive-fiber products (or descending negative ones) stop
     the word from rotating once labels stop commuting."""
@@ -114,12 +128,11 @@ def test_wrong_factor_order_breaks_rotation():
         g = matrix_labeling(p, 2, seed=150 + s)
         r = g.realm
         image = antichain_rowmotion(p, g, mode="toggles")
-        good = _st_word_ordered(p, g, True, True)
-        bad_pos_before = _st_word_ordered(p, g, False, True)
-        bad_pos_after = _st_word_ordered(p, image, False, True)
-        bad_neg_before = _st_word_ordered(p, g, True, False)
-        bad_neg_after = _st_word_ordered(p, image, True, False)
-        del good
+        assert _word_with_orders(p, g, True, True).eq(st_word(p, g))
+        bad_pos_before = _word_with_orders(p, g, False, True)
+        bad_pos_after = _word_with_orders(p, image, False, True)
+        bad_neg_before = _word_with_orders(p, g, True, False)
+        bad_neg_after = _word_with_orders(p, image, True, False)
         ln = len(bad_pos_before.entries)
         if any(not r.eq(bad_pos_after.entry(i), bad_pos_before.entry(i - 1))
                for i in range(1, ln + 1)):
@@ -145,24 +158,27 @@ def test_fiber_products_2x2_symbolic():
     p = product_of_chains(2, 2)
     g = symbolic_labeling(p)
     r = g.realm
+    window = orbit_window(p, g)
     c2 = constant_power(r, 2)
-    assert r.eq(fiber_orbit_product(p, g, ("positive", 1)), c2)
-    assert r.eq(fiber_orbit_product(p, g, ("negative", 1)), c2)
+    assert r.eq(fiber_orbit_product(p, window, ("positive", 1)), c2)
+    assert r.eq(fiber_orbit_product(p, window, ("negative", 1)), c2)
 
 
 def test_fiber_products_2x3_symbolic():
     p = product_of_chains(2, 3)
     g = symbolic_labeling(p)
     r = g.realm
-    assert r.eq(fiber_orbit_product(p, g, ("negative", 1)), constant_power(r, 2))
-    assert r.eq(fiber_orbit_product(p, g, ("positive", 2)), constant_power(r, 3))
+    window = orbit_window(p, g)
+    assert r.eq(fiber_orbit_product(p, window, ("negative", 1)), constant_power(r, 2))
+    assert r.eq(fiber_orbit_product(p, window, ("positive", 2)), constant_power(r, 3))
 
 
 def test_fiber_product_1x1():
     p = product_of_chains(1, 1)
     g = symbolic_labeling(p)
     r = g.realm
-    assert r.eq(fiber_orbit_product(p, g, ("positive", 1)), r.variable("C"))
+    window = orbit_window(p, g)
+    assert r.eq(fiber_orbit_product(p, window, ("positive", 1)), r.variable("C"))
 
 
 def test_fiber_products_scalar_samples():
@@ -171,11 +187,12 @@ def test_fiber_products_scalar_samples():
         for s in range(10):
             g = matrix_labeling(p, 1, seed=250 + s)
             r = g.realm
+            window = orbit_window(p, g)
             for k in range(1, a + 1):
-                assert r.eq(fiber_orbit_product(p, g, ("positive", k)),
+                assert r.eq(fiber_orbit_product(p, window, ("positive", k)),
                             constant_power(r, b))
             for l in range(1, b + 1):
-                assert r.eq(fiber_orbit_product(p, g, ("negative", l)),
+                assert r.eq(fiber_orbit_product(p, window, ("negative", l)),
                             constant_power(r, a))
 
 
@@ -190,24 +207,32 @@ def test_orbit_window_is_the_orbit_prefix():
 
 
 def test_fiber_product_over_a_given_window():
+    """The product runs over exactly the window it is given: rows and
+    columns of the first a+b orbit labelings, and nothing else."""
     p = product_of_chains(2, 3)
     g = symbolic_labeling(p)
     r = g.realm
     window = orbit_window(p, g)
-    for fiber in [("positive", 2), ("negative", 3)]:
-        assert r.eq(fiber_orbit_product(p, g, fiber, window),
-                    fiber_orbit_product(p, g, fiber))
+    orbit = iterate(p, g).labelings[:5]
+    for fiber, cells in [(("positive", 2), [(2, j) for j in (1, 2, 3)]),
+                         (("negative", 3), [(1, 3), (2, 3)])]:
+        want = r.product(lab[p.id(i, j)] for lab in orbit for (i, j) in cells)
+        assert r.eq(fiber_orbit_product(p, window, fiber), want)
     with pytest.raises(ValueError, match="has 5 labelings, got 4"):
-        fiber_orbit_product(p, g, ("positive", 1), window[:-1])
+        fiber_orbit_product(p, window[:-1], ("positive", 1))
+    for fiber in [("positive", 3), ("negative", 0), ("negative", 4)]:
+        with pytest.raises(ValueError, match=f"no {fiber[0]} fiber {fiber[1]} on"):
+            fiber_orbit_product(p, window, fiber)
 
 
 def test_fiber_product_rejects_noncommutative():
     p = product_of_chains(2, 2)
     g = matrix_labeling(p, 2, seed=1)
-    with pytest.raises(ValueError):
-        fiber_orbit_product(p, g, ("positive", 1))
-    with pytest.raises(ValueError):
-        fiber_orbit_product(p, g, ("diagonal", 1))
+    with pytest.raises(ValueError, match="commutative-realm contract"):
+        fiber_orbit_product(p, [g] * 4, ("positive", 1))
+    scalar = [matrix_labeling(p, 1, seed=1)] * 4
+    with pytest.raises(ValueError, match="unknown fiber kind 'diagonal'"):
+        fiber_orbit_product(p, scalar, ("diagonal", 1))
 
 
 def test_telescoping_row_and_column_products():
