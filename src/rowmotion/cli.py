@@ -24,7 +24,8 @@ from .labeling import labeling_from_json
 from .poset import poset_from_json, poset_to_json, product_of_chains
 from .realms import FUZZ_PRIME
 from .sampling import derive_seed, sample_generic_labeling
-from .stword import fiber_product_checks, orbit_window, pl_homomesy_report, st_word
+from .stword import (fiber_product_checks, orbit_window, pl_homomesy_report,
+                     sample_orbit_window, st_word)
 
 
 def main(argv=None):
@@ -202,14 +203,14 @@ def _cmd_homomesy(args):
         ok = all(f["pass"] for f in fibers)
         return report, ok
     # matp: sampled scalar labelings (d = 1; the product contract is
-    # commutative-realm only).
+    # commutative-realm only), each resampled until its whole window is
+    # nonsingular.
     fibers = []
     ok = True
     for idx in range(args.samples):
         sub = derive_seed(args.seed, "homomesy", idx)
-        g = sample_generic_labeling(
-            poset, {"realm": "matp", "p": args.p, "d": 1}, sub)
-        for f in fiber_product_checks(poset, orbit_window(poset, g)):
+        window = sample_orbit_window(poset, {"realm": "matp", "p": args.p, "d": 1}, sub)
+        for f in fiber_product_checks(poset, window):
             if not f["pass"]:
                 f["sample_seed"] = sub
                 fibers.append(f)

@@ -27,7 +27,6 @@ toggle products along any linear extension, bottom to top.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import SingularValue
@@ -166,24 +165,26 @@ def closed_form_first_pass(poset, g):
     return Labeling(r, out)
 
 
-def polytope_membership(kind, poset, values):
-    """Exact membership test for the three labeling polytopes.
+def polytope_membership(kind, poset, values, scale=1):
+    """Exact membership test for the three labeling polytopes, dilated by
+    ``scale`` (the tropical constant c that rowmotion preserves them under).
 
-    kind "order": values in [0, 1], weakly increasing along covers.
-    kind "order-reversing": values in [0, 1], weakly decreasing along covers.
-    kind "chain": values in [0, 1] and every maximal chain sums to at most 1.
+    kind "order": values in [0, scale], weakly increasing along covers.
+    kind "order-reversing": values in [0, scale], weakly decreasing along covers.
+    kind "chain": values in [0, scale] and every maximal chain sums to at most
+    scale, read off one longest-chain pass (``FinitePoset.max_chain_sum``).
+    Values are ints or Fractions and are compared as given.
     """
     if isinstance(values, Labeling):
         values = values.values
-    vals = [Fraction(v) for v in values]
-    if any(v < 0 or v > 1 for v in vals):
+    if any(v < 0 or v > scale for v in values):
         return False
     if kind == "order":
-        return all(vals[lo] <= vals[hi] for lo, hi in poset.covers)
+        return all(values[lo] <= values[hi] for lo, hi in poset.covers)
     if kind == "order-reversing":
-        return all(vals[lo] >= vals[hi] for lo, hi in poset.covers)
+        return all(values[lo] >= values[hi] for lo, hi in poset.covers)
     if kind == "chain":
-        return all(sum(vals[x] for x in chain) <= 1 for chain in poset.maximal_chains())
+        return poset.max_chain_sum(values) <= scale
     raise ValueError(f"unknown polytope kind {kind!r}")
 
 

@@ -171,6 +171,22 @@ class FinitePoset:
                     stack.append((y, chain + (y,)))
         return sorted(out)
 
+    def max_chain_sum(self, values):
+        """Largest sum of ``values`` over a maximal chain (0 on the empty poset).
+
+        A longest-path DP in topological order over the lower covers, so it
+        costs O(n + |covers|) where the chains themselves can be exponentially
+        many.  Works on any ordered numbers, ints and Fractions alike.
+        """
+        best = [None] * self.n
+        for x in self._topo:
+            below = self._down_covers[x]
+            if below:
+                best[x] = values[x] + max([best[y] for y in below])
+            else:
+                best[x] = values[x]
+        return max((best[x] for x in self.maximal_elements()), default=0)
+
     def __repr__(self):
         return f"FinitePoset(n={self.n}, covers={sorted(self.covers)})"
 

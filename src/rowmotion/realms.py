@@ -121,14 +121,22 @@ class Realm:
 
 
 class TropicalRealm(Realm):
-    """Exact rationals under (max, +): add is max, mul is +, inv is negation."""
+    """Exact rationals under (max, +): add is max, mul is +, inv is negation.
+
+    ``one()`` is the int 0 and an integral constant c is stored as an int,
+    so labelings with integer labels are iterated in int arithmetic (this is
+    how ``pl_homomesy_report`` runs, over one cleared denominator); rational
+    labels or a rational c stay ``Fraction``.  ``str`` gives the same text
+    either way, so reports do not depend on which one a value is.
+    """
 
     name = "tropical"
     commutative = True
     tropical = True
 
-    def __init__(self, c=Fraction(1)):
-        self.c = Fraction(c)
+    def __init__(self, c=1):
+        c = Fraction(c)
+        self.c = c.numerator if c.denominator == 1 else c
 
     def add(self, x, y):
         return x if x >= y else y
@@ -140,7 +148,7 @@ class TropicalRealm(Realm):
         return -x
 
     def one(self):
-        return Fraction(0)
+        return 0
 
     def constant(self):
         return self.c

@@ -65,23 +65,22 @@ def sample_generic_labeling(poset, realm_config, seed):
 
 
 def sample_chain_polytope_point(poset, rng, denominator=60, rejection_rounds=64):
-    """Random rational point of the chain polytope.
+    """Random rational point of the chain polytope; its entries share one
+    denominator, ``denominator`` or the W below.
 
-    Draws entries k/denominator from the unit box and accepts when every
-    maximal chain sums to at most 1.  When rejection keeps missing (the
-    polytope volume shrinks fast with poset size), the last draw is scaled
-    down by its largest chain sum instead, which lands exactly on the
-    polytope; everything stays an exact rational.
+    Draws integer numerators k in [0, denominator], one per element, and
+    accepts the point k/denominator when the largest chain sum of the k
+    (``FinitePoset.max_chain_sum``, one longest-chain pass over the covers)
+    is at most ``denominator``.  When rejection keeps missing (the polytope
+    volume shrinks fast with poset size), the last draw is scaled down by its
+    largest chain sum W instead: the point k/W lies exactly on the polytope.
     """
-    chains = poset.maximal_chains()
-    values = None
     for _ in range(rejection_rounds):
-        values = [Fraction(rng.randrange(denominator + 1), denominator)
-                  for _ in range(poset.n)]
-        if all(sum(values[x] for x in chain) <= 1 for chain in chains):
-            return values
-    worst = max(sum(values[x] for x in chain) for chain in chains)
-    return [v / worst for v in values]
+        numerators = [rng.randrange(denominator + 1) for _ in range(poset.n)]
+        worst = poset.max_chain_sum(numerators)
+        if worst <= denominator:
+            return [Fraction(k, denominator) for k in numerators]
+    return [Fraction(k, worst) for k in numerators]
 
 
 def _bounded_rational(rng):
@@ -89,30 +88,43 @@ def _bounded_rational(rng):
     return Fraction(rng.randrange(den + 1), den)
 
 
-def _sample_matrix_labeling(poset, realm_config, seed):
-    from .dynamics import antichain_rowmotion
+def sample_matrix(poset, realm_config, seed, walk):
+    """``walk(g)`` on the first sampled matrix labeling g it accepts.
 
-    kind = realm_config["realm"]
-    d = int(realm_config["d"])
+    Attempt k draws g from ``derive_seed(seed, "matrix", k)``: uniform
+    entries and a nonzero central scalar.  An attempt whose walk meets a
+    singular value moves on to the next one, up to the retry bound.
+    """
     for attempt in range(RESAMPLE_LIMIT):
-        rng = random.Random(derive_seed(seed, "matrix", attempt))
-        if kind == "matp":
-            p = int(realm_config["p"])
-            realm = FpMatrixRealm(p, d, c=rng.randrange(1, p))
-            entry = lambda: rng.randrange(p)
-        else:
-            realm = FractionMatrixRealm(d, c=Fraction(rng.randrange(1, 64), rng.randrange(1, 64)))
-            entry = lambda: Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
-        values = [
-            tuple(tuple(entry() for _ in range(d)) for _ in range(d))
-            for _ in range(poset.n)
-        ]
-        g = Labeling(realm, values)
+        g = _draw_matrix_labeling(poset.n, realm_config,
+                                  random.Random(derive_seed(seed, "matrix", attempt)))
         try:
-            antichain_rowmotion(poset, g, mode="transfer")
+            return walk(g)
         except SingularValue:
             continue
-        return g
     raise SamplingExhausted(
         f"no nonsingular labeling after {RESAMPLE_LIMIT} attempts", seed=seed
     )
+
+
+def _sample_matrix_labeling(poset, realm_config, seed):
+    from .dynamics import antichain_rowmotion
+
+    def probe(g):
+        antichain_rowmotion(poset, g, mode="transfer")
+        return g
+
+    return sample_matrix(poset, realm_config, seed, probe)
+
+
+def _draw_matrix_labeling(n, realm_config, rng):
+    d = int(realm_config["d"])
+    if realm_config["realm"] == "matp":
+        p = int(realm_config["p"])
+        realm = FpMatrixRealm(p, d, c=rng.randrange(1, p))
+        entry = lambda: rng.randrange(p)
+    else:
+        realm = FractionMatrixRealm(d, c=Fraction(rng.randrange(1, 64), rng.randrange(1, 64)))
+        entry = lambda: Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
+    return Labeling(realm, [tuple(tuple(entry() for _ in range(d)) for _ in range(d))
+                            for _ in range(n)])

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .dynamics import antichain_rowmotion, polytope_membership
 from .labeling import Labeling
 from .poset import RectanglePoset, fibers, product_of_chains
 from .realms import TropicalRealm
-from .sampling import derive_seed, sample_chain_polytope_point
+from .sampling import derive_seed, sample_chain_polytope_point, sample_matrix
 
 
 class STWord:
@@ -107,6 +108,16 @@ def orbit_window(poset, g):
     return window
 
 
+def sample_orbit_window(poset, realm_config, seed):
+    """The orbit window of a sampled matrix labeling (``matp`` or ``matq``).
+
+    Draws as ``sample_generic_labeling`` does, but a draw is kept only when
+    no step of its whole window meets a singular value; otherwise the next
+    draw is tried, up to the retry bound.
+    """
+    return sample_matrix(poset, realm_config, seed, lambda g: orbit_window(poset, g))
+
+
 def fiber_orbit_product(poset, window, fiber):
     """Product of one fiber statistic over an orbit window.
 
@@ -167,19 +178,28 @@ def pl_homomesy_report(a, b, samples, seed):
     fiber mean is b/(a+b), every negative fiber mean is a/(a+b) (the fiber
     products C^b and C^a, read tropically), and the label-sum mean is
     ab/(a+b).  Failures record the sample seed.
+
+    The window runs on integers.  The sampled point's entries have one
+    common denominator L (their lcm, which divides the sampler's 60 or W),
+    and tropical rowmotion is homogeneous: max, + and negation commute with
+    scaling the labels and c by L > 0.  So the numerators are iterated with
+    c = L, and every check is scaled to match: labels in [0, L] with chain
+    sums at most L, fiber products b*L and a*L, and a label sum of a*b*L
+    over the window.
     """
     poset = product_of_chains(a, b)
-    realm = TropicalRealm(Fraction(1))
     failures = []
     membership_failures = []
     for idx in range(samples):
         sub = derive_seed(seed, "pl-sample", idx)
-        values = sample_chain_polytope_point(poset, random.Random(sub))
-        window = orbit_window(poset, Labeling(realm, values))
-        if not all(polytope_membership("chain", poset, lab) for lab in window[1:]):
+        point = sample_chain_polytope_point(poset, random.Random(sub))
+        scale = lcm(*(v.denominator for v in point))
+        numerators = [v.numerator * (scale // v.denominator) for v in point]
+        window = orbit_window(poset, Labeling(TropicalRealm(scale), numerators))
+        if not all(polytope_membership("chain", poset, lab, scale) for lab in window[1:]):
             membership_failures.append(sub)
         if not (all(f["pass"] for f in fiber_product_checks(poset, window))
-                and sum(sum(lab.values) for lab in window) == a * b):
+                and sum(sum(lab.values) for lab in window) == a * b * scale):
             failures.append(sub)
     return {
         "chains": [a, b],

@@ -1,11 +1,15 @@
-"""Chain-sum test oracles for the inverse transfers and the toggle.
+"""Chain-sum test oracles for the inverse transfers, the toggle and the
+chain-polytope sampler.
 
 The package computes the inverse transfers and the toggle by dynamic
-programs along a linear extension.  Here the same values are recomputed by
-expanding them as sums over saturated chains (factors ordered from the top
-of the chain down), an independent formula whose cost grows with the number
+programs along a linear extension, and largest chain sums by one
+longest-chain pass.  Here the same values are recomputed by expanding them
+as sums over saturated or maximal chains (factors ordered from the top of
+the chain down), an independent formula whose cost grows with the number
 of chains, so it is kept out of the package.
 """
+
+from fractions import Fraction
 
 from rowmotion.dynamics import TransferKind, _inv_at, transfer
 
@@ -42,6 +46,22 @@ def toggle_chain_form(poset, g, v):
     uppers = [_ascending_product(r, g, path) for path in _paths(poset, v, upward=True)]
     total = r.sum(r.mul(lo, up) for lo in lowers for up in uppers)
     return g.replace(v, r.mul(r.constant(), _inv_at(r, total, v)))
+
+
+def chain_polytope_point_by_chains(poset, rng, denominator=60, rejection_rounds=64):
+    """The chain-polytope sampler written over every maximal chain in
+    ``Fraction`` arithmetic: draw k/denominator per element, accept when
+    every maximal chain sums to at most 1, else scale the last draw down by
+    its largest chain sum."""
+    chains = poset.maximal_chains()
+    values = None
+    for _ in range(rejection_rounds):
+        values = [Fraction(rng.randrange(denominator + 1), denominator)
+                  for _ in range(poset.n)]
+        if all(sum(values[x] for x in chain) <= 1 for chain in chains):
+            return values
+    worst = max(sum(values[x] for x in chain) for chain in chains)
+    return [v / worst for v in values]
 
 
 def _paths(poset, v, upward):

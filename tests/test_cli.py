@@ -104,6 +104,15 @@ def test_homomesy_matp(capsys):
     assert rep["all_pass"] and rep["failures"] == []
 
 
+def test_homomesy_matp_resamples_singular_windows(capsys):
+    """At p = 101 some sampled windows meet a singular value after their
+    first step; those samples are drawn again instead of failing the job."""
+    code, rep = run(["homomesy", "--realm", "matp", "--a", "3", "--b", "3",
+                     "--samples", "100", "--p", "101", "--seed", "2"], capsys)
+    assert code == 0
+    assert rep["all_pass"] and rep["failures"] == []
+
+
 def test_homomesy_tropical(capsys):
     code, rep = run(["homomesy", "--realm", "tropical", "--a", "2", "--b", "2",
                      "--samples", "10", "--seed", "3"], capsys)
@@ -145,6 +154,16 @@ def test_homomesy_reports_pinned(args, digest, capsys):
     (["homomesy", "--realm", "tropical", "--a", "4", "--b", "5", "--samples", "20",
       "--seed", "9"],
      "1da5831dc84059fcc8b6b53f92bd770b6a9fc7fba389133de1f83622cedf7080"),
+    (["homomesy", "--realm", "tropical", "--a", "2", "--b", "5", "--samples", "30",
+      "--seed", "7"],
+     "8967035999290eca94a809e48d5ca388add3193e9aaacdfc4cbe48ebc193292c"),
+    (["rowmotion", "--chains", "2", "3", "--realm", "tropical", "--c", "3/2"],
+     "d8db23f3c7e8361dab69a77c8420f65f2a1ec55b579a83cd6f6388c8404ddcbb"),
+    (["rowmotion", "--chains", "2", "3", "--realm", "tropical", "--c", "2", "--seed", "5"],
+     "54f057bbdb3ff24c2eb5149c02fa30064a0b7b2f419890de016f2ddf22d6cbd6"),
+    (["rowmotion", "--chains", "3", "2", "--realm", "tropical", "--mode", "toggles",
+      "--seed", "1"],
+     "781e1e592b86c8c0881fdd1c05e0efecce381f4a506b7d0c77e4fa89bb9695da"),
 ])
 def test_word_orbit_and_fixture_reports_pinned(args, digest, capsys):
     """The labeling and fiber-word JSON encoding, the fixture details and

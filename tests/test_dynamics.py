@@ -25,7 +25,8 @@ from rowmotion import (
 from rowmotion.realms import FUZZ_PRIME
 from rowmotion.sampling import derive_seed, symbolic_labeling
 
-from chain_sums import chain_expansion_check, toggle_chain_form
+from chain_sums import (chain_expansion_check, chain_polytope_point_by_chains,
+                        toggle_chain_form)
 
 PRIME = 10007
 
@@ -343,6 +344,31 @@ def test_polytope_membership_examples():
     assert not polytope_membership("chain", p, [Fraction(3, 2), 0, 0, 0])
     with pytest.raises(ValueError):
         polytope_membership("simplex", p, zero)
+    # dilated by 10: integer numerators over the denominator 10
+    assert polytope_membership("chain", p, [2, 1, 4, 3], 10)
+    assert not polytope_membership("chain", p, [5, 5, 5, 5], 10)
+    assert not polytope_membership("order", p, [0, 5, 5, 11], 10)
+
+
+def test_chain_polytope_sampler_matches_chain_enumeration():
+    """The sampler draws the same points as the sampler written over every
+    maximal chain, on rectangles (accepting on [2]x[2], always scaling down
+    on [4]x[5]) and on a poset that is not a rectangle."""
+    from rowmotion.sampling import sample_chain_polytope_point
+
+    branchy = build_poset([(0, 2), (1, 2), (2, 3), (2, 4), (4, 5), (1, 6)])
+    on_boundary = {}
+    for p, seeds in ((product_of_chains(1, 1), 50), (product_of_chains(2, 2), 200),
+                     (product_of_chains(2, 3), 200), (product_of_chains(4, 5), 20),
+                     (branchy, 200)):
+        for s in range(seeds):
+            point = sample_chain_polytope_point(p, random.Random(derive_seed(41, p.n, s)))
+            assert point == chain_polytope_point_by_chains(
+                p, random.Random(derive_seed(41, p.n, s)))
+            assert polytope_membership("chain", p, point)
+            on_boundary.setdefault(p.n, set()).add(p.max_chain_sum(point) == 1)
+    assert on_boundary[4] == {True, False}
+    assert on_boundary[20] == {True}
 
 
 def test_pl_rowmotion_preserves_chain_polytope():

@@ -25,6 +25,7 @@ from rowmotion import (
     kernel,
     labeling_from_json,
     orbit_window,
+    polytope_membership,
     product_of_chains,
     transfer,
 )
@@ -68,6 +69,13 @@ def tropical_labelings(draw):
     c = draw(st.fractions())
     values = draw(st.lists(st.fractions(), min_size=poset.n, max_size=poset.n))
     return poset, Labeling(TropicalRealm(c), values)
+
+
+@st.composite
+def weighted_posets(draw, weights):
+    """(poset, one weight per element)."""
+    poset = draw(posets())
+    return poset, draw(st.lists(weights, min_size=poset.n, max_size=poset.n))
 
 
 def _outcome(f):
@@ -157,3 +165,29 @@ def test_labeling_json_round_trips(case, coordinate_keys):
     back = labeling_from_json(obj, poset=poset)
     assert back.realm.config() == g.realm.config()
     assert back.values == g.values
+
+
+@PROPERTY
+@given(st.one_of(weighted_posets(st.integers(-60, 60)), weighted_posets(st.fractions())))
+def test_max_chain_sum_is_the_largest_maximal_chain_sum(case):
+    """The longest-chain pass agrees with summing over every maximal chain,
+    for int and Fraction weights of any sign."""
+    poset, weights = case
+    got = poset.max_chain_sum(weights)
+    assert got == max(sum(weights[x] for x in chain) for chain in poset.maximal_chains())
+    if all(type(w) is int for w in weights):
+        assert type(got) is int
+
+
+@PROPERTY
+@given(tropical_labelings(), st.integers(1, 10**6))
+def test_tropical_rowmotion_is_homogeneous(case, scale):
+    """Scaling the labels and c by a positive integer L scales the rowmotion
+    image by L, and the chain polytope dilated by L holds the scaled labels
+    exactly when the unit one holds the originals."""
+    poset, g = case
+    scaled = Labeling(TropicalRealm(scale * g.realm.c), [scale * v for v in g.values])
+    image = antichain_rowmotion(poset, scaled)
+    assert image.values == tuple(scale * v for v in antichain_rowmotion(poset, g).values)
+    assert (polytope_membership("chain", poset, scaled, scale)
+            == polytope_membership("chain", poset, g))

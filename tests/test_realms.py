@@ -87,6 +87,13 @@ def test_tropical_table():
     assert r.constant() == 1
     assert r.mul(a, r.inv(a)) == r.one()
     assert r.sum([]) == r.one()
+    # integral constants and the empty sum stay ints, so integer labelings
+    # are iterated without Fractions; the text is the same either way
+    assert type(r.one()) is int and type(r.constant()) is int
+    assert type(TropicalRealm(Fraction(6, 3)).c) is int
+    assert TropicalRealm(Fraction(3, 2)).c == Fraction(3, 2)
+    assert TropicalRealm(Fraction(4, 2)).config() == {"realm": "tropical", "c": "2"}
+    assert r.value_to_json(r.mul(2, r.inv(5))) == r.value_to_json(Fraction(-3)) == "-3"
 
 
 def test_rational_function_realm_inverse():

@@ -281,6 +281,22 @@ def test_pl_homomesy_report_sampled():
     assert rep23["label_sum_mean"] == "6/5"
 
 
+def test_pl_homomesy_enumerates_no_chains(monkeypatch):
+    """The tropical job samples and checks membership by longest-chain
+    passes, so it reaches [8]x[8] (3,432 maximal chains) without listing
+    one chain."""
+    from rowmotion.poset import FinitePoset
+
+    def refuse(self):
+        raise AssertionError("maximal_chains called")
+
+    monkeypatch.setattr(FinitePoset, "maximal_chains", refuse)
+    rep = pl_homomesy_report(8, 8, 5, seed=3)
+    assert rep["all_exact"]
+    assert rep["label_sum_mean"] == "4"
+    assert pl_homomesy_report(4, 5, 3, seed=9)["all_exact"]
+
+
 def test_pl_homomesy_fixture_orbit():
     """The known 2x2 orbit: label sums 1, 9/10, 1, 11/10 with mean 1."""
     p = product_of_chains(2, 2)
