@@ -23,7 +23,7 @@ from .fuzz import fuzz_grid
 from .labeling import labeling_from_json
 from .poset import poset_from_json, poset_to_json, product_of_chains
 from .realms import FUZZ_PRIME
-from .sampling import derive_seed, sample_generic_labeling
+from .sampling import derive_seed, sample_generic_labeling, sample_matrix
 from .stword import (fiber_product_checks, orbit_window, pl_homomesy_report,
                      sample_orbit_window, st_word)
 
@@ -171,8 +171,16 @@ def _cmd_orbits(args):
 
 def _cmd_rowmotion(args):
     poset = _load_poset(args)
-    g = _load_labeling(args, poset)
-    orbit = iterate(poset, g, steps=args.steps, mode=args.mode)
+
+    def walk(g):
+        return iterate(poset, g, steps=args.steps, mode=args.mode)
+
+    if not args.labels_in and args.realm in ("matp", "matq"):
+        # A sampled matrix labeling is redrawn when any step it is iterated
+        # for meets a singular value.
+        orbit = sample_matrix(poset, _realm_config(args, poset), args.seed, walk)
+    else:
+        orbit = walk(_load_labeling(args, poset))
     report = orbit.to_json()
     report.update({"command": "rowmotion", "seed": args.seed,
                    "poset": poset_to_json(poset)})

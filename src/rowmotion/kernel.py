@@ -15,8 +15,9 @@ That is one matrix product per cover plus two batches of inverses, instead
 of the up-set and down-set DP at every toggle.  Each batch inverts its
 matrices as adj(M) * det(M)^-1, with all the determinants inverted together
 by Montgomery's trick: one modular inverse plus 3(k-1) products for k
-matrices.  d = 1, 2, 3 use closed-form determinants and adjugates and
-unrolled products; d >= 4 falls back to the realm's Gauss-Jordan inverse.
+matrices.  The products, determinants and adjugates are ``realms.fp_ops``,
+the same closed forms ``FpMatrixRealm`` computes with for d = 1, 2, 3; for
+d >= 4 the inverses go through ``FpMatrixRealm.inv`` (Gauss-Jordan).
 
 Refusals match toggle mode exactly.  A toggle pass along a linear extension
 sees D(v) as the up-value at v and g(v) * (sum of E over lower covers of v)
@@ -34,7 +35,7 @@ import sys
 
 from .errors import SingularValue
 from .labeling import Labeling
-from .realms import FpMatrixRealm, require_prime
+from .realms import FpMatrixRealm, fp_ops, require_prime
 
 BACKEND = "pure-python"
 
@@ -79,74 +80,6 @@ def flat_to_labeling(realm, flat):
     return Labeling(realm, values)
 
 
-def _ops(d, p):
-    """(mul, det, adj) for d x d matrices as row-major tuples mod p.
-
-    ``mul`` reduces its result; ``det`` returns a residue; ``adj(m, k)`` is
-    k times the adjugate, reduced.  Inputs may be unreduced.
-    """
-    if d == 1:
-        def mul(x, y):
-            return (x[0] * y[0] % p,)
-
-        def det(m):
-            return m[0] % p
-
-        def adj(m, k):
-            return (k,)
-    elif d == 2:
-        def mul(x, y):
-            a, b, c, e = x
-            f, g, h, i = y
-            return ((a * f + b * h) % p, (a * g + b * i) % p,
-                    (c * f + e * h) % p, (c * g + e * i) % p)
-
-        def det(m):
-            a, b, c, e = m
-            return (a * e - b * c) % p
-
-        def adj(m, k):
-            a, b, c, e = m
-            return (e * k % p, -b * k % p, -c * k % p, a * k % p)
-    elif d == 3:
-        def mul(x, y):
-            a, b, c, e, f, g, h, i, j = x
-            k, l, m, n, o, q, r, s, t = y
-            return ((a * k + b * n + c * r) % p, (a * l + b * o + c * s) % p,
-                    (a * m + b * q + c * t) % p, (e * k + f * n + g * r) % p,
-                    (e * l + f * o + g * s) % p, (e * m + f * q + g * t) % p,
-                    (h * k + i * n + j * r) % p, (h * l + i * o + j * s) % p,
-                    (h * m + i * q + j * t) % p)
-
-        def det(m):
-            a, b, c, e, f, g, h, i, j = m
-            return (a * (f * j - g * i) + b * (g * h - e * j) + c * (e * i - f * h)) % p
-
-        def adj(m, k):
-            a, b, c, e, f, g, h, i, j = m
-            return ((f * j - g * i) * k % p, (c * i - b * j) * k % p, (b * g - c * f) * k % p,
-                    (g * h - e * j) * k % p, (a * j - c * h) * k % p, (c * e - a * g) * k % p,
-                    (e * i - f * h) * k % p, (b * h - a * i) * k % p, (a * f - b * e) * k % p)
-    else:
-        return _mul_general(d, p), None, None
-    return mul, det, adj
-
-
-def _mul_general(d, p):
-    rows = range(0, d * d, d)
-    cols = range(d)
-
-    def mul(x, y):
-        out = []
-        for r in rows:
-            xr = x[r:r + d]
-            for j in cols:
-                out.append(sum(a * y[k * d + j] for k, a in enumerate(xr)) % p)
-        return tuple(out)
-
-    return mul
-
-
 def _cover_sum(vals, covers):
     """Entrywise sum of ``vals`` over a nonempty cover list, unreduced."""
     s = vals[covers[0]]
@@ -169,7 +102,7 @@ class FpToggleEngine:
         topo = poset.topo_order()
         self._top_down = tuple(reversed(topo))
         self._nonminimal = tuple(x for x in topo if self._down[x])
-        self._mul, self._det, self._adj = _ops(d, p)
+        self._mul, self._det, self._adj = fp_ops(d, p)
         self._realm = FpMatrixRealm(p, d) if self._det is None else None
 
     def _inverses(self, mats, scale, elements, what):

@@ -6,7 +6,8 @@ plus exact equality.  Four realms are provided:
 * tropical rationals (max, +); the piecewise-linear realm,
 * multivariate rational functions over the integers, with the constant as a
   distinguished variable; the birational realm,
-* square matrices over a prime field,
+* square matrices over a prime field, multiplied and inverted in closed
+  form for d <= 3 by ``fp_ops``, which the fuzzer's kernel shares,
 * square matrices over the exact rationals.
 
 Matrix realms with d >= 2 are noncommutative and model skew-field labels:
@@ -223,6 +224,8 @@ class _MatrixRealm(Realm):
         self.d = d
         self.c = c
         self.commutative = d == 1
+        self._one = self.identity(1)
+        self._constant = self.identity(c)
 
     def _check(self, m):
         if len(m) != self.d or len(m[0]) != self.d:
@@ -246,10 +249,10 @@ class _MatrixRealm(Realm):
         )
 
     def one(self):
-        return self.identity(1)
+        return self._one
 
     def constant(self):
-        return self.identity(self.c)
+        return self._constant
 
     def identity(self, scalar):
         d = self.d
@@ -283,8 +286,81 @@ class _MatrixRealm(Realm):
         return tuple(tuple(row[d:]) for row in aug)
 
 
+def fp_ops(d, p):
+    """(mul, det, adj) for d x d matrices mod p as flat row-major tuples.
+
+    ``mul`` reduces its result; ``det`` returns a residue; ``adj(m, k)`` is
+    k times the adjugate, reduced, so ``adj(m, pow(det(m), -1, p))`` is the
+    inverse.  Inputs may be unreduced.  d = 1, 2, 3 get unrolled products
+    and closed-form determinants and adjugates; d >= 4 gets a general
+    product and ``det = adj = None`` (invert by Gauss-Jordan).
+    """
+    if d == 1:
+        def mul(x, y):
+            return (x[0] * y[0] % p,)
+
+        def det(m):
+            return m[0] % p
+
+        def adj(m, k):
+            return (k,)
+    elif d == 2:
+        def mul(x, y):
+            a, b, c, e = x
+            f, g, h, i = y
+            return ((a * f + b * h) % p, (a * g + b * i) % p,
+                    (c * f + e * h) % p, (c * g + e * i) % p)
+
+        def det(m):
+            a, b, c, e = m
+            return (a * e - b * c) % p
+
+        def adj(m, k):
+            a, b, c, e = m
+            return (e * k % p, -b * k % p, -c * k % p, a * k % p)
+    elif d == 3:
+        def mul(x, y):
+            a, b, c, e, f, g, h, i, j = x
+            k, l, m, n, o, q, r, s, t = y
+            return ((a * k + b * n + c * r) % p, (a * l + b * o + c * s) % p,
+                    (a * m + b * q + c * t) % p, (e * k + f * n + g * r) % p,
+                    (e * l + f * o + g * s) % p, (e * m + f * q + g * t) % p,
+                    (h * k + i * n + j * r) % p, (h * l + i * o + j * s) % p,
+                    (h * m + i * q + j * t) % p)
+
+        def det(m):
+            a, b, c, e, f, g, h, i, j = m
+            return (a * (f * j - g * i) + b * (g * h - e * j) + c * (e * i - f * h)) % p
+
+        def adj(m, k):
+            a, b, c, e, f, g, h, i, j = m
+            return ((f * j - g * i) * k % p, (c * i - b * j) * k % p, (b * g - c * f) * k % p,
+                    (g * h - e * j) * k % p, (a * j - c * h) * k % p, (c * e - a * g) * k % p,
+                    (e * i - f * h) * k % p, (b * h - a * i) * k % p, (a * f - b * e) * k % p)
+    else:
+        rows = range(0, d * d, d)
+        cols = range(d)
+
+        def mul(x, y):
+            out = []
+            for r in rows:
+                xr = x[r:r + d]
+                for j in cols:
+                    out.append(sum(a * y[k * d + j] for k, a in enumerate(xr)) % p)
+            return tuple(out)
+
+        return mul, None, None
+    return mul, det, adj
+
+
 class FpMatrixRealm(_MatrixRealm):
-    """d-by-d matrices over the prime field F_p; entries stored in 0..p-1."""
+    """d-by-d matrices over the prime field F_p; entries stored in 0..p-1.
+
+    For d <= 3, ``mul`` and ``inv`` run on ``fp_ops``: unrolled products,
+    and the inverse as det(m)^-1 * adj(m), singular exactly when det(m) = 0.
+    The values stay tuples of row tuples; the ops see them flattened.
+    d >= 4 keeps the generic product and the Gauss-Jordan inverse.
+    """
 
     name = "matp"
 
@@ -295,12 +371,40 @@ class FpMatrixRealm(_MatrixRealm):
             raise ValueError("the central constant must be nonzero")
         self.p = p
         super().__init__(d, c)
+        self._mul, self._det, self._adj = fp_ops(d, p)
+        self._rows = tuple(slice(r, r + d) for r in range(0, d * d, d))
 
     def _norm(self, v):
         return v % self.p
 
     def _scalar_inv(self, v):
         return pow(v, -1, self.p)
+
+    def _split(self, flat):
+        return tuple(map(flat.__getitem__, self._rows))
+
+    def add(self, x, y):
+        self._check(x)
+        self._check(y)
+        p = self.p
+        return tuple(tuple((a + b) % p for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
+
+    def mul(self, x, y):
+        if self._det is None:
+            return super().mul(x, y)
+        self._check(x)
+        self._check(y)
+        return self._split(self._mul(sum(x, ()), sum(y, ())))
+
+    def inv(self, x):
+        if self._det is None:
+            return super().inv(x)
+        self._check(x)
+        m = sum(x, ())
+        t = self._det(m)
+        if not t:
+            raise SingularValue(f"singular {self.d}x{self.d} matrix")
+        return self._split(self._adj(m, pow(t, -1, self.p)))
 
     def config(self):
         return {"realm": "matp", "p": self.p, "d": self.d, "c": self.c}

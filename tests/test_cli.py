@@ -84,6 +84,17 @@ def test_rowmotion_matrix_realm(capsys):
     assert isinstance(first, list) and len(first) == 2
 
 
+@pytest.mark.parametrize("chains,d,seed", [((3, 3), 2, 12), ((3, 4), 1, 2)])
+def test_rowmotion_matp_resamples_labelings_singular_after_step_1(chains, d, seed, capsys):
+    """At p = 101 the first draw of these runs passes its first step and
+    meets a singular value at step 2; the next nonsingular draw is iterated
+    instead of failing the run."""
+    code, rep = run(["rowmotion", "--chains", *map(str, chains), "--realm", "matp",
+                     "--d", str(d), "--p", "101", "--seed", str(seed)], capsys)
+    assert code == 0
+    assert rep["period"] == sum(chains)
+
+
 def test_stword_command(capsys):
     code, rep = run(["stword", "--chains", "2", "3", "--realm", "ratfun"], capsys)
     assert code == 0
@@ -164,6 +175,21 @@ def test_homomesy_reports_pinned(args, digest, capsys):
     (["rowmotion", "--chains", "3", "2", "--realm", "tropical", "--mode", "toggles",
       "--seed", "1"],
      "781e1e592b86c8c0881fdd1c05e0efecce381f4a506b7d0c77e4fa89bb9695da"),
+    (["rowmotion", "--chains", "4", "5", "--realm", "matp", "--d", "3", "--mode", "toggles",
+      "--seed", "5"],
+     "ea422e0440b34e9e39dcf34a714d80adc29aba162c4a86f652399e513989401b"),
+    (["rowmotion", "--chains", "4", "5", "--realm", "matp", "--d", "3", "--mode", "transfer",
+      "--seed", "5"],
+     "58d0fc2aea13eedc7370a69591c53a18b554606808c6c4c8d7c25be78a7b54cf"),
+    # the first draw is singular at step 1, so the second one is reported
+    (["rowmotion", "--chains", "3", "4", "--realm", "matp", "--d", "1", "--p", "101",
+      "--seed", "0"],
+     "f49c45aacf15ff60e011e3451af1aca61109d008c0b296cf90e16471b0017159"),
+    (["rowmotion", "--chains", "2", "3", "--realm", "matp", "--d", "4", "--mode", "toggles",
+      "--seed", "4"],
+     "0dbbc100fd57acbe5a911ec35d83b48d2fce30fbae1a54ff1a1f6f8a4e0c6c0f"),
+    (["rowmotion", "--chains", "2", "3", "--realm", "matq", "--d", "2", "--seed", "1"],
+     "c0344fcb7dda4ce95befc2c039283040f47100922589f5ca7d35a312cdf8f135"),
 ])
 def test_word_orbit_and_fixture_reports_pinned(args, digest, capsys):
     """The labeling and fiber-word JSON encoding, the fixture details and

@@ -5,7 +5,8 @@ Posets are random DAGs of at most six elements, built through
 extension, or rectangles [a]x[b] with a, b <= 3 for the fiber word and the
 fiber products.  Primes run from 2 (singular draws are common) to
 2^64 - 59 (beyond fixed-width 128-bit sums of products).  Tropical
-labelings take arbitrary rationals and an arbitrary constant.
+labelings take arbitrary rationals and an arbitrary constant.  Single
+matrices, for the realm's own products and inverses, run up to d = 4.
 """
 
 import json
@@ -29,7 +30,7 @@ from rowmotion import (
     product_of_chains,
     transfer,
 )
-from rowmotion.realms import FpMatrixRealm
+from rowmotion.realms import FpMatrixRealm, _MatrixRealm
 
 PRIMES = (2, 3, 5, 101, 2**61 - 1, 2**64 - 59)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -60,6 +61,19 @@ def matrix_labelings(draw, shapes=posets(), dims=st.integers(1, 3)):
     c = draw(st.integers(1, p - 1))
     g = kernel.flat_to_labeling(FpMatrixRealm(p, d, c=c), flat)
     return poset, d, p, flat, c, g
+
+
+@st.composite
+def fp_matrices(draw):
+    """(realm, x, y): a d x d matrix realm mod p, d = 1..4, and two of its
+    values.  Entries near p or in {0, 1, p - 1} are common, so singular
+    matrices turn up at every p."""
+    d = draw(st.integers(1, 4))
+    p = draw(st.sampled_from(PRIMES))
+    entries = (st.integers(0, p - 1) | st.integers(max(0, p - 256), p - 1)
+               | st.sampled_from((0, 1, p - 1)))
+    rows = st.tuples(*[entries] * d)
+    return FpMatrixRealm(p, d), draw(st.tuples(*[rows] * d)), draw(st.tuples(*[rows] * d))
 
 
 @st.composite
@@ -112,6 +126,31 @@ def test_transfers_undo_their_inverses(case):
         except SingularValue:
             continue
         assert back.eq(g)
+
+
+def _inverse_or_refusal(realm, inv, m):
+    try:
+        return inv(realm, m)
+    except SingularValue as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(fp_matrices())
+def test_fp_matrix_ops_match_loops_and_gauss_jordan(case):
+    """The realm's sum is entrywise mod p, its product is the triple-loop
+    product mod p, and its inverse is the Gauss-Jordan one, refusing the
+    same singular matrices with the same message (for d <= 3 the realm
+    computes products and inverses in closed form)."""
+    realm, x, y = case
+    d, p = realm.d, realm.p
+    assert realm.add(x, y) == tuple(
+        tuple((x[i][j] + y[i][j]) % p for j in range(d)) for i in range(d))
+    assert realm.mul(x, y) == tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(d)) % p for j in range(d))
+        for i in range(d))
+    assert (_inverse_or_refusal(realm, FpMatrixRealm.inv, x)
+            == _inverse_or_refusal(realm, _MatrixRealm.inv, x))
 
 
 @PROPERTY
