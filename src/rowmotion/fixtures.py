@@ -23,10 +23,11 @@ from .combinatorial import (
 )
 from .dynamics import TransferKind, antichain_rowmotion, iterate, transfer
 from .errors import SingularValue
+from .kernel import flat_to_labeling
 from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm, TropicalRealm
-from .sampling import derive_seed, symbolic_labeling
+from .sampling import derive_seed, draw_fp_labels, symbolic_labeling
 from .stword import constant_power, fiber_product_checks, orbit_window, st_word
 
 
@@ -330,12 +331,11 @@ def _fx_nar_2x2_orbit(samples, seed):
             if attempt > 4 * per_d:
                 return False, f"too many singular samples at d={d}"
             rng = random.Random(derive_seed(seed, "nar-fixture", d, attempt))
-            realm = FpMatrixRealm(FUZZ_PRIME, d, c=rng.randrange(1, FUZZ_PRIME))
-            vals = [tuple(tuple(rng.randrange(FUZZ_PRIME) for _ in range(d))
-                          for _ in range(d)) for _ in range(4)]
-            g = Labeling(realm, vals)
+            flat, c = draw_fp_labels(rng, 4, d, FUZZ_PRIME)
+            realm = FpMatrixRealm(FUZZ_PRIME, d, c=c)
+            g = flat_to_labeling(realm, flat)
             try:
-                expected_steps, st0 = _nar_expected_steps(realm, *vals)
+                expected_steps, st0 = _nar_expected_steps(realm, *g.values)
                 cur = g
                 for k in range(1, 5):
                     cur = antichain_rowmotion(p, cur, mode="toggles")
@@ -367,8 +367,7 @@ def _fx_skew_inverse_sum(samples, seed):
                 return False, f"too many singular samples at d={d}"
             rng = random.Random(derive_seed(seed, "skew", d, attempt))
             realm = FpMatrixRealm(FUZZ_PRIME, d, c=1)
-            draw = lambda: tuple(tuple(rng.randrange(FUZZ_PRIME) for _ in range(d))
-                                 for _ in range(d))
+            draw = lambda: tuple(rng.randrange(FUZZ_PRIME) for _ in range(d * d))
             x, y = draw(), draw()
             try:
                 lhs = realm.inv(realm.add(realm.inv(x), realm.inv(y)))

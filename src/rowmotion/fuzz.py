@@ -23,7 +23,7 @@ from . import kernel
 from .errors import SingularValue
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm
-from .sampling import RESAMPLE_LIMIT, derive_seed
+from .sampling import RESAMPLE_LIMIT, derive_seed, draw_fp_labels
 
 CONJECTURE_NOTES = [
     "Periodicity claim under test: toggle-mode antichain rowmotion over a "
@@ -55,7 +55,7 @@ def fuzz_nar_periodicity(a, b, d, trials, seed, p=FUZZ_PRIME):
         outcome = None
         for attempt in range(RESAMPLE_LIMIT):
             attempt_seed = derive_seed(trial_seed, attempt)
-            labels, c = _draw_flat_labels(attempt_seed, poset.n, d, p)
+            labels, c = draw_fp_labels(random.Random(attempt_seed), poset.n, d, p)
             try:
                 m = engine.first_return(labels, c, steps)
             except SingularValue:
@@ -115,13 +115,6 @@ def fuzz_grid(a_max=3, b_max=3, d_max=3, trials=100, seed=0, p=FUZZ_PRIME):
     }
 
 
-def _draw_flat_labels(attempt_seed, n, d, p):
-    rng = random.Random(attempt_seed)
-    c = rng.randrange(1, p)
-    labels = [rng.randrange(p) for _ in range(n * d * d)]
-    return labels, c
-
-
 def _reverify(poset, d, p, attempt_seed, steps):
     """Replay a counterexample through the generic realm path.
 
@@ -131,7 +124,7 @@ def _reverify(poset, d, p, attempt_seed, steps):
     """
     from .dynamics import antichain_rowmotion
 
-    labels, c = _draw_flat_labels(attempt_seed, poset.n, d, p)
+    labels, c = draw_fp_labels(random.Random(attempt_seed), poset.n, d, p)
     realm = FpMatrixRealm(p, d, c=c)
     g = kernel.flat_to_labeling(realm, labels)
     cur = g

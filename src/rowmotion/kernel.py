@@ -1,8 +1,9 @@
 """Antichain-rowmotion kernel over prime-field matrices.
 
 The hot loop of the periodicity fuzzer.  Labels travel as a flat list of
-n*d*d integers in [0, p), row-major per element in id order
-(``labeling_to_flat``/``flat_to_labeling`` convert).
+n*d*d integers in [0, p): the realm's flat row-major values, one after
+another in id order (``labeling_to_flat`` concatenates them,
+``flat_to_labeling`` slices them apart).
 
 The kernel works in transfer form.  One step of antichain rowmotion is
 
@@ -17,7 +18,7 @@ matrices as adj(M) * det(M)^-1, with all the determinants inverted together
 by Montgomery's trick: one modular inverse plus 3(k-1) products for k
 matrices.  The products, determinants and adjugates are ``realms.fp_ops``,
 the same closed forms ``FpMatrixRealm`` computes with for d = 1, 2, 3; for
-d >= 4 the inverses go through ``FpMatrixRealm.inv`` (Gauss-Jordan).
+d >= 4 each reduced matrix goes to ``FpMatrixRealm.inv`` (Gauss-Jordan).
 
 Refusals match toggle mode exactly.  A toggle pass along a linear extension
 sees D(v) as the up-value at v and g(v) * (sum of E over lower covers of v)
@@ -62,22 +63,17 @@ def make_engine(poset, d, p, module=None):
 
 def labeling_to_flat(g):
     """Flatten a prime-field matrix labeling to the kernel wire format."""
-    flat = []
-    for mat in g.values:
-        for row in mat:
-            flat.extend(row)
-    return flat
+    return [v for m in g.values for v in m]
 
 
 def flat_to_labeling(realm, flat):
     """Rebuild a labeling from the kernel wire format."""
-    d = realm.d
-    dd = d * d
-    values = []
-    for start in range(0, len(flat), dd):
-        block = flat[start:start + dd]
-        values.append(tuple(tuple(block[i * d:(i + 1) * d]) for i in range(d)))
-    return Labeling(realm, values)
+    return Labeling(realm, _split(flat, realm.d * realm.d))
+
+
+def _split(flat, dd):
+    """The per-element values of a flat label list, dd entries each."""
+    return [tuple(flat[o:o + dd]) for o in range(0, len(flat), dd)]
 
 
 def _cover_sum(vals, covers):
@@ -111,15 +107,13 @@ class FpToggleEngine:
         p = self.p
         det, adj = self._det, self._adj
         if det is None:
-            d = self.d
             out = []
             for x, m in zip(elements, mats):
                 try:
-                    inv = self._realm.inv([[v % p for v in m[r:r + d]]
-                                           for r in range(0, self.dd, d)])
+                    inv = self._realm.inv(tuple(v % p for v in m))
                 except SingularValue:
                     raise SingularValue(what, element=x) from None
-                out.append(tuple(v * scale % p for row in inv for v in row))
+                out.append(tuple(v * scale % p for v in inv))
             return out
         dets = [det(m) for m in mats]
         prefix = []
@@ -150,17 +144,13 @@ class FpToggleEngine:
             out[x] = mul(E[x], s)
         return out
 
-    def _split(self, labels):
-        dd = self.dd
-        return [tuple(labels[o:o + dd]) for o in range(0, self.n * dd, dd)]
-
     def step(self, labels, c):
         """One rowmotion step; returns the new flat label list."""
-        return [v for m in self._advance(self._split(labels), c) for v in m]
+        return [v for m in self._advance(_split(labels, self.dd), c) for v in m]
 
     def first_return(self, labels, c, max_steps):
         """Smallest m <= max_steps with step^m(labels) == labels, else 0."""
-        initial = self._split(labels)
+        initial = _split(labels, self.dd)
         cur = initial
         for m in range(1, max_steps + 1):
             cur = self._advance(cur, c)

@@ -45,23 +45,29 @@ def labeling_from_json(obj, poset=None, realm=None):
 
     Label keys are element ids, or "i,j" coordinates when ``poset`` is a
     rectangle.  A pre-built ``realm`` overrides the config block.  A missing
-    key raises ValueError.
+    key, a malformed key or a label its realm cannot read raises ValueError
+    naming the label.
     """
     from .realms import json_field, realm_from_config
 
     if realm is None:
         realm = realm_from_config(json_field(obj, "realm", "labeling"))
     raw = json_field(obj, "labels", "labeling")
+    if not isinstance(raw, dict):
+        raise ValueError("labeling 'labels' must be a JSON object keyed by element")
     values = {}
     for key, val in raw.items():
-        if "," in key:
-            if poset is None or not hasattr(poset, "id"):
-                raise ValueError("coordinate label keys need a rectangle poset")
-            i, j = (int(t) for t in key.split(","))
-            x = poset.id(i, j)
-        else:
-            x = int(key)
-        values[x] = realm.value_from_json(val)
+        try:
+            if "," in key:
+                if poset is None or not hasattr(poset, "id"):
+                    raise ValueError("coordinate label keys need a rectangle poset")
+                i, j = (int(t) for t in key.split(","))
+                x = poset.id(i, j)
+            else:
+                x = int(key)
+            values[x] = realm.value_from_json(val)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"label {key}: {exc}") from None
     n = poset.n if poset is not None else len(values)
     if sorted(values) != list(range(n)):
         raise ValueError("labeling must cover every poset element exactly once")

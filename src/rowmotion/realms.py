@@ -10,6 +10,9 @@ plus exact equality.  Four realms are provided:
   form for d <= 3 by ``fp_ops``, which the fuzzer's kernel shares,
 * square matrices over the exact rationals.
 
+Matrix values are flat row-major tuples of d*d entries; only their JSON
+form has rows.
+
 Matrix realms with d >= 2 are noncommutative and model skew-field labels:
 an identity is accepted when it holds exactly for many independent samples
 at several dimensions.  The constant is c times the identity, so it is
@@ -18,6 +21,7 @@ central by construction.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,7 +98,7 @@ class Realm:
         raise NotImplementedError
 
     def eq(self, x, y):
-        raise NotImplementedError
+        return x == y
 
     def sum(self, values):
         """Fold ``add`` over ``values``; an empty sum is ``one()`` by the
@@ -154,9 +158,6 @@ class TropicalRealm(Realm):
     def constant(self):
         return self.c
 
-    def eq(self, x, y):
-        return x == y
-
     def config(self):
         return {"realm": "tropical", "c": str(self.c)}
 
@@ -209,6 +210,9 @@ class RationalFunctionRealm(Realm):
 
     def value_from_json(self, obj):
         # Input labelings are plain variable names; outputs are display strings.
+        if obj not in self.variable_names:
+            raise ValueError(f"{obj!r} is not a declared variable "
+                             f"({', '.join(self.variable_names)})")
         return self.variable(obj)
 
     def render(self, x):
@@ -216,7 +220,9 @@ class RationalFunctionRealm(Realm):
 
 
 class _MatrixRealm(Realm):
-    """Common d-by-d matrix plumbing; values are tuples of row tuples."""
+    """Common d-by-d matrix plumbing.  A value is a flat row-major tuple of
+    d*d entries, (i, j) at i*d + j; rows exist only in the JSON form, whose
+    reader refuses anything but d lists of d entries."""
 
     def __init__(self, d, c):
         if d < 1:
@@ -228,25 +234,18 @@ class _MatrixRealm(Realm):
         self._constant = self.identity(c)
 
     def _check(self, m):
-        if len(m) != self.d or len(m[0]) != self.d:
+        if len(m) != self.d * self.d:
             raise ValueError(f"expected a {self.d}x{self.d} matrix")
 
     def add(self, x, y):
         self._check(x)
         self._check(y)
-        return tuple(
-            tuple(self._norm(a + b) for a, b in zip(rx, ry)) for rx, ry in zip(x, y)
-        )
+        return tuple(self._norm(a + b) for a, b in zip(x, y))
 
     def mul(self, x, y):
         self._check(x)
         self._check(y)
-        d = self.d
-        cols = list(zip(*y))
-        return tuple(
-            tuple(self._norm(sum(rx[k] * col[k] for k in range(d))) for col in cols)
-            for rx in x
-        )
+        return tuple(map(self._norm, mat_product(self.d, x, y)))
 
     def one(self):
         return self._one
@@ -258,32 +257,51 @@ class _MatrixRealm(Realm):
         d = self.d
         zero = self._norm(0)
         s = self._norm(scalar)
-        return tuple(tuple(s if i == j else zero for j in range(d)) for i in range(d))
-
-    def eq(self, x, y):
-        return x == y
+        return tuple(zero if i % (d + 1) else s for i in range(d * d))
 
     def inv(self, x):
-        """Gauss-Jordan inverse; raises SingularValue when no pivot exists."""
-        d = self.d
-        aug = [list(row) + [self._norm(1) if i == j else self._norm(0) for j in range(d)]
-               for i, row in enumerate(x)]
-        for col in range(d):
-            pivot = None
-            for r in range(col, d):
-                if aug[r][col] != self._norm(0):
-                    pivot = r
-                    break
+        """Gauss-Jordan inverse; raises SingularValue when no pivot exists.
+
+        The row operations that reduce x to the identity turn the identity
+        into the inverse; row r of either is the slice [r*d, r*d + d).
+        """
+        d, norm = self.d, self._norm
+        zero = norm(0)
+        rows = [slice(r, r + d) for r in range(0, d * d, d)]
+        a, b = list(x), list(self._one)
+        for col, rc in enumerate(rows):
+            pivot = next((r for r in range(col, d) if a[r * d + col] != zero), None)
             if pivot is None:
                 raise SingularValue(f"singular {d}x{d} matrix")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pinv = self._scalar_inv(aug[col][col])
-            aug[col] = [self._norm(v * pinv) for v in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col] != self._norm(0):
-                    f = aug[r][col]
-                    aug[r] = [self._norm(a - f * b) for a, b in zip(aug[r], aug[col])]
-        return tuple(tuple(row[d:]) for row in aug)
+            pinv = self._scalar_inv(a[pivot * d + col])
+            for m in (a, b):
+                m[rc], m[rows[pivot]] = m[rows[pivot]], m[rc]
+                m[rc] = [norm(v * pinv) for v in m[rc]]
+            for r, rr in enumerate(rows):
+                f = a[r * d + col]
+                if r != col and f != zero:
+                    for m in (a, b):
+                        m[rr] = [norm(u - f * v) for u, v in zip(m[rr], m[rc])]
+        return tuple(b)
+
+    def value_to_json(self, x):
+        d = self.d
+        return [[self._entry_to_json(v) for v in x[r:r + d]] for r in range(0, d * d, d)]
+
+    def value_from_json(self, obj):
+        d = self.d
+        if not (isinstance(obj, list) and len(obj) == d
+                and all(isinstance(row, list) and len(row) == d for row in obj)):
+            raise ValueError(f"a {self.name} label must be {d} lists of {d} entries")
+        return tuple(self._entry_from_json(v) for row in obj for v in row)
+
+
+def mat_product(d, x, y):
+    """x * y for d x d matrices as flat row-major tuples, entries unreduced;
+    the general product (matq, and F_p for d >= 4)."""
+    cols = [y[j::d] for j in range(d)]
+    return tuple(sum(map(operator.mul, x[r:r + d], col))
+                 for r in range(0, d * d, d) for col in cols)
 
 
 def fp_ops(d, p):
@@ -292,8 +310,8 @@ def fp_ops(d, p):
     ``mul`` reduces its result; ``det`` returns a residue; ``adj(m, k)`` is
     k times the adjugate, reduced, so ``adj(m, pow(det(m), -1, p))`` is the
     inverse.  Inputs may be unreduced.  d = 1, 2, 3 get unrolled products
-    and closed-form determinants and adjugates; d >= 4 gets a general
-    product and ``det = adj = None`` (invert by Gauss-Jordan).
+    and closed-form determinants and adjugates; d >= 4 gets ``mat_product``
+    reduced mod p and ``det = adj = None`` (invert by Gauss-Jordan).
     """
     if d == 1:
         def mul(x, y):
@@ -338,16 +356,8 @@ def fp_ops(d, p):
                     (g * h - e * j) * k % p, (a * j - c * h) * k % p, (c * e - a * g) * k % p,
                     (e * i - f * h) * k % p, (b * h - a * i) * k % p, (a * f - b * e) * k % p)
     else:
-        rows = range(0, d * d, d)
-        cols = range(d)
-
         def mul(x, y):
-            out = []
-            for r in rows:
-                xr = x[r:r + d]
-                for j in cols:
-                    out.append(sum(a * y[k * d + j] for k, a in enumerate(xr)) % p)
-            return tuple(out)
+            return tuple(v % p for v in mat_product(d, x, y))
 
         return mul, None, None
     return mul, det, adj
@@ -356,13 +366,14 @@ def fp_ops(d, p):
 class FpMatrixRealm(_MatrixRealm):
     """d-by-d matrices over the prime field F_p; entries stored in 0..p-1.
 
-    For d <= 3, ``mul`` and ``inv`` run on ``fp_ops``: unrolled products,
-    and the inverse as det(m)^-1 * adj(m), singular exactly when det(m) = 0.
-    The values stay tuples of row tuples; the ops see them flattened.
-    d >= 4 keeps the generic product and the Gauss-Jordan inverse.
+    ``mul`` and ``inv`` hand the flat values straight to ``fp_ops``: for
+    d <= 3 unrolled products, and the inverse as det(m)^-1 * adj(m),
+    singular exactly when det(m) = 0; for d >= 4 the general product and
+    the Gauss-Jordan inverse.
     """
 
     name = "matp"
+    _entry_to_json = int
 
     def __init__(self, p, d, c=1):
         require_prime(p)
@@ -372,7 +383,6 @@ class FpMatrixRealm(_MatrixRealm):
         self.p = p
         super().__init__(d, c)
         self._mul, self._det, self._adj = fp_ops(d, p)
-        self._rows = tuple(slice(r, r + d) for r in range(0, d * d, d))
 
     def _norm(self, v):
         return v % self.p
@@ -380,46 +390,39 @@ class FpMatrixRealm(_MatrixRealm):
     def _scalar_inv(self, v):
         return pow(v, -1, self.p)
 
-    def _split(self, flat):
-        return tuple(map(flat.__getitem__, self._rows))
+    def _entry_from_json(self, v):
+        return int(v) % self.p
 
     def add(self, x, y):
         self._check(x)
         self._check(y)
         p = self.p
-        return tuple(tuple((a + b) % p for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
+        return tuple((a + b) % p for a, b in zip(x, y))
 
     def mul(self, x, y):
-        if self._det is None:
-            return super().mul(x, y)
         self._check(x)
         self._check(y)
-        return self._split(self._mul(sum(x, ()), sum(y, ())))
+        return self._mul(x, y)
 
     def inv(self, x):
         if self._det is None:
             return super().inv(x)
         self._check(x)
-        m = sum(x, ())
-        t = self._det(m)
+        t = self._det(x)
         if not t:
             raise SingularValue(f"singular {self.d}x{self.d} matrix")
-        return self._split(self._adj(m, pow(t, -1, self.p)))
+        return self._adj(x, pow(t, -1, self.p))
 
     def config(self):
         return {"realm": "matp", "p": self.p, "d": self.d, "c": self.c}
-
-    def value_to_json(self, x):
-        return [list(row) for row in x]
-
-    def value_from_json(self, obj):
-        return tuple(tuple(int(v) % self.p for v in row) for row in obj)
 
 
 class FractionMatrixRealm(_MatrixRealm):
     """d-by-d matrices over the exact rationals."""
 
     name = "matq"
+    _entry_to_json = str
+    _entry_from_json = Fraction
 
     def __init__(self, d, c=Fraction(1)):
         c = Fraction(c)
@@ -437,12 +440,6 @@ class FractionMatrixRealm(_MatrixRealm):
 
     def config(self):
         return {"realm": "matq", "d": self.d, "c": str(self.c)}
-
-    def value_to_json(self, x):
-        return [[str(v) for v in row] for row in x]
-
-    def value_from_json(self, obj):
-        return tuple(tuple(Fraction(v) for v in row) for row in obj)
 
 
 def realm_from_config(cfg):

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import SamplingExhausted, SingularValue
+from .kernel import flat_to_labeling
 from .labeling import Labeling
 from .realms import (
     FpMatrixRealm,
@@ -117,14 +118,20 @@ def _sample_matrix_labeling(poset, realm_config, seed):
     return sample_matrix(poset, realm_config, seed, probe)
 
 
+def draw_fp_labels(rng, n, d, p):
+    """One prime-field draw from ``rng``: the central constant c in [1, p),
+    then n*d*d entries in [0, p), the flat labels of n elements.  Returns
+    (flat labels, c); no realm is built, so the fuzzer can draw per attempt."""
+    c = rng.randrange(1, p)
+    return [rng.randrange(p) for _ in range(n * d * d)], c
+
+
 def _draw_matrix_labeling(n, realm_config, rng):
     d = int(realm_config["d"])
     if realm_config["realm"] == "matp":
         p = int(realm_config["p"])
-        realm = FpMatrixRealm(p, d, c=rng.randrange(1, p))
-        entry = lambda: rng.randrange(p)
-    else:
-        realm = FractionMatrixRealm(d, c=Fraction(rng.randrange(1, 64), rng.randrange(1, 64)))
-        entry = lambda: Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
-    return Labeling(realm, [tuple(tuple(entry() for _ in range(d)) for _ in range(d))
-                            for _ in range(n)])
+        flat, c = draw_fp_labels(rng, n, d, p)
+        return flat_to_labeling(FpMatrixRealm(p, d, c=c), flat)
+    realm = FractionMatrixRealm(d, c=Fraction(rng.randrange(1, 64), rng.randrange(1, 64)))
+    return Labeling(realm, [tuple(Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
+                                  for _ in range(d * d)) for _ in range(n)])

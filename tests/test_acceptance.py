@@ -182,13 +182,13 @@ def test_criterion_07_scalar_properties_at_scale():
                         prod = 1
                         for lab in orbit[:period]:
                             for j in range(1, b + 1):
-                                prod = prod * lab[p.id(k, j)][0][0] % FUZZ_PRIME
+                                prod = prod * lab[p.id(k, j)][0] % FUZZ_PRIME
                         assert prod == cb
                     for l in range(1, b + 1):
                         prod = 1
                         for lab in orbit[:period]:
                             for i in range(1, a + 1):
-                                prod = prod * lab[p.id(i, l)][0][0] % FUZZ_PRIME
+                                prod = prod * lab[p.id(i, l)][0] % FUZZ_PRIME
                         assert prod == ca
 
 

@@ -266,6 +266,16 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _labels(realm, first, rest):
+    """A [2]x[2] labeling: ``first`` at element 0, ``rest`` elsewhere."""
+    return {"realm": realm, "labels": {"0": first, "1": rest, "2": rest, "3": rest}}
+
+
+I2 = [[1, 0], [0, 1]]
+MATP2 = {"realm": "matp", "p": 101, "d": 2}
+MATQ2 = {"realm": "matq", "d": 2}
+
+
 @pytest.mark.parametrize("payload,message", [
     ({"realm": {"realm": "tropical"}}, "labeling has no 'labels' key"),
     ({"labels": {"0": "1"}}, "labeling has no 'realm' key"),
@@ -274,6 +284,16 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     ({"realm": {"realm": "ratfun"}, "labels": {}}, "realm config has no 'variables' key"),
     ([1], "labeling must be a JSON object"),
     ({"realm": "matp", "labels": {}}, "realm config must be a JSON object"),
+    (_labels(MATQ2, [["1", "2"], ["3", "4", "5"]], I2),
+     "label 0: a matq label must be 2 lists of 2 entries"),
+    (_labels(MATP2, 5, I2), "label 0: a matp label must be 2 lists of 2 entries"),
+    (_labels(MATP2, [[1, 2], [3]], I2), "label 0: a matp label must be 2 lists of 2 entries"),
+    (_labels({"realm": "tropical"}, [1], "1"),
+     "label 0: argument should be a string or a Rational instance"),
+    (_labels({"realm": "ratfun", "variables": ["w", "x", "y", "z"]}, "q", "x"),
+     "label 0: 'q' is not a declared variable (C, w, x, y, z)"),
+    ({"realm": {"realm": "tropical"}, "labels": ["1", "1", "1", "1"]},
+     "labeling 'labels' must be a JSON object keyed by element"),
 ])
 def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "g.json"

@@ -121,7 +121,7 @@ def test_chain_expansion_examples():
 def test_singular_reports_element():
     p = product_of_chains(2, 2)
     realm = FpMatrixRealm(PRIME, 1, c=1)
-    g = Labeling(realm, [((0,),), ((1,),), ((1,),), ((1,),)])
+    g = Labeling(realm, [(0,), (1,), (1,), (1,)])
     with pytest.raises(SingularValue) as err:
         transfer(TransferKind.COMPLEMENT, p, g)
     assert err.value.element == 0

@@ -32,8 +32,7 @@ def test_backend_registry():
 def test_flat_round_trip():
     realm = FpMatrixRealm(FUZZ_PRIME, 2, c=7)
     rng = random.Random(0)
-    vals = [tuple(tuple(rng.randrange(FUZZ_PRIME) for _ in range(2)) for _ in range(2))
-            for _ in range(4)]
+    vals = [tuple(rng.randrange(FUZZ_PRIME) for _ in range(4)) for _ in range(4)]
     g = Labeling(realm, vals)
     assert kernel.flat_to_labeling(realm, kernel.labeling_to_flat(g)).values == g.values
 

@@ -11,6 +11,7 @@ matrices, for the realm's own products and inverses, run up to d = 4.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ from rowmotion import (
     product_of_chains,
     transfer,
 )
-from rowmotion.realms import FpMatrixRealm, _MatrixRealm
+from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, _MatrixRealm
 
 PRIMES = (2, 3, 5, 101, 2**61 - 1, 2**64 - 59)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -72,8 +73,18 @@ def fp_matrices(draw):
     p = draw(st.sampled_from(PRIMES))
     entries = (st.integers(0, p - 1) | st.integers(max(0, p - 256), p - 1)
                | st.sampled_from((0, 1, p - 1)))
-    rows = st.tuples(*[entries] * d)
-    return FpMatrixRealm(p, d), draw(st.tuples(*[rows] * d)), draw(st.tuples(*[rows] * d))
+    matrices = st.tuples(*[entries] * (d * d))
+    return FpMatrixRealm(p, d), draw(matrices), draw(matrices)
+
+
+@st.composite
+def json_matrices(draw):
+    """(realm, m): a matp or matq realm with d = 1..4 and one of its values."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(PRIMES))
+        return FpMatrixRealm(p, d), draw(st.tuples(*[st.integers(0, p - 1)] * (d * d)))
+    return FractionMatrixRealm(d), draw(st.tuples(*[st.fractions()] * (d * d)))
 
 
 @st.composite
@@ -145,12 +156,27 @@ def test_fp_matrix_ops_match_loops_and_gauss_jordan(case):
     realm, x, y = case
     d, p = realm.d, realm.p
     assert realm.add(x, y) == tuple(
-        tuple((x[i][j] + y[i][j]) % p for j in range(d)) for i in range(d))
+        (x[i * d + j] + y[i * d + j]) % p for i in range(d) for j in range(d))
     assert realm.mul(x, y) == tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(d)) % p for j in range(d))
-        for i in range(d))
+        sum(x[i * d + k] * y[k * d + j] for k in range(d)) % p
+        for i in range(d) for j in range(d))
     assert (_inverse_or_refusal(realm, FpMatrixRealm.inv, x)
             == _inverse_or_refusal(realm, _MatrixRealm.inv, x))
+
+
+@PROPERTY
+@given(json_matrices())
+def test_matrix_json_round_trips_and_refuses_other_shapes(case):
+    """A matrix value goes to JSON as d rows of d entries and comes back
+    equal; a wrong row count, a ragged row, a scalar and a non-list are
+    refused."""
+    realm, m = case
+    rows = json.loads(json.dumps(realm.value_to_json(m)))
+    assert len(rows) == realm.d and all(len(row) == realm.d for row in rows)
+    assert realm.value_from_json(rows) == m
+    for bad in (rows[:-1], rows[:-1] + [rows[-1][:-1]], rows[0][0], json.dumps(rows)):
+        with pytest.raises(ValueError):
+            realm.value_from_json(bad)
 
 
 @PROPERTY

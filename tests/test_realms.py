@@ -23,16 +23,17 @@ PRIME = 10007
 
 
 def rand_matrix(rng, realm):
-    d = realm.d
+    dd = realm.d * realm.d
     if isinstance(realm, FpMatrixRealm):
-        return tuple(tuple(rng.randrange(realm.p) for _ in range(d)) for _ in range(d))
-    return tuple(tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
-                       for _ in range(d)) for _ in range(d))
+        return tuple(rng.randrange(realm.p) for _ in range(dd))
+    return tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(dd))
 
 
 def adjugate_inverse(realm, m):
-    """Oracle: cofactor-expansion inverse for d <= 3."""
+    """Oracle: cofactor-expansion inverse for d <= 3, on flat row-major
+    matrices (rows are split out here, and the result is flattened)."""
     d = realm.d
+    m = [m[r:r + d] for r in range(0, d * d, d)]
     if isinstance(realm, FpMatrixRealm):
         p = realm.p
         norm = lambda v: v % p
@@ -48,16 +49,14 @@ def adjugate_inverse(realm, m):
         det = norm(m[0][0])
         if det == 0:
             return None
-        return ((scal_inv(det),),)
+        return (scal_inv(det),)
     if d == 2:
         det = det2(m[0][0], m[0][1], m[1][0], m[1][1])
         if det == 0:
             return None
         di = scal_inv(det)
-        return (
-            (norm(m[1][1] * di), norm(-m[0][1] * di)),
-            (norm(-m[1][0] * di), norm(m[0][0] * di)),
-        )
+        return (norm(m[1][1] * di), norm(-m[0][1] * di),
+                norm(-m[1][0] * di), norm(m[0][0] * di))
     det = norm(
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -74,7 +73,7 @@ def adjugate_inverse(realm, m):
             minor = det2(m[rows[0]][cols[0]], m[rows[0]][cols[1]],
                          m[rows[1]][cols[0]], m[rows[1]][cols[1]])
             cof[i][j] = norm((-1) ** (i + j) * minor)
-    return tuple(tuple(norm(cof[j][i] * di) for j in range(3)) for i in range(3))
+    return tuple(norm(cof[j][i] * di) for i in range(3) for j in range(3))
 
 
 def test_tropical_table():
@@ -128,17 +127,17 @@ def test_matrix_inverse_against_adjugate_oracle():
 def test_singular_matrix_raises():
     r = FpMatrixRealm(PRIME, 2, c=1)
     with pytest.raises(SingularValue):
-        r.inv(((0, 0), (0, 0)))
+        r.inv((0, 0, 0, 0))
     with pytest.raises(SingularValue):
-        r.inv(((1, 2), (2, 4)))
+        r.inv((1, 2, 2, 4))
 
 
 def test_dimension_mismatch_rejected():
     r = FpMatrixRealm(PRIME, 2, c=1)
     with pytest.raises(ValueError):
-        r.add(((1,),), ((1, 0), (0, 1)))
+        r.add((1,), (1, 0, 0, 1))
     with pytest.raises(ValueError):
-        r.mul(((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        r.mul((1, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 0, 1))
 
 
 def test_commutative_realms_commute_on_samples():
@@ -153,8 +152,8 @@ def test_commutative_realms_commute_on_samples():
     assert rf.eq(rf.mul(rf.add(vx, vy), vx), rf.mul(vx, rf.add(vx, vy)))
     scal = FpMatrixRealm(PRIME, 1, c=2)
     for _ in range(50):
-        x = ((rng.randrange(PRIME),),)
-        y = ((rng.randrange(PRIME),),)
+        x = (rng.randrange(PRIME),)
+        y = (rng.randrange(PRIME),)
         assert scal.mul(x, y) == scal.mul(y, x)
 
 
@@ -227,12 +226,12 @@ def test_realm_from_config_round_trip():
 
 def test_value_json_round_trip():
     r = FpMatrixRealm(PRIME, 2, c=1)
-    m = ((1, 2), (3, 4))
+    m = (1, 2, 3, 4)
     assert r.value_from_json(r.value_to_json(m)) == m
     t = TropicalRealm()
     assert t.value_from_json(t.value_to_json(Fraction(3, 7))) == Fraction(3, 7)
     q = FractionMatrixRealm(2)
-    mq = ((Fraction(1, 2), Fraction(0)), (Fraction(-3), Fraction(4, 5)))
+    mq = (Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(4, 5))
     assert q.value_from_json(q.value_to_json(mq)) == mq
 
 
@@ -254,7 +253,7 @@ def test_symbolic_labeling_names():
 def test_sample_matrix_labeling():
     p = product_of_chains(1, 1)
     g = sample_generic_labeling(p, {"realm": "matp", "p": 101, "d": 1}, seed=9)
-    assert g[0][0][0] != 0  # a zero scalar would have failed the full pass
+    assert g[0][0] != 0  # a zero scalar would have failed the full pass
     g2 = sample_generic_labeling(p, {"realm": "matp", "p": 101, "d": 1}, seed=9)
     assert g.values == g2.values and g.realm.c == g2.realm.c  # deterministic
 
@@ -294,4 +293,4 @@ def test_nc_scalar_matches_commutative():
     sym_word = st_word(p, sym)
     vals = [realm.c] + scalars  # variable 0 is the constant
     for got, expr in zip(word.entries, sym_word.entries):
-        assert got[0][0] == expr.evaluate_mod(vals, PRIME)
+        assert got[0] == expr.evaluate_mod(vals, PRIME)
