@@ -131,11 +131,26 @@ def _realm_flags(p):
 
 def _load_poset(args):
     if args.poset:
-        with open(args.poset) as fh:
-            return poset_from_json(json.load(fh))
+        return poset_from_json(_read_json(args.poset))
     if args.chains:
         return product_of_chains(*args.chains)
     raise ValueError("give --poset FILE or --chains A B")
+
+
+def _read_json(path):
+    """The JSON document in ``path``.  An object that repeats a key is
+    refused, not read with the key's last value."""
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _realm_config(args, poset):
@@ -151,8 +166,7 @@ def _realm_config(args, poset):
 
 def _load_labeling(args, poset):
     if args.labels_in:
-        with open(args.labels_in) as fh:
-            return labeling_from_json(json.load(fh), poset=poset)
+        return labeling_from_json(_read_json(args.labels_in), poset=poset)
     return sample_generic_labeling(poset, _realm_config(args, poset), args.seed)
 
 

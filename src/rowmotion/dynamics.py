@@ -172,7 +172,8 @@ def polytope_membership(kind, poset, values, scale=1):
     kind "order": values in [0, scale], weakly increasing along covers.
     kind "order-reversing": values in [0, scale], weakly decreasing along covers.
     kind "chain": values in [0, scale] and every maximal chain sums to at most
-    scale, read off one longest-chain pass (``FinitePoset.max_chain_sum``).
+    scale, read off one longest-chain pass (``FinitePoset.max_chain_sum``)
+    capped at scale, which the nonnegative values allow.
     Values are ints or Fractions and are compared as given.
     """
     if isinstance(values, Labeling):
@@ -184,7 +185,7 @@ def polytope_membership(kind, poset, values, scale=1):
     if kind == "order-reversing":
         return all(values[lo] >= values[hi] for lo, hi in poset.covers)
     if kind == "chain":
-        return poset.max_chain_sum(values) <= scale
+        return poset.max_chain_sum(values, cap=scale) <= scale
     raise ValueError(f"unknown polytope kind {kind!r}")
 
 

@@ -45,8 +45,8 @@ def labeling_from_json(obj, poset=None, realm=None):
 
     Label keys are element ids, or "i,j" coordinates when ``poset`` is a
     rectangle.  A pre-built ``realm`` overrides the config block.  A missing
-    key, a malformed key or a label its realm cannot read raises ValueError
-    naming the label.
+    key, a malformed key, a second key for an already labeled element or a
+    label its realm cannot read raises ValueError naming the label.
     """
     from .realms import json_field, realm_from_config
 
@@ -56,6 +56,7 @@ def labeling_from_json(obj, poset=None, realm=None):
     if not isinstance(raw, dict):
         raise ValueError("labeling 'labels' must be a JSON object keyed by element")
     values = {}
+    keys = {}
     for key, val in raw.items():
         try:
             if "," in key:
@@ -65,6 +66,9 @@ def labeling_from_json(obj, poset=None, realm=None):
                 x = poset.id(i, j)
             else:
                 x = int(key)
+            if x in keys:
+                raise ValueError(f"element {x} is already labeled by key {keys[x]}")
+            keys[x] = key
             values[x] = realm.value_from_json(val)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"label {key}: {exc}") from None

@@ -32,6 +32,7 @@ class FinitePoset:
         "_up_covers",
         "_down_covers",
         "_topo",
+        "_maximal",
     )
 
     def __init__(self, n, covers, names=None):
@@ -102,6 +103,7 @@ class FinitePoset:
         # Same order as on the reduced covers: min-id Kahn depends only on
         # reachability, which the reduction keeps.
         self._topo = topo
+        self._maximal = tuple(x for x in range(n) if not self._up_covers[x])
 
     # -- order queries -------------------------------------------------
 
@@ -138,7 +140,7 @@ class FinitePoset:
         return tuple(x for x in range(self.n) if not self._down_covers[x])
 
     def maximal_elements(self):
-        return tuple(x for x in range(self.n) if not self._up_covers[x])
+        return self._maximal
 
     def topo_order(self):
         """Deterministic linear extension: ties broken by smallest id."""
@@ -171,21 +173,30 @@ class FinitePoset:
                     stack.append((y, chain + (y,)))
         return sorted(out)
 
-    def max_chain_sum(self, values):
+    def max_chain_sum(self, values, cap=None):
         """Largest sum of ``values`` over a maximal chain (0 on the empty poset).
 
         A longest-path DP in topological order over the lower covers, so it
         costs O(n + |covers|) where the chains themselves can be exponentially
         many.  Works on any ordered numbers, ints and Fractions alike.
+
+        With ``cap`` given and every value nonnegative, the pass stops at the
+        first partial chain sum above ``cap`` and returns it: a chain only
+        grows, so ``max_chain_sum(v, cap=c) <= c`` answers exactly as
+        ``max_chain_sum(v) <= c`` does, and the result is the exact one
+        whenever it is at most ``cap``.  Negative values void that guarantee.
         """
         best = [None] * self.n
         for x in self._topo:
             below = self._down_covers[x]
             if below:
-                best[x] = values[x] + max([best[y] for y in below])
+                b = values[x] + max([best[y] for y in below])
             else:
-                best[x] = values[x]
-        return max((best[x] for x in self.maximal_elements()), default=0)
+                b = values[x]
+            if cap is not None and b > cap:
+                return b
+            best[x] = b
+        return max((best[x] for x in self._maximal), default=0)
 
     def __repr__(self):
         return f"FinitePoset(n={self.n}, covers={sorted(self.covers)})"

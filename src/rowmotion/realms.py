@@ -21,6 +21,7 @@ central by construction.
 
 from __future__ import annotations
 
+import json
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -391,7 +392,7 @@ class FpMatrixRealm(_MatrixRealm):
         return pow(v, -1, self.p)
 
     def _entry_from_json(self, v):
-        return int(v) % self.p
+        return json_number(v, int, "a matp entry") % self.p
 
     def add(self, x, y):
         self._check(x)
@@ -445,20 +446,36 @@ class FractionMatrixRealm(_MatrixRealm):
 def realm_from_config(cfg):
     """Instantiate a realm from its JSON config block.
 
-    Raises ValueError for an unknown realm or a missing required key."""
-    def field(key):
-        return json_field(cfg, key, "realm config")
+    Raises ValueError for an unknown realm, a missing required key, or a
+    ``p``, ``d`` or ``c`` that does not read as its number (``json_number``),
+    naming the key."""
+    def field(key, kind, default=None):
+        raw = json_field(cfg, key, "realm config") if default is None else cfg.get(key, default)
+        return json_number(raw, kind, f"realm config {key!r}")
 
-    kind = field("realm")
+    kind = json_field(cfg, "realm", "realm config")
     if kind == "tropical":
-        return TropicalRealm(Fraction(cfg.get("c", 1)))
+        return TropicalRealm(field("c", Fraction, 1))
     if kind == "ratfun":
-        return RationalFunctionRealm(field("variables"))
+        return RationalFunctionRealm(json_field(cfg, "variables", "realm config"))
     if kind == "matp":
-        return FpMatrixRealm(int(field("p")), int(field("d")), int(cfg.get("c", 1)))
+        return FpMatrixRealm(field("p", int), field("d", int), field("c", int, 1))
     if kind == "matq":
-        return FractionMatrixRealm(int(field("d")), Fraction(cfg.get("c", 1)))
+        return FractionMatrixRealm(field("d", int), field("c", Fraction, 1))
     raise ValueError(f"unknown realm {kind!r}")
+
+
+def json_number(v, kind, what):
+    """``kind(v)`` for ``kind`` int or Fraction, where ``v`` is a JSON number
+    or a string.  A boolean, a float read as an int (which would truncate
+    it) or anything ``kind`` cannot read raises ValueError naming ``what``."""
+    if not (isinstance(v, bool) or (kind is int and isinstance(v, float))):
+        try:
+            return kind(v)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    noun = "an integer" if kind is int else "a rational number"
+    raise ValueError(f"{what} must be {noun}, got {json.dumps(v, default=str)}")
 
 
 def json_field(obj, key, what):

@@ -190,6 +190,13 @@ def test_homomesy_reports_pinned(args, digest, capsys):
      "0dbbc100fd57acbe5a911ec35d83b48d2fce30fbae1a54ff1a1f6f8a4e0c6c0f"),
     (["rowmotion", "--chains", "2", "3", "--realm", "matq", "--d", "2", "--seed", "1"],
      "c0344fcb7dda4ce95befc2c039283040f47100922589f5ca7d35a312cdf8f135"),
+    (["homomesy", "--realm", "tropical", "--a", "8", "--b", "8", "--samples", "5",
+      "--seed", "3"],
+     "fdacce0092a0c67dfcffb9b77967bb083375af7e7b9213144397a42e6d990f10"),
+    # on [1]x[3] the rejection rounds accept, so no sample is scaled down
+    (["homomesy", "--realm", "tropical", "--a", "1", "--b", "3", "--samples", "20",
+      "--seed", "2"],
+     "5195f652db3cc0cdf1dba29a915411f2ea14fa0d93587965bc9b4fe6522197b6"),
 ])
 def test_word_orbit_and_fixture_reports_pinned(args, digest, capsys):
     """The labeling and fiber-word JSON encoding, the fixture details and
@@ -274,6 +281,7 @@ def _labels(realm, first, rest):
 I2 = [[1, 0], [0, 1]]
 MATP2 = {"realm": "matp", "p": 101, "d": 2}
 MATQ2 = {"realm": "matq", "d": 2}
+MATP1 = {"realm": "matp", "p": 101, "d": 1}
 
 
 @pytest.mark.parametrize("payload,message", [
@@ -294,6 +302,17 @@ MATQ2 = {"realm": "matq", "d": 2}
      "label 0: 'q' is not a declared variable (C, w, x, y, z)"),
     ({"realm": {"realm": "tropical"}, "labels": ["1", "1", "1", "1"]},
      "labeling 'labels' must be a JSON object keyed by element"),
+    (_labels(MATP1, [[1.5]], [[2]]), "label 0: a matp entry must be an integer, got 1.5"),
+    (_labels(MATP1, [[True]], [[2]]), "label 0: a matp entry must be an integer, got true"),
+    (_labels({"realm": "matp", "p": [101], "d": 1}, [[1]], [[2]]),
+     "realm config 'p' must be an integer, got [101]"),
+    (_labels({"realm": "tropical", "c": "1/0"}, "1", "1"),
+     "realm config 'c' must be a rational number, got \"1/0\""),
+    (_labels({"realm": "matq", "d": 2.0}, I2, I2),
+     "realm config 'd' must be an integer, got 2.0"),
+    ({"realm": {"realm": "tropical"},
+      "labels": {"0": "1", "1,1": "2", "1": "1", "2": "1", "3": "1"}},
+     "label 1,1: element 0 is already labeled by key 0"),
 ])
 def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "g.json"
@@ -346,6 +365,22 @@ def test_malformed_poset_exits_2(payload, message, tmp_path, capsys):
     code, err = _refused(["poset", "--poset", str(src)], capsys)
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,text,key", [
+    (["rowmotion", "--chains", "2", "2", "--in"],
+     '{"realm": {"realm": "tropical"}, "labels": {"0": "1", "0": "2", "1": "1",'
+     ' "2": "1", "3": "1"}}', "0"),
+    (["poset", "--poset"], '{"chains": [2, 2], "chains": [3, 3]}', "chains"),
+])
+def test_repeated_json_key_exits_2(args, text, key, tmp_path, capsys):
+    """An input object that repeats a key is refused, not read with the
+    key's last value."""
+    src = tmp_path / "in.json"
+    src.write_text(text)
+    code, err = _refused(args + [str(src)], capsys)
+    assert code == 2
+    assert err == f"error: JSON object repeats the key '{key}'\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -10,6 +10,8 @@ matrices, for the realm's own products and inverses, run up to d = 4.
 """
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from rowmotion import (
     transfer,
 )
 from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, _MatrixRealm
+from rowmotion.sampling import draw_below, sample_chain_polytope_point
 
 PRIMES = (2, 3, 5, 101, 2**61 - 1, 2**64 - 59)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -242,6 +245,68 @@ def test_max_chain_sum_is_the_largest_maximal_chain_sum(case):
     assert got == max(sum(weights[x] for x in chain) for chain in poset.maximal_chains())
     if all(type(w) is int for w in weights):
         assert type(got) is int
+
+
+NONNEGATIVE_WEIGHTS = st.one_of(weighted_posets(st.integers(0, 60)),
+                                weighted_posets(st.fractions(min_value=0, max_denominator=12)))
+
+
+@PROPERTY
+@given(NONNEGATIVE_WEIGHTS, st.integers(0, 200) | st.fractions(min_value=0, max_denominator=12))
+def test_capped_max_chain_sum_answers_the_uncapped_test(case, cap):
+    """On nonnegative weights the capped pass answers ``<= cap`` as the
+    uncapped one does, and returns the exact sum whenever it is at most cap."""
+    poset, weights = case
+    exact = poset.max_chain_sum(weights)
+    assert exact == max(sum(weights[x] for x in chain) for chain in poset.maximal_chains())
+    capped = poset.max_chain_sum(weights, cap=cap)
+    assert (capped <= cap) == (exact <= cap)
+    if exact <= cap:
+        assert capped == exact
+
+
+DENOMINATORS = st.sampled_from((0, 1, 59, 60, 62, 63, 64, 127))
+
+
+@PROPERTY
+@given(st.integers(0, 2**64), DENOMINATORS, st.integers(0, 50))
+def test_draw_below_is_randrange(seed, denominator, count):
+    """``draw_below`` returns what ``randrange`` would, call for call, and
+    leaves the generator in the same state."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    bound = denominator + 1
+    assert draw_below(ours, bound, count) == [theirs.randrange(bound) for _ in range(count)]
+    assert ours.getstate() == theirs.getstate()
+
+
+def _randrange_chain_polytope_point(poset, rng, denominator, rejection_rounds):
+    """The sampler written with ``randrange`` and an uncapped pass."""
+    for _ in range(rejection_rounds):
+        numerators = [rng.randrange(denominator + 1) for _ in range(poset.n)]
+        worst = poset.max_chain_sum(numerators)
+        if worst <= denominator:
+            return [Fraction(k, denominator) for k in numerators]
+    return [Fraction(k, worst) for k in numerators]
+
+
+def _point_or_error(sample, poset, rng, denominator, rounds):
+    try:
+        return sample(poset, rng, denominator, rounds)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@PROPERTY
+@given(posets(), st.integers(0, 2**64), DENOMINATORS, st.integers(1, 8))
+def test_chain_polytope_sampler_draws_like_randrange(poset, seed, denominator, rounds):
+    """The sampler's points (or its refusal of denominator 0) and final
+    generator state are those of the same rejection loop on ``randrange``
+    draws with an uncapped longest-chain pass."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert (_point_or_error(sample_chain_polytope_point, poset, ours, denominator, rounds)
+            == _point_or_error(_randrange_chain_polytope_point, poset, theirs, denominator,
+                               rounds))
+    assert ours.getstate() == theirs.getstate()
 
 
 @PROPERTY
