@@ -126,7 +126,8 @@ def _realm_flags(p):
                    default="ratfun")
     p.add_argument("--p", type=int, default=FUZZ_PRIME, help="matp prime")
     p.add_argument("--d", type=int, default=2, help="matrix dimension")
-    p.add_argument("--c", default="1", help="central constant (tropical/matq)")
+    p.add_argument("--c", help="central constant (tropical: default 1; matq: drawn at "
+                   "random when not given)")
 
 
 def _load_poset(args):
@@ -155,13 +156,14 @@ def _unique_keys(pairs):
 
 def _realm_config(args, poset):
     kind = args.realm
-    if kind == "tropical":
-        return {"realm": "tropical", "c": args.c}
     if kind == "ratfun":
         return {"realm": "ratfun"}
     if kind == "matp":
         return {"realm": "matp", "p": args.p, "d": args.d}
-    return {"realm": "matq", "d": args.d, "c": args.c}
+    cfg = {"realm": "tropical"} if kind == "tropical" else {"realm": "matq", "d": args.d}
+    if args.c is not None:
+        cfg["c"] = args.c
+    return cfg
 
 
 def _load_labeling(args, poset):

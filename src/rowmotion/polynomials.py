@@ -1,17 +1,71 @@
 """Sparse multivariate polynomials with integer coefficients.
 
-Terms are stored as a dict mapping exponent tuples to nonzero ints.  The
-monomial order everywhere is graded lexicographic: higher total degree first,
-ties broken by the exponent tuple with variable 0 heaviest.
+Terms are stored as a dict mapping packed monomials to nonzero ints.  A
+monomial in n variables is one int of n + 1 fields of ``FIELD_BITS`` bits:
+the total degree in the top field, then exponent i in field i with variable 0
+the most significant, down to variable n - 1 in the lowest field.  The top
+bit of every field is a guard bit that is zero in every monomial, so a field
+holds at most ``MAX_DEGREE`` = 2^15 - 1 and the total degree bounds every
+exponent.
+
+The monomial order everywhere is graded lexicographic: higher total degree
+first, ties broken by the exponents with variable 0 heaviest.  With the
+degree on top that is plain int order, so the leading monomial is
+``max(terms)``.  A monomial product is one ``+``, a quotient one ``-``, and
+divisibility shows as a borrow into some guard bit.  A product whose total
+degree would pass ``MAX_DEGREE`` raises ``ValueError`` before any field can
+carry into the next.
+
+Exponent tuples appear only at the edges: the ``Polynomial(nvars, {exps:
+coeff})`` constructor, ``pack``/``unpack``/``exponents``, ``render`` and
+``evaluate_mod``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
-def grlex_key(exps):
-    return (sum(exps), exps)
+
+@lru_cache(maxsize=None)
+def _layout(nvars):
+    """(degree shift, guard bits of all fields, 1 in the low bit of each exponent field)."""
+    shift = FIELD_BITS * nvars
+    ones = sum(1 << (FIELD_BITS * k) for k in range(nvars))
+    guards = (ones | 1 << shift) << (FIELD_BITS - 1)
+    return shift, guards, ones
+
+
+def monomial_gcd(nvars, monos):
+    """Exponentwise minimum of a nonempty iterable of packed monomials.
+
+    Per field, ``(f | guards) - m`` keeps the guard bit exactly where
+    f_i >= m_i (no borrow crosses a guard), and that bit spread over its
+    field selects m_i there.  The degree field is recomputed at the end as
+    the sum of the exponent fields.
+    """
+    shift, guards, ones = _layout(nvars)
+    exps = (1 << shift) - 1
+    it = iter(monos)
+    f = next(it)
+    for m in it:
+        t = ((f | guards) - m) & guards
+        f ^= (f ^ m) & (t - (t >> (FIELD_BITS - 1)))
+        if not f & exps:
+            return 0
+    f &= exps
+    return f | ((f * ones >> (shift - FIELD_BITS)) & _FIELD_MASK) << shift
+
+
+def _poly(nvars, terms):
+    p = Polynomial.__new__(Polynomial)
+    p.nvars = nvars
+    p.terms = terms
+    return p
 
 
 class Polynomial:
@@ -19,27 +73,41 @@ class Polynomial:
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        if terms:
-            self.terms = {e: c for e, c in terms.items() if c}
-        else:
-            self.terms = {}
+        self.terms = {self.pack(e): c for e, c in terms.items() if c} if terms else {}
 
     @classmethod
     def constant(cls, nvars, k):
-        p = cls(nvars)
-        if k:
-            p.terms[(0,) * nvars] = int(k)
-        return p
+        return _poly(nvars, {0: int(k)} if k else {})
 
     @classmethod
     def variable(cls, nvars, index):
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
-        e = [0] * nvars
-        e[index] = 1
-        p = cls(nvars)
-        p.terms[tuple(e)] = 1
-        return p
+        mono = 1 << (FIELD_BITS * nvars) | 1 << (FIELD_BITS * (nvars - 1 - index))
+        return _poly(nvars, {mono: 1})
+
+    def pack(self, exps):
+        """The packed monomial of an exponent tuple."""
+        if len(exps) != self.nvars:
+            raise ValueError(f"{len(exps)} exponents for {self.nvars} variables")
+        mono = degree = 0
+        for k in exps:
+            if k < 0:
+                raise ValueError(f"negative exponent {k}")
+            mono = mono << FIELD_BITS | k
+            degree += k
+        if degree > MAX_DEGREE:
+            raise ValueError(f"monomial degree {degree} exceeds {MAX_DEGREE}")
+        return mono | degree << (FIELD_BITS * self.nvars)
+
+    def unpack(self, mono):
+        """The exponent tuple of a packed monomial."""
+        n = self.nvars
+        return tuple(mono >> (FIELD_BITS * (n - 1 - i)) & _FIELD_MASK for i in range(n))
+
+    def exponents(self):
+        """The terms keyed by exponent tuples."""
+        return {self.unpack(m): c for m, c in self.terms.items()}
 
     def is_zero(self):
         return not self.terms
@@ -59,52 +127,50 @@ class Polynomial:
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        p = Polynomial(self.nvars)
-        p.terms = out
-        return p
+                del out[e]
+        return _poly(self.nvars, out)
 
     def __neg__(self):
-        p = Polynomial(self.nvars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        a, b = self.terms, other.terms
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        p = Polynomial(self.nvars)
-        p.terms = out
-        return p
+        if a and b:
+            shift = FIELD_BITS * self.nvars
+            degree = (max(a) >> shift) + (max(b) >> shift)
+            if degree > MAX_DEGREE:
+                raise ValueError(f"product of degree {degree} exceeds the monomial "
+                                 f"limit {MAX_DEGREE}")
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    s = get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return _poly(self.nvars, out)
 
     def scale(self, k):
         if not k:
-            return Polynomial(self.nvars)
-        p = Polynomial(self.nvars)
-        p.terms = {e: c * k for e, c in self.terms.items()}
-        return p
+            return _poly(self.nvars, {})
+        return _poly(self.nvars, {e: c * k for e, c in self.terms.items()})
 
     def exact_scale_down(self, k):
-        p = Polynomial(self.nvars)
-        p.terms = {e: c // k for e, c in self.terms.items()}
-        return p
+        return _poly(self.nvars, {e: c // k for e, c in self.terms.items()})
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self.terms) >> (FIELD_BITS * self.nvars) if self.terms else 0
 
     def leading_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
+        return max(self.terms)
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
@@ -120,67 +186,56 @@ class Polynomial:
 
     def monomial_floor(self):
         """Exponentwise min over terms: the largest monomial dividing every term."""
-        if not self.terms:
-            return (0,) * self.nvars
-        it = iter(self.terms)
-        floor = list(next(it))
-        for e in it:
-            for i, v in enumerate(e):
-                if v < floor[i]:
-                    floor[i] = v
-            if not any(floor):
-                break
-        return tuple(floor)
+        return monomial_gcd(self.nvars, self.terms) if self.terms else 0
 
     def shift_down(self, mono):
         """Divide every term by ``mono`` (caller guarantees exactness)."""
-        if not any(mono):
+        if not mono:
             return self
-        p = Polynomial(self.nvars)
-        p.terms = {tuple(a - b for a, b in zip(e, mono)): c for e, c in self.terms.items()}
-        return p
+        return _poly(self.nvars, {e - mono: c for e, c in self.terms.items()})
 
     def exact_div(self, divisor):
         """Exact quotient self / divisor over the integers, or None.
 
         Standard leading-term division under graded lex; fails (None) as soon
-        as a leading monomial or coefficient does not divide.
+        as a leading monomial or coefficient does not divide.  The quotient
+        monomials come out strictly decreasing, one per step.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
-            return Polynomial(self.nvars)
-        dlm = divisor.leading_monomial()
+            return _poly(self.nvars, {})
+        guards = _layout(self.nvars)[1]
+        dterms = list(divisor.terms.items())
+        dlm = max(divisor.terms)
         dlc = divisor.terms[dlm]
         rem = dict(self.terms)
+        get = rem.get
         quo = {}
         while rem:
-            rlm = max(rem, key=grlex_key)
-            rlc = rem[rlm]
-            if any(r < d for r, d in zip(rlm, dlm)):
+            rlm = max(rem)
+            m = rlm - dlm
+            if m & guards:
                 return None
-            if rlc % dlc:
+            c, r = divmod(rem[rlm], dlc)
+            if r:
                 return None
-            c = rlc // dlc
-            m = tuple(r - d for r, d in zip(rlm, dlm))
-            quo[m] = quo.get(m, 0) + c
-            for e, dc in divisor.terms.items():
-                me = tuple(a + b for a, b in zip(m, e))
-                s = rem.get(me, 0) - c * dc
+            quo[m] = c
+            for e, dc in dterms:
+                me = m + e
+                s = get(me, 0) - c * dc
                 if s:
                     rem[me] = s
                 else:
-                    rem.pop(me, None)
-        q = Polynomial(self.nvars)
-        q.terms = quo
-        return q
+                    del rem[me]
+        return _poly(self.nvars, quo)
 
     def evaluate_mod(self, values, p):
         """Evaluate at integer points mod a prime p."""
         total = 0
-        for e, c in self.terms.items():
+        for m, c in self.terms.items():
             t = c % p
-            for v, k in zip(values, e):
+            for v, k in zip(values, self.unpack(m)):
                 if k:
                     t = t * pow(v, k, p) % p
             total = (total + t) % p
@@ -191,10 +246,10 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[e]
+        for m in sorted(self.terms, reverse=True):
+            c = self.terms[m]
             factors = []
-            for name, k in zip(names, e):
+            for name, k in zip(names, self.unpack(m)):
                 if k == 1:
                     factors.append(name)
                 elif k > 1:
@@ -210,4 +265,4 @@ class Polynomial:
         return " ".join([head] + parts[1:])
 
     def __repr__(self):
-        return f"Polynomial({self.nvars}, {self.terms!r})"
+        return f"Polynomial({self.nvars}, {self.exponents()!r})"

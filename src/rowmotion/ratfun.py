@@ -6,14 +6,20 @@ Equality is decided by cross-multiplication on normal forms; there is no full
 multivariate gcd.  To keep iterated maps from swelling, multiplication and
 addition cancel a factor opportunistically whenever one side divides the
 other exactly.
+
+Numerator and denominator key their terms by packed monomials (see
+``polynomials``): the common monomial is one ``monomial_gcd`` over the terms
+of both, removed by one subtraction per term, and a polynomial is a unit
+when its only term is the constant monomial 0 with coefficient +-1.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 from .errors import SingularValue
-from .polynomials import Polynomial
+from .polynomials import Polynomial, monomial_gcd
 
 
 class RationalFunction:
@@ -26,8 +32,8 @@ class RationalFunction:
             self.num = num
             self.den = Polynomial.constant(num.nvars, 1)
             return
-        mono = tuple(min(a, b) for a, b in zip(num.monomial_floor(), den.monomial_floor()))
-        if any(mono):
+        mono = monomial_gcd(num.nvars, chain(num.terms, den.terms))
+        if mono:
             num = num.shift_down(mono)
             den = den.shift_down(mono)
         g = gcd(num.content(), den.content())
@@ -124,7 +130,7 @@ class RationalFunction:
 
 
 def _is_unit(p):
-    return len(p.terms) == 1 and not any(p.leading_monomial()) and abs(p.leading_coefficient()) == 1
+    return len(p.terms) == 1 and abs(p.terms.get(0, 0)) == 1
 
 
 def _cancel(n, d):

@@ -166,6 +166,8 @@ class TropicalRealm(Realm):
         return str(x)
 
     def value_from_json(self, obj):
+        if isinstance(obj, bool):
+            raise ValueError(f"a tropical label must be a rational number, got {json.dumps(obj)}")
         return Fraction(obj)
 
 
@@ -423,7 +425,9 @@ class FractionMatrixRealm(_MatrixRealm):
 
     name = "matq"
     _entry_to_json = str
-    _entry_from_json = Fraction
+
+    def _entry_from_json(self, v):
+        return json_number(v, Fraction, "a matq entry")
 
     def __init__(self, d, c=Fraction(1)):
         c = Fraction(c)

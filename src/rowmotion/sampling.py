@@ -16,7 +16,6 @@ from .kernel import flat_to_labeling
 from .labeling import Labeling
 from .realms import (
     FpMatrixRealm,
-    FractionMatrixRealm,
     RationalFunctionRealm,
     realm_from_config,
     symbolic_variable_names,
@@ -48,7 +47,8 @@ def sample_generic_labeling(poset, realm_config, seed):
     """Sample a labeling per the realm config block.
 
     Symbolic realms are deterministic (fresh variables).  Matrix realms draw
-    uniform entries and a nonzero central scalar, resampling up to the retry
+    uniform entries and a nonzero central scalar (a matq config's ``c``
+    replaces the drawn one), resampling up to the retry
     bound until one full antichain-rowmotion pass hits no singular value.
     Tropical realms draw rationals in [0, 1] with bounded denominators.
     """
@@ -155,6 +155,8 @@ def _draw_matrix_labeling(n, realm_config, rng):
         p = int(realm_config["p"])
         flat, c = draw_fp_labels(rng, n, d, p)
         return flat_to_labeling(FpMatrixRealm(p, d, c=c), flat)
-    realm = FractionMatrixRealm(d, c=Fraction(rng.randrange(1, 64), rng.randrange(1, 64)))
+    # c is drawn even when the config gives one, so the entries do not depend on it
+    drawn = Fraction(rng.randrange(1, 64), rng.randrange(1, 64))
+    realm = realm_from_config({"c": drawn, **realm_config})
     return Labeling(realm, [tuple(Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
                                   for _ in range(d * d)) for _ in range(n)])

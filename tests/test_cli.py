@@ -7,6 +7,9 @@ import pytest
 
 from rowmotion import stword
 from rowmotion.cli import main
+from rowmotion.polynomials import MAX_DEGREE, Polynomial
+from rowmotion.ratfun import RationalFunction
+from rowmotion.realms import RationalFunctionRealm
 
 
 def run(args, capsys):
@@ -140,6 +143,10 @@ def test_homomesy_tropical(capsys):
      "0bc51db230984d0cf152b97a48397974e99dce7403da63ed068feb9e1281b52f"),
     (["--realm", "tropical", "--a", "3", "--b", "3", "--samples", "10", "--seed", "1"],
      "1634266f3c36a079b5ba27ca867d962bb49d4a3e77b7def2f85a4a6cd187cbf5"),
+    (["--realm", "ratfun", "--a", "2", "--b", "4"],
+     "4f84d99f90c7ede79308c118e2eb756f3e1b42494402f7305afb1452e8c567fe"),
+    (["--realm", "ratfun", "--a", "4", "--b", "2"],
+     "867b5ea5043e99d1ce6e81e7b17234cf285c00a118406da9bbbc685253fb4ca9"),
 ])
 def test_homomesy_reports_pinned(args, digest, capsys):
     """The homomesy reports are pinned byte for byte, however the orbit
@@ -197,6 +204,16 @@ def test_homomesy_reports_pinned(args, digest, capsys):
     (["homomesy", "--realm", "tropical", "--a", "1", "--b", "3", "--samples", "20",
       "--seed", "2"],
      "5195f652db3cc0cdf1dba29a915411f2ea14fa0d93587965bc9b4fe6522197b6"),
+    # a full symbolic orbit: step 6 returns to the starting labeling
+    (["rowmotion", "--chains", "2", "4", "--realm", "ratfun"],
+     "aedde08bbe9e490957b60c0c2c7704d91fbcbeccb72df30c6389d3348bf8e97c"),
+    (["rowmotion", "--chains", "2", "3", "--realm", "ratfun", "--mode", "toggles"],
+     "41de88ad3ff8020c6654ab280d78f63f7050fd5b7ea13d28cf18c084118b1941"),
+    (["stword", "--chains", "2", "4"],
+     "e43dfbd0f495657f40b3673983d4aea94af62a3d2ee8a5a8bb9bb35a7b434067"),
+    # step 5 on [3]x[3] has labels of 2,316 terms
+    (["rowmotion", "--chains", "3", "3", "--realm", "ratfun", "--steps", "5"],
+     "4a76fccc400eb221ac462416ac8e309f0f1a49fdf2b0e19949b8f48b3ceb9fd0"),
 ])
 def test_word_orbit_and_fixture_reports_pinned(args, digest, capsys):
     """The labeling and fiber-word JSON encoding, the fixture details and
@@ -249,6 +266,19 @@ def test_fixtures_command(capsys):
 
 def test_missing_poset_source_fails(capsys):
     assert main(["rowmotion", "--realm", "ratfun"]) == 2
+
+
+@pytest.mark.parametrize("c_args,c", [([], "20/47"), (["--c", "5"], "5"),
+                                      (["--c", "7/2"], "7/2")])
+def test_sampled_matq_rowmotion_reports_its_central_constant(c_args, c, capsys):
+    """An explicit --c is the sampled matq realm's constant; without it the
+    constant is drawn.  The drawn entries are the same either way."""
+    code, rep = run(["rowmotion", "--chains", "2", "2", "--realm", "matq", "--d", "1",
+                     "--seed", "1"] + c_args, capsys)
+    assert code == 0
+    assert rep["realm"]["c"] == c
+    assert rep["steps"][0]["labels"] == {"0": [["10/7"]], "1": [["17/3"]], "2": [["-11/5"]],
+                                         "3": [["-27/11"]]}
 
 
 def _refused(args, capsys):
@@ -313,6 +343,10 @@ MATP1 = {"realm": "matp", "p": 101, "d": 1}
     ({"realm": {"realm": "tropical"},
       "labels": {"0": "1", "1,1": "2", "1": "1", "2": "1", "3": "1"}},
      "label 1,1: element 0 is already labeled by key 0"),
+    (_labels({"realm": "tropical"}, True, "1"),
+     "label 0: a tropical label must be a rational number, got true"),
+    (_labels(MATQ2, [[True, "0"], ["0", "1"]], I2),
+     "label 0: a matq entry must be a rational number, got true"),
 ])
 def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "g.json"
@@ -320,6 +354,23 @@ def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     code, err = _refused(["rowmotion", "--chains", "2", "2", "--in", str(src)], capsys)
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def test_symbolic_degree_past_the_field_limit_exits_2(monkeypatch, capsys):
+    """Labels of degree just over half the packed-monomial limit make the
+    first product overflow; the run is refused, not wrapped around."""
+    high = MAX_DEGREE // 2 + 1
+
+    def variable(realm, name):
+        exps = [0] * realm.nvars
+        exps[realm.variable_names.index(name)] = high
+        return RationalFunction.from_polynomial(Polynomial(realm.nvars, {tuple(exps): 1}))
+
+    monkeypatch.setattr(RationalFunctionRealm, "variable", variable)
+    code, err = _refused(["rowmotion", "--chains", "2", "2", "--realm", "ratfun"], capsys)
+    assert code == 2
+    assert err == (f"error: product of degree {2 * high} exceeds the monomial limit "
+                   f"{MAX_DEGREE}\n")
 
 
 def test_output_stable_across_runs(tmp_path):

@@ -7,11 +7,14 @@ fiber products.  Primes run from 2 (singular draws are common) to
 2^64 - 59 (beyond fixed-width 128-bit sums of products).  Tropical
 labelings take arbitrary rationals and an arbitrary constant.  Single
 matrices, for the realm's own products and inverses, run up to d = 4.
+Packed polynomials in 1 to 10 variables, with exponents up to just below
+the field limit, are checked against the tuple-keyed oracle.
 """
 
 import json
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +36,11 @@ from rowmotion import (
     product_of_chains,
     transfer,
 )
+from rowmotion.polynomials import MAX_DEGREE, Polynomial, monomial_gcd
 from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, _MatrixRealm
 from rowmotion.sampling import draw_below, sample_chain_polytope_point
+
+from poly_oracle import OraclePolynomial
 
 PRIMES = (2, 3, 5, 101, 2**61 - 1, 2**64 - 59)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -321,3 +327,90 @@ def test_tropical_rowmotion_is_homogeneous(case, scale):
     assert image.values == tuple(scale * v for v in antichain_rowmotion(poset, g).values)
     assert (polytope_membership("chain", poset, scaled, scale)
             == polytope_membership("chain", poset, g))
+
+
+def _bounded_exponents(n, cap):
+    """Exponent tuples in n variables of total degree at most ``cap``."""
+    def scale_down(raw):
+        total = sum(raw)
+        return raw if total <= cap else tuple(k * cap // total for k in raw)
+    return st.tuples(*[st.integers(0, cap)] * n).map(scale_down)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(nvars, term dict f, term dict g) in 1..10 variables, each of degree
+    at most MAX_DEGREE // 2, so that f * g reaches just below the field
+    limit.  Small degree caps make terms collide, cancel and divide."""
+    n = draw(st.integers(1, 10))
+    cap = draw(st.sampled_from((1, 2, 4, MAX_DEGREE // 2)))
+    coefficients = st.integers(-9, 9) | st.integers(-2**70, 2**70)
+    terms = st.dictionaries(_bounded_exponents(n, cap), coefficients, max_size=6)
+    return n, draw(terms), draw(terms)
+
+
+def _view(p):
+    """A packed or oracle polynomial as {exponent tuple: coefficient}, or None.
+    Every packed monomial must carry the sum of its exponents as its degree."""
+    if p is None:
+        return None
+    if isinstance(p, OraclePolynomial):
+        return p.terms
+    assert all(p.pack(p.unpack(m)) == m for m in p.terms)
+    return p.exponents()
+
+
+@PROPERTY
+@given(polynomial_pairs())
+def test_packed_polynomials_match_the_tuple_oracle(case):
+    """Sums, products, quotients, rendering, leading terms and monomial
+    floors of packed polynomials equal those of the tuple-keyed oracle, and
+    ``exact_div`` refuses exactly where the oracle does."""
+    n, fd, gd = case
+    f, g = Polynomial(n, fd), Polynomial(n, gd)
+    F, G = OraclePolynomial(n, fd), OraclePolynomial(n, gd)
+    names = ("C",) + tuple(f"x{i}" for i in range(1, n))
+    assert _view(f) == _view(F)
+    assert _view(f + g) == _view(F + G)
+    assert _view(f - g) == _view(F - G)
+    product, oracle_product = f * g, F * G
+    assert _view(product) == _view(oracle_product)
+    for p, P in ((f, F), (product, oracle_product)):
+        assert p.render(names) == P.render(names)
+        assert p.total_degree() == P.total_degree()
+        assert p.unpack(p.monomial_floor()) == P.monomial_floor()
+        assert _view(p.shift_down(p.monomial_floor())) == _view(P.shift_down(P.monomial_floor()))
+        if P.terms:
+            assert p.unpack(p.leading_monomial()) == P.leading_monomial()
+            assert p.leading_coefficient() == P.leading_coefficient()
+    if F.terms or G.terms:
+        floors = [P.monomial_floor() for P in (F, G) if P.terms]
+        assert (f.unpack(monomial_gcd(n, chain(f.terms, g.terms)))
+                == tuple(min(column) for column in zip(*floors)))
+    if G.terms:
+        assert _view(product.exact_div(g)) == _view(oracle_product.exact_div(G)) == _view(F)
+        assert _view(f.exact_div(g)) == _view(F.exact_div(G))
+        bumped, oracle_bumped = product + f, oracle_product + F
+        assert _view(bumped.exact_div(g)) == _view(oracle_bumped.exact_div(G))
+
+
+@PROPERTY
+@given(st.integers(1, 10), st.data())
+def test_products_past_the_field_limit_raise(n, data):
+    """A product of total degree MAX_DEGREE is exact; one degree more raises
+    ``ValueError`` instead of carrying into the next field, whether one
+    variable or several carry the degree."""
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    a = data.draw(st.integers(0, MAX_DEGREE))
+    x, y = [0] * n, [0] * n
+    x[i], y[j] = a, MAX_DEGREE - a
+    f, g = Polynomial(n, {tuple(x): 1}), Polynomial(n, {tuple(y): 1})
+    top = [u + v for u, v in zip(x, y)]
+    assert (f * g).exponents() == {tuple(top): 1}
+    k = data.draw(st.integers(0, n - 1))
+    top[k] += 1
+    with pytest.raises(ValueError):
+        Polynomial(n, {tuple(top): 1})
+    y[k] += 1
+    with pytest.raises(ValueError):
+        f * Polynomial(n, {tuple(y): 1})

@@ -4,7 +4,7 @@ import random
 
 from rowmotion.errors import SingularValue
 from rowmotion.polynomials import Polynomial
-from rowmotion.ratfun import RationalFunction
+from rowmotion.ratfun import RationalFunction, _is_unit
 
 import pytest
 
@@ -64,15 +64,13 @@ def test_zero_and_singular():
 
 def rand_fraction(rng):
     def rand_poly():
-        p = Polynomial(3)
         terms = {}
         for _ in range(rng.randrange(1, 4)):
             e = tuple(rng.randrange(3) for _ in range(3))
             c = rng.randrange(-6, 7)
             if c:
                 terms[e] = terms.get(e, 0) + c
-        p.terms = {e: c for e, c in terms.items() if c}
-        return p
+        return Polynomial(3, terms)
 
     num = rand_poly()
     den = rand_poly()
@@ -146,3 +144,13 @@ def test_render():
     assert (c / (x * y)).render(NAMES) == "C/(x*y)"
     assert x.render(NAMES) == "x"
     assert (one() / y).render(NAMES) == "1/y"
+
+
+def test_units_are_the_constants_plus_and_minus_one():
+    """Only +-1 skips the cancellation probes (an exact division by a unit
+    is never tried, so the division counts stay those of the plain algorithm)."""
+    x = Polynomial.variable(3, 1)
+    assert _is_unit(Polynomial.constant(3, 1)) and _is_unit(Polynomial.constant(3, -1))
+    for p in (Polynomial.constant(3, 2), x, x.scale(-1), x + Polynomial.constant(3, 1),
+              Polynomial(3)):
+        assert not _is_unit(p)
