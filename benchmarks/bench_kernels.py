@@ -14,14 +14,15 @@ from __future__ import annotations
 import random
 import time
 
-from rowmotion import antichain_rowmotion, kernel, product_of_chains
+from rowmotion import Labeling, antichain_rowmotion, kernel, product_of_chains
 from rowmotion.realms import FUZZ_PRIME, FpMatrixRealm
 
 TARGET_STEPS_PER_SEC = 10_000
 
 
 def draw(rng, n, d, p):
-    labels = [rng.randrange(p) for _ in range(n * d * d)]
+    """n per-element d x d matrices, then a central constant."""
+    labels = [tuple(rng.randrange(p) for _ in range(d * d)) for _ in range(n)]
     return labels, rng.randrange(1, p)
 
 
@@ -39,9 +40,8 @@ def time_kernel(module, poset, d, p, min_seconds=0.5):
 
 def time_generic(poset, d, p, min_seconds=0.5):
     rng = random.Random(1234)
-    flat, c = draw(rng, poset.n, d, p)
-    realm = FpMatrixRealm(p, d, c=c)
-    g = kernel.flat_to_labeling(realm, flat)
+    labels, c = draw(rng, poset.n, d, p)
+    g = Labeling(FpMatrixRealm(p, d, c=c), labels)
     steps = 0
     t0 = time.perf_counter()
     while time.perf_counter() - t0 < min_seconds:

@@ -139,10 +139,13 @@ def _load_poset(args):
 
 
 def _read_json(path):
-    """The JSON document in ``path``.  An object that repeats a key is
-    refused, not read with the key's last value."""
+    """The JSON document in ``path``.  A repeated key is refused, not read
+    with its last value, and so is nesting deeper than the parser allows."""
     with open(path) as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("JSON input is nested too deeply") from None
 
 
 def _unique_keys(pairs):

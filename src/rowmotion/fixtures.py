@@ -23,7 +23,6 @@ from .combinatorial import (
 )
 from .dynamics import TransferKind, antichain_rowmotion, iterate, transfer
 from .errors import SingularValue
-from .kernel import flat_to_labeling
 from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm, TropicalRealm
@@ -331,9 +330,9 @@ def _fx_nar_2x2_orbit(samples, seed):
             if attempt > 4 * per_d:
                 return False, f"too many singular samples at d={d}"
             rng = random.Random(derive_seed(seed, "nar-fixture", d, attempt))
-            flat, c = draw_fp_labels(rng, 4, d, FUZZ_PRIME)
+            labels, c = draw_fp_labels(rng, 4, d, FUZZ_PRIME)
             realm = FpMatrixRealm(FUZZ_PRIME, d, c=c)
-            g = flat_to_labeling(realm, flat)
+            g = Labeling(realm, labels)
             try:
                 expected_steps, st0 = _nar_expected_steps(realm, *g.values)
                 cur = g

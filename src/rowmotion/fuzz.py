@@ -1,14 +1,14 @@
 """Seeded fuzzing of the rowmotion periodicity conjecture.
 
-Each trial samples a matrix labeling of [a]x[b] over F_p, runs antichain
-rowmotion a+b times through the kernel, and checks exact return to the
-start.  The kernel works in transfer form and raises ``SingularValue`` on
-exactly the draws where toggle-mode rowmotion would, so resample counts are
-those of toggle mode; a counterexample is replayed through generic toggle
-mode, an independent code path.  Whether the order is a+b for general
-(a, b) once labels stop commuting is an open conjecture; only the 2x2
-rectangle has a fully worked exact orbit, so the grid gathers evidence,
-nothing more.
+Each trial draws a matrix labeling of [a]x[b] over F_p, runs antichain
+rowmotion a+b times through the kernel's engine, and checks exact return to
+the start.  The engine steps with ``dynamics.rowmotion_pass``, the
+transfer-mode step of every realm, which raises ``SingularValue`` on exactly
+the draws where toggle-mode rowmotion would, so resample counts are those of
+toggle mode; a counterexample is replayed through generic toggle mode, an
+independent code path.  Whether the order is a+b for general (a, b) once
+labels stop commuting is an open conjecture; only the 2x2 rectangle has a
+fully worked exact orbit, so the grid gathers evidence, nothing more.
 
 Reports are deterministic functions of the master seed: every trial draws
 from a sub-seed derived by hashing (seed, cell, trial index), so scheduling
@@ -21,6 +21,7 @@ import random
 
 from . import kernel
 from .errors import SingularValue
+from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm
 from .sampling import RESAMPLE_LIMIT, derive_seed, draw_fp_labels
@@ -116,17 +117,16 @@ def fuzz_grid(a_max=3, b_max=3, d_max=3, trials=100, seed=0, p=FUZZ_PRIME):
 
 
 def _reverify(poset, d, p, attempt_seed, steps):
-    """Replay a counterexample through the generic realm path.
+    """Replay a counterexample through generic toggle mode.
 
     The labeling is re-derived from its recorded seed with a fresh generator
-    rather than trusted from memory, then iterated by the slow realm code
-    instead of the kernel.  Returns True when the failure stands.
+    rather than trusted from memory, then iterated by toggles instead of the
+    engine's rowmotion pass.  Returns True when the failure stands.
     """
     from .dynamics import antichain_rowmotion
 
     labels, c = draw_fp_labels(random.Random(attempt_seed), poset.n, d, p)
-    realm = FpMatrixRealm(p, d, c=c)
-    g = kernel.flat_to_labeling(realm, labels)
+    g = Labeling(FpMatrixRealm(p, d, c=c), labels)
     cur = g
     try:
         for _ in range(steps):

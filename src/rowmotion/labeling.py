@@ -70,7 +70,7 @@ def labeling_from_json(obj, poset=None, realm=None):
                 raise ValueError(f"element {x} is already labeled by key {keys[x]}")
             keys[x] = key
             values[x] = realm.value_from_json(val)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"label {key}: {exc}") from None
     n = poset.n if poset is not None else len(values)
     if sorted(values) != list(range(n)):

@@ -33,6 +33,7 @@ class FinitePoset:
         "_down_covers",
         "_topo",
         "_maximal",
+        "_nonminimal",
     )
 
     def __init__(self, n, covers, names=None):
@@ -104,6 +105,7 @@ class FinitePoset:
         # reachability, which the reduction keeps.
         self._topo = topo
         self._maximal = tuple(x for x in range(n) if not self._up_covers[x])
+        self._nonminimal = tuple(x for x in range(n) if self._down_covers[x])
 
     # -- order queries -------------------------------------------------
 

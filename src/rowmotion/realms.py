@@ -6,8 +6,8 @@ plus exact equality.  Four realms are provided:
 * tropical rationals (max, +); the piecewise-linear realm,
 * multivariate rational functions over the integers, with the constant as a
   distinguished variable; the birational realm,
-* square matrices over a prime field, multiplied and inverted in closed
-  form for d <= 3 by ``fp_ops``, which the fuzzer's kernel shares,
+* square matrices over a prime field, in closed form for d <= 3 by
+  ``fp_ops``, a batch inverted with one modular inverse (``inv_all``),
 * square matrices over the exact rationals.
 
 Matrix values are flat row-major tuples of d*d entries; only their JSON
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,6 +31,9 @@ from .errors import SingularValue
 from .ratfun import RationalFunction
 
 FUZZ_PRIME = 2**61 - 1
+
+MAX_DECIMAL_EXPONENT = 10_000
+_DECIMAL = re.compile(r"\s*[-+]?[\d_]*(?:\.[\d_]*)?[eE][-+]?(?P<exp>[\d_]+)\s*")
 
 # Miller-Rabin with the first 12 prime bases is deterministic below the
 # smallest strong pseudoprime to all of them (Sorenson and Webster, 2017).
@@ -97,6 +101,19 @@ class Realm:
     def constant(self):
         """The central constant of the realm."""
         raise NotImplementedError
+
+    def inv_at(self, v, element):
+        """``inv(v)``; a singular v re-raises the message naming ``element``."""
+        try:
+            return self.inv(v)
+        except SingularValue as exc:
+            raise SingularValue(str(exc), element=element) from exc
+
+    def inv_all(self, values, elements, scaled=False):
+        """``inv_at(v, x)`` for each value v and its element x, times
+        ``constant()`` when ``scaled``; this default inverts one at a time."""
+        out = [self.inv_at(v, x) for x, v in zip(elements, values)]
+        return [self.mul(self.constant(), w) for w in out] if scaled else out
 
     def eq(self, x, y):
         return x == y
@@ -168,6 +185,7 @@ class TropicalRealm(Realm):
     def value_from_json(self, obj):
         if isinstance(obj, bool):
             raise ValueError(f"a tropical label must be a rational number, got {json.dumps(obj)}")
+        refuse_huge_exponent(obj, "a tropical label")
         return Fraction(obj)
 
 
@@ -258,9 +276,9 @@ class _MatrixRealm(Realm):
 
     def identity(self, scalar):
         d = self.d
-        zero = self._norm(0)
-        s = self._norm(scalar)
-        return tuple(zero if i % (d + 1) else s for i in range(d * d))
+        m = [self._norm(0)] * (d * d)
+        m[::d + 1] = [self._norm(scalar)] * d
+        return tuple(m)
 
     def inv(self, x):
         """Gauss-Jordan inverse; raises SingularValue when no pivot exists.
@@ -307,6 +325,7 @@ def mat_product(d, x, y):
                  for r in range(0, d * d, d) for col in cols)
 
 
+@lru_cache(maxsize=64)
 def fp_ops(d, p):
     """(mul, det, adj) for d x d matrices mod p as flat row-major tuples.
 
@@ -314,7 +333,8 @@ def fp_ops(d, p):
     k times the adjugate, reduced, so ``adj(m, pow(det(m), -1, p))`` is the
     inverse.  Inputs may be unreduced.  d = 1, 2, 3 get unrolled products
     and closed-form determinants and adjugates; d >= 4 gets ``mat_product``
-    reduced mod p and ``det = adj = None`` (invert by Gauss-Jordan).
+    reduced mod p and ``det = adj = None`` (invert by Gauss-Jordan).  Cached,
+    since the fuzzer's engine builds a realm per trial.
     """
     if d == 1:
         def mul(x, y):
@@ -409,12 +429,34 @@ class FpMatrixRealm(_MatrixRealm):
 
     def inv(self, x):
         if self._det is None:
-            return super().inv(x)
+            return super().inv(tuple(v % self.p for v in x))
         self._check(x)
         t = self._det(x)
         if not t:
             raise SingularValue(f"singular {self.d}x{self.d} matrix")
         return self._adj(x, pow(t, -1, self.p))
+
+    def inv_all(self, values, elements, scaled=False):
+        """``Realm.inv_all`` on maybe unreduced matrices.  For d <= 3, adj(m) *
+        det(m)^-1 with every det inverted at once by Montgomery's trick (one
+        modular inverse, c folded in, 3(k-1) products for k matrices)."""
+        if self._det is None:
+            return super().inv_all(values, elements, scaled)
+        p, det, adj = self.p, self._det, self._adj
+        dets = [det(m) for m in values]
+        prefix = []
+        acc = 1
+        for x, t in zip(elements, dets):
+            if not t:
+                raise SingularValue(f"singular {self.d}x{self.d} matrix", element=x)
+            prefix.append(acc)
+            acc = acc * t % p
+        inv = pow(acc, -1, p) * (self.c if scaled else 1) % p
+        out = [None] * len(dets)
+        for i in range(len(dets) - 1, -1, -1):
+            out[i] = adj(values[i], inv * prefix[i] % p)
+            inv = inv * dets[i] % p
+        return out
 
     def config(self):
         return {"realm": "matp", "p": self.p, "d": self.d, "c": self.c}
@@ -472,7 +514,9 @@ def realm_from_config(cfg):
 def json_number(v, kind, what):
     """``kind(v)`` for ``kind`` int or Fraction, where ``v`` is a JSON number
     or a string.  A boolean, a float read as an int (which would truncate
-    it) or anything ``kind`` cannot read raises ValueError naming ``what``."""
+    it), a huge exponent or anything ``kind`` cannot read raises ValueError
+    naming ``what``."""
+    refuse_huge_exponent(v, what)
     if not (isinstance(v, bool) or (kind is int and isinstance(v, float))):
         try:
             return kind(v)
@@ -480,6 +524,17 @@ def json_number(v, kind, what):
             pass
     noun = "an integer" if kind is int else "a rational number"
     raise ValueError(f"{what} must be {noun}, got {json.dumps(v, default=str)}")
+
+
+def refuse_huge_exponent(v, what):
+    """ValueError naming ``what`` for a decimal string whose exponent is past
+    ``MAX_DECIMAL_EXPONENT`` in size: ``Fraction`` would build 10**exponent,
+    which for "1e100000000" runs for minutes.  "1e999" reads exactly."""
+    m = _DECIMAL.fullmatch(v) if isinstance(v, str) else None
+    digits = m["exp"].replace("_", "").lstrip("0") if m else ""
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"{what} has a decimal exponent past {MAX_DECIMAL_EXPONENT}, "
+                         f"got {json.dumps(v)}")
 
 
 def json_field(obj, key, what):

@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 from .errors import SamplingExhausted, SingularValue
-from .kernel import flat_to_labeling
 from .labeling import Labeling
 from .realms import (
     FpMatrixRealm,
@@ -142,19 +141,20 @@ def _sample_matrix_labeling(poset, realm_config, seed):
 
 
 def draw_fp_labels(rng, n, d, p):
-    """One prime-field draw from ``rng``: the central constant c in [1, p),
-    then n*d*d entries in [0, p), the flat labels of n elements.  Returns
-    (flat labels, c); no realm is built, so the fuzzer can draw per attempt."""
+    """One draw from ``rng``: the central constant c in [1, p), then d*d entries
+    in [0, p) per element.  Returns (labels, c), labels as n flat row-major
+    tuples in id order; no realm is built, so the fuzzer can draw per attempt."""
     c = rng.randrange(1, p)
-    return [rng.randrange(p) for _ in range(n * d * d)], c
+    entries = iter([rng.randrange(p) for _ in range(n * d * d)])
+    return list(zip(*[entries] * (d * d))), c
 
 
 def _draw_matrix_labeling(n, realm_config, rng):
     d = int(realm_config["d"])
     if realm_config["realm"] == "matp":
         p = int(realm_config["p"])
-        flat, c = draw_fp_labels(rng, n, d, p)
-        return flat_to_labeling(FpMatrixRealm(p, d, c=c), flat)
+        labels, c = draw_fp_labels(rng, n, d, p)
+        return Labeling(FpMatrixRealm(p, d, c=c), labels)
     # c is drawn even when the config gives one, so the entries do not depend on it
     drawn = Fraction(rng.randrange(1, 64), rng.randrange(1, 64))
     realm = realm_from_config({"c": drawn, **realm_config})

@@ -11,7 +11,7 @@ of chains, so it is kept out of the package.
 
 from fractions import Fraction
 
-from rowmotion.dynamics import TransferKind, _inv_at, transfer
+from rowmotion.dynamics import TransferKind, transfer
 
 
 def chain_expansion_check(kind, poset, g):
@@ -45,7 +45,7 @@ def toggle_chain_form(poset, g, v):
     lowers = [_descending_product(r, g, path[1:]) for path in _paths(poset, v, upward=False)]
     uppers = [_ascending_product(r, g, path) for path in _paths(poset, v, upward=True)]
     total = r.sum(r.mul(lo, up) for lo in lowers for up in uppers)
-    return g.replace(v, r.mul(r.constant(), _inv_at(r, total, v)))
+    return g.replace(v, r.mul(r.constant(), r.inv_at(total, v)))
 
 
 def chain_polytope_point_by_chains(poset, rng, denominator=60, rejection_rounds=64):

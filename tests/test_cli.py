@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -314,6 +315,19 @@ MATQ2 = {"realm": "matq", "d": 2}
 MATP1 = {"realm": "matp", "p": 101, "d": 1}
 
 
+class RawFile(str):
+    """Input file text written as is, not JSON-encoded, and the option
+    that reads it."""
+
+    def __new__(cls, text, flag):
+        self = super().__new__(cls, text)
+        self.flag = flag
+        return self
+
+
+NESTED = "[" * 100_000
+
+
 @pytest.mark.parametrize("payload,message", [
     ({"realm": {"realm": "tropical"}}, "labeling has no 'labels' key"),
     ({"labels": {"0": "1"}}, "labeling has no 'realm' key"),
@@ -347,11 +361,40 @@ MATP1 = {"realm": "matp", "p": 101, "d": 1}
      "label 0: a tropical label must be a rational number, got true"),
     (_labels(MATQ2, [[True, "0"], ["0", "1"]], I2),
      "label 0: a matq entry must be a rational number, got true"),
+    (_labels({"realm": "tropical"}, float("inf"), "1"),
+     "label 0: cannot convert Infinity to integer ratio"),
+    pytest.param(RawFile(NESTED, "--in"), "JSON input is nested too deeply", id="nested-in"),
+    pytest.param(RawFile(NESTED, "--poset"), "JSON input is nested too deeply",
+                 id="nested-poset"),
 ])
 def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "g.json"
-    src.write_text(json.dumps(payload))
-    code, err = _refused(["rowmotion", "--chains", "2", "2", "--in", str(src)], capsys)
+    raw = isinstance(payload, RawFile)
+    src.write_text(payload if raw else json.dumps(payload))
+    flag = payload.flag if raw else "--in"
+    code, err = _refused(["rowmotion", "--chains", "2", "2", flag, str(src)], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("payload,flags,message", [
+    (_labels({"realm": "tropical"}, "1e100000000", "1"), [],
+     'label 0: a tropical label has a decimal exponent past 10000, got "1e100000000"'),
+    (_labels(MATQ2, [["1", "0"], ["0", "-1E-100000000"]], I2), [],
+     'label 0: a matq entry has a decimal exponent past 10000, got "-1E-100000000"'),
+    (None, ["--realm", "tropical", "--c", "2.5e1_000_000"],
+     'realm config \'c\' has a decimal exponent past 10000, got "2.5e1_000_000"'),
+])
+def test_huge_decimal_exponent_exits_2_at_once(payload, flags, message, tmp_path, capsys):
+    """A rational read from a decimal string would build 10**exponent; past
+    the bound it is refused, naming the field, before any time is spent."""
+    if payload is not None:
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(payload))
+        flags = ["--in", str(src)]
+    start = time.monotonic()
+    code, err = _refused(["rowmotion", "--chains", "2", "2", *flags], capsys)
+    assert time.monotonic() - start < 1
     assert code == 2
     assert err == f"error: {message}\n"
 

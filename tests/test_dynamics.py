@@ -1,12 +1,14 @@
 """Transfer maps, toggles, rowmotion, closed forms, polytopes, iteration."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from rowmotion import (
     FpMatrixRealm,
+    FractionMatrixRealm,
     Labeling,
     SingularValue,
     TropicalRealm,
@@ -15,6 +17,7 @@ from rowmotion import (
     build_poset,
     closed_form_first_pass,
     iterate,
+    kernel,
     order_rowmotion,
     polytope_membership,
     product_of_chains,
@@ -22,6 +25,7 @@ from rowmotion import (
     toggle,
     transfer,
 )
+from rowmotion import realms
 from rowmotion.realms import FUZZ_PRIME
 from rowmotion.sampling import derive_seed, symbolic_labeling
 
@@ -284,6 +288,100 @@ def test_order_antichain_equivariance():
                 lhs = transfer(TransferKind.DOWN, p, order_rowmotion(p, g))
                 rhs = antichain_rowmotion(p, transfer(TransferKind.DOWN, p, g))
                 assert lhs.eq(rhs)
+
+
+# -- the rowmotion pass ----------------------------------------------------
+
+# 4 < 2 < 0 and 3 < 0, 3 < 1: the ids are not a linear extension
+SHUFFLED = build_poset([(4, 2), (2, 0), (3, 0), (3, 1)], elements=range(5))
+
+
+def _composition(poset, g):
+    """The pass's oracle: antichain rowmotion as three transfer maps."""
+    return transfer(TransferKind.DOWN, poset, transfer(
+        TransferKind.COMPLEMENT, poset, transfer(TransferKind.UP_INV, poset, g)))
+
+
+def _values_or_refusal(step, poset, g):
+    try:
+        return step(poset, g).values
+    except SingularValue as exc:
+        return str(exc)
+
+
+def test_pass_tropical_matches_composition():
+    rng = random.Random(21)
+    for poset in (product_of_chains(3, 4), SHUFFLED):
+        for c in (1, Fraction(-5, 3)):
+            g = Labeling(TropicalRealm(c), [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                                            for _ in range(poset.n)])
+            want = _composition(poset, g).values
+            assert antichain_rowmotion(poset, g).values == want
+            assert antichain_rowmotion(poset, g, mode="toggles").values == want
+
+
+@pytest.mark.parametrize("poset", [product_of_chains(2, 3), SHUFFLED])
+def test_pass_symbolic_matches_composition(poset):
+    """Two steps on symbolic labels, compared as the reports render them."""
+    g = symbolic_labeling(poset)
+    render = g.realm.render
+    for _ in range(2):
+        got, want = antichain_rowmotion(poset, g), _composition(poset, g)
+        assert [render(v) for v in got.values] == [render(v) for v in want.values]
+        g = got
+
+
+def test_pass_matq_matches_composition_and_its_refusals():
+    """Entries in {-1, 0, 1, 2} make singular values common; the pass refuses
+    with the composition's message, naming the same element."""
+    rng = random.Random(8)
+    outcomes = set()
+    for poset in (product_of_chains(2, 3), SHUFFLED):
+        for d in (1, 2, 3):
+            realm = FractionMatrixRealm(d, c=Fraction(3, 2))
+            for _ in range(12):
+                g = Labeling(realm, [tuple(Fraction(rng.choice((-1, 0, 1, 2)))
+                                           for _ in range(d * d)) for _ in range(poset.n)])
+                got = _values_or_refusal(antichain_rowmotion, poset, g)
+                assert got == _values_or_refusal(_composition, poset, g)
+                outcomes.add(type(got))
+    assert outcomes == {str, tuple}
+
+
+def test_pass_names_the_first_singular_sum_in_id_order():
+    """Both lower-cover sums vanish, at 0 and at 1; the pass, the engine and
+    the composition all name element 0, which a linear extension visits
+    after element 1."""
+    poset = build_poset([(2, 1), (3, 1), (1, 0), (4, 0)], elements=range(5))
+    assert poset.topo_order().index(1) < poset.topo_order().index(0)
+    for realm in (FractionMatrixRealm(1), FractionMatrixRealm(2), FpMatrixRealm(PRIME, 1),
+                  FpMatrixRealm(PRIME, 2), FpMatrixRealm(PRIME, 4)):
+        one, minus = realm.identity(1), realm.identity(-1)
+        g = Labeling(realm, [one, one, one, minus, minus])
+        message = f"singular {realm.d}x{realm.d} matrix (at element 0)"
+        assert _values_or_refusal(_composition, poset, g) == message
+        assert _values_or_refusal(antichain_rowmotion, poset, g) == message
+        if realm.name == "matp":
+            with pytest.raises(SingularValue, match=re.escape(message)):
+                kernel.make_engine(poset, realm.d, PRIME).step(g.values, 1)
+
+
+def test_matp_pass_makes_two_modular_inverses(monkeypatch):
+    """Each batch of the pass inverts all its determinants with one pow."""
+    poset = product_of_chains(3, 3)
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    for d in (1, 2, 3):
+        g = matrix_labeling(poset, d, seed=d)
+        monkeypatch.setattr(realms, "pow", counting_pow, raising=False)
+        calls.clear()
+        antichain_rowmotion(poset, g)
+        monkeypatch.undo()
+        assert len(calls) == 2
 
 
 # -- closed form ---------------------------------------------------------

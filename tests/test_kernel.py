@@ -19,22 +19,16 @@ NON_RECTANGLE = build_poset([(0, 2), (1, 2), (2, 3), (1, 4)], elements=[0, 1, 2,
 LARGE_PRIME = 2**64 - 59
 
 
-def draw_flat(rng, n, d, p):
-    return [rng.randrange(p) for _ in range(n * d * d)], rng.randrange(1, p)
+def draw_labels(rng, n, d, p):
+    """n per-element d x d matrices, then a central constant."""
+    labels = [tuple(rng.randrange(p) for _ in range(d * d)) for _ in range(n)]
+    return labels, rng.randrange(1, p)
 
 
 def test_backend_registry():
     backends = kernel.available_backends()
     assert list(backends) == [kernel.backend_name()] == ["pure-python"]
     assert backends["pure-python"].FpToggleEngine is kernel.FpToggleEngine
-
-
-def test_flat_round_trip():
-    realm = FpMatrixRealm(FUZZ_PRIME, 2, c=7)
-    rng = random.Random(0)
-    vals = [tuple(rng.randrange(FUZZ_PRIME) for _ in range(4)) for _ in range(4)]
-    g = Labeling(realm, vals)
-    assert kernel.flat_to_labeling(realm, kernel.labeling_to_flat(g)).values == g.values
 
 
 def test_kernel_matches_generic_path():
@@ -49,11 +43,11 @@ def test_kernel_matches_generic_path():
         for d in (1, 2, 3, 4):
             eng = kernel.make_engine(poset, d, FUZZ_PRIME)
             for _ in range(5):
-                flat, c = draw_flat(rng, poset.n, d, FUZZ_PRIME)
+                labels, c = draw_labels(rng, poset.n, d, FUZZ_PRIME)
                 realm = FpMatrixRealm(FUZZ_PRIME, d, c=c)
-                g = kernel.flat_to_labeling(realm, flat)
+                g = Labeling(realm, labels)
                 expected = antichain_rowmotion(poset, g, mode="toggles")
-                got = kernel.flat_to_labeling(realm, eng.step(flat, c))
+                got = Labeling(realm, eng.step(labels, c))
                 assert got.eq(expected)
 
 
@@ -77,16 +71,16 @@ def test_kernel_refuses_exactly_where_toggles_do(p):
         for d in (1, 2, 3, 4):
             eng = kernel.make_engine(poset, d, p)
             for _ in range(8 if d < 4 else 3):
-                flat, c = draw_flat(rng, poset.n, d, p)
-                g = kernel.flat_to_labeling(FpMatrixRealm(p, d, c=c), flat)
+                labels, c = draw_labels(rng, poset.n, d, p)
+                g = Labeling(FpMatrixRealm(p, d, c=c), labels)
                 expected = _outcome(lambda: antichain_rowmotion(poset, g, mode="toggles"))
-                got = _outcome(lambda: eng.step(flat, c))
+                got = _outcome(lambda: eng.step(labels, c))
                 if expected is SingularValue:
                     assert got is SingularValue
                     refused += 1
                     continue
                 assert got is not SingularValue
-                got = kernel.flat_to_labeling(g.realm, got)
+                got = Labeling(g.realm, got)
                 assert got.eq(expected)
                 assert got.eq(antichain_rowmotion(poset, g, mode="transfer"))
                 agreed += 1
@@ -102,10 +96,10 @@ def test_first_return_matches_generic_period():
         for d in (1, 2, 3):
             eng = kernel.make_engine(poset, d, FUZZ_PRIME)
             for k in (poset.n // 2, poset.n + 2):
-                flat, c = draw_flat(rng, poset.n, d, FUZZ_PRIME)
-                g = kernel.flat_to_labeling(FpMatrixRealm(FUZZ_PRIME, d, c=c), flat)
+                labels, c = draw_labels(rng, poset.n, d, FUZZ_PRIME)
+                g = Labeling(FpMatrixRealm(FUZZ_PRIME, d, c=c), labels)
                 period = iterate(poset, g, steps=k, mode="toggles").period
-                assert (eng.first_return(flat, c, k) or None) == period
+                assert (eng.first_return(labels, c, k) or None) == period
                 periods.add(period)
     assert {None, 5, 6} <= periods
 
@@ -116,8 +110,8 @@ def test_first_return_period_2x2():
     for d in (1, 2, 3):
         eng = kernel.make_engine(poset, d, FUZZ_PRIME)
         for _ in range(20):
-            flat, c = draw_flat(rng, poset.n, d, FUZZ_PRIME)
-            m = eng.first_return(flat, c, 4)
+            labels, c = draw_labels(rng, poset.n, d, FUZZ_PRIME)
+            m = eng.first_return(labels, c, 4)
             assert m in (1, 2, 4)  # a divisor of 4 (1 only for fixed points)
 
 
@@ -125,17 +119,17 @@ def test_singular_raises():
     poset = product_of_chains(2, 2)
     eng = kernel.make_engine(poset, 1, 101)
     with pytest.raises(SingularValue):
-        eng.step([0, 1, 1, 1], 1)
+        eng.step([(0,), (1,), (1,), (1,)], 1)
 
 
 def test_step_leaves_input_alone():
     poset = product_of_chains(2, 2)
     eng = kernel.make_engine(poset, 2, FUZZ_PRIME)
     rng = random.Random(2)
-    flat, c = draw_flat(rng, poset.n, 2, FUZZ_PRIME)
-    snapshot = list(flat)
-    eng.step(flat, c)
-    assert flat == snapshot
+    labels, c = draw_labels(rng, poset.n, 2, FUZZ_PRIME)
+    snapshot = list(labels)
+    eng.step(labels, c)
+    assert labels == snapshot
 
 
 def test_is_prime():
@@ -165,9 +159,9 @@ def test_large_prime_uses_an_exact_engine():
     eng = kernel.make_engine(poset, 2, LARGE_PRIME)
     assert kernel.backend_name() == "pure-python"
     rng = random.Random(63)
-    flat, c = draw_flat(rng, poset.n, 2, LARGE_PRIME)
-    g = kernel.flat_to_labeling(FpMatrixRealm(LARGE_PRIME, 2, c=c), flat)
+    labels, c = draw_labels(rng, poset.n, 2, LARGE_PRIME)
+    g = Labeling(FpMatrixRealm(LARGE_PRIME, 2, c=c), labels)
     for _ in range(3):
-        flat = eng.step(flat, c)
+        labels = eng.step(labels, c)
         g = antichain_rowmotion(poset, g)
-        assert kernel.flat_to_labeling(g.realm, flat).eq(g)
+        assert Labeling(g.realm, labels).eq(g)

@@ -60,17 +60,17 @@ RECTANGLES = st.builds(product_of_chains, st.integers(1, 3), st.integers(1, 3))
 
 @st.composite
 def matrix_labelings(draw, shapes=posets(), dims=st.integers(1, 3)):
-    """(poset, d, p, flat labels, central constant c, labeling)."""
+    """(poset, d, p, per-element labels, central constant c, labeling)."""
     poset = draw(shapes)
     d = draw(dims)
     p = draw(st.sampled_from(PRIMES))
-    size = poset.n * d * d
     # half the entries near p: large residues are where products overflow
     entries = st.integers(0, p - 1) | st.integers(max(0, p - 256), p - 1)
-    flat = draw(st.lists(entries, min_size=size, max_size=size))
+    matrices = st.tuples(*[entries] * (d * d))
+    labels = draw(st.lists(matrices, min_size=poset.n, max_size=poset.n))
     c = draw(st.integers(1, p - 1))
-    g = kernel.flat_to_labeling(FpMatrixRealm(p, d, c=c), flat)
-    return poset, d, p, flat, c, g
+    g = Labeling(FpMatrixRealm(p, d, c=c), labels)
+    return poset, d, p, labels, c, g
 
 
 @st.composite
@@ -119,20 +119,36 @@ def _outcome(f):
         return SingularValue
 
 
+def _refusal(f):
+    """``f()``, or the message of the ``SingularValue`` it raises."""
+    try:
+        return f()
+    except SingularValue as exc:
+        return str(exc)
+
+
 @PROPERTY
-@given(matrix_labelings())
+@given(matrix_labelings(dims=st.integers(1, 4)))
 def test_kernel_step_equals_both_generic_modes(case):
-    poset, d, p, flat, c, g = case
+    """The engine step and both generic modes equal the composition of the
+    three transfer maps.  Where the composition refuses, transfer mode and
+    the engine refuse with its message, naming the same element; toggle mode
+    refuses too, naming the element it was toggling."""
+    poset, d, p, labels, c, g = case
+    oracle = _refusal(lambda: transfer(TransferKind.DOWN, poset, transfer(
+        TransferKind.COMPLEMENT, poset, transfer(TransferKind.UP_INV, poset, g))))
     eng = kernel.make_engine(poset, d, p)
-    got = _outcome(lambda: eng.step(flat, c))
+    got = _refusal(lambda: eng.step(labels, c))
+    via_transfer = _refusal(lambda: antichain_rowmotion(poset, g, mode="transfer"))
     toggles = _outcome(lambda: antichain_rowmotion(poset, g, mode="toggles"))
-    via_transfer = _outcome(lambda: antichain_rowmotion(poset, g, mode="transfer"))
-    if got is SingularValue:
-        assert toggles is SingularValue and via_transfer is SingularValue
+    if isinstance(oracle, str):
+        assert got == via_transfer == oracle
+        assert toggles is SingularValue
         return
-    assert toggles is not SingularValue and via_transfer is not SingularValue
-    got = kernel.flat_to_labeling(g.realm, got)
-    assert got.eq(toggles) and got.eq(via_transfer)
+    assert toggles is not SingularValue
+    assert not isinstance(got, str) and not isinstance(via_transfer, str)
+    assert Labeling(g.realm, got).eq(oracle)
+    assert via_transfer.eq(oracle) and toggles.eq(oracle)
 
 
 @PROPERTY

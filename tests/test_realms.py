@@ -8,6 +8,7 @@ import pytest
 from rowmotion import (
     FpMatrixRealm,
     FractionMatrixRealm,
+    Labeling,
     RationalFunctionRealm,
     SamplingExhausted,
     SingularValue,
@@ -235,6 +236,21 @@ def test_value_json_round_trip():
     assert q.value_from_json(q.value_to_json(mq)) == mq
 
 
+def test_decimal_exponents_read_exactly_up_to_the_bound():
+    t = TropicalRealm()
+    q = FractionMatrixRealm(1)
+    for text, value in (("1e999", 10**999), ("1e-999", Fraction(1, 10**999)),
+                        ("-2.5E+1_0", -25 * 10**9), ("3e10000", 3 * 10**10000)):
+        assert t.value_from_json(text) == value
+        assert q.value_from_json([[text]]) == (value,)
+        assert realm_from_config({"realm": "tropical", "c": text}).c == value
+    for text in ("1e10001", "1e-10001", "1e00000000000000000000000000001_0001"):
+        for read in (t.value_from_json, lambda v: q.value_from_json([[v]]),
+                     lambda v: realm_from_config({"realm": "matq", "d": 1, "c": v})):
+            with pytest.raises(ValueError, match="decimal exponent past 10000"):
+                read(text)
+
+
 def test_symbolic_labeling_names():
     p22 = product_of_chains(2, 2)
     g = symbolic_labeling(p22)
@@ -280,13 +296,12 @@ def test_nc_scalar_matches_commutative():
     """The d = 1 matrix realm is the commutative scalar case: fiber words of
     the same scalars agree entrywise with rational-function evaluation."""
     from rowmotion import st_word
-    from rowmotion.kernel import flat_to_labeling
 
     rng = random.Random(3)
     p = product_of_chains(2, 3)
     realm = FpMatrixRealm(PRIME, 1, c=rng.randrange(1, PRIME))
     scalars = [rng.randrange(1, PRIME) for _ in range(6)]
-    g = flat_to_labeling(realm, scalars)
+    g = Labeling(realm, [(s,) for s in scalars])
     word = st_word(p, g)
 
     sym = symbolic_labeling(p)
