@@ -22,7 +22,10 @@ grow fast.
 Antichain rowmotion is (down-transfer o complementation o inverse-up), fused
 into one pass by ``rowmotion_pass`` with ``transfer`` as its test oracle;
 order rowmotion is (complementation o inverse-up o down-transfer).  Both are
-also toggle products along any linear extension, bottom to top.
+also toggle products along any linear extension, bottom to top; toggle-mode
+antichain rowmotion is that product, run as one sweep that computes each
+dynamic-program value a toggle needs once, with the literal fold of single
+toggles as its test oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import SingularValue
 from .labeling import Labeling
-from .poset import RectanglePoset
+from .poset import RectanglePoset, _is_int
 
 
 class TransferKind(Enum):
@@ -74,19 +77,21 @@ def transfer(kind, poset, g):
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
-def toggle(poset, g, v):
+def toggle(poset, g, v, *, up=None, down=None):
     """Antichain toggle at v: only the label at v changes.
 
-    The new label is C * inv(inverse-up at v) * inv(inverse-down at v) * g(v).
-    Only the up-set and down-set of v are visited.
+    The new label is C * inv(up) * inv(down) * g(v), where ``up`` and
+    ``down`` are the inverse-up and inverse-down transfers of g at v.  Left
+    out, each is computed by a dynamic program over the up-set or down-set of
+    v only; a caller that already holds them, as toggle-mode rowmotion does,
+    passes them in.
     """
     r = g.realm
-    up_val = _up_inv_at(poset, g, v)
-    down_val = _down_inv_at(poset, g, v)
-    new = r.mul(
-        r.mul(r.mul(r.constant(), r.inv_at(up_val, v)), r.inv_at(down_val, v)),
-        g[v],
-    )
+    if up is None:
+        up = _up_inv_at(poset, g, v)
+    if down is None:
+        down = _down_inv_at(poset, g, v)
+    new = r.mul(r.mul(r.mul(r.constant(), r.inv_at(up, v)), r.inv_at(down, v)), g[v])
     return g.replace(v, new)
 
 
@@ -98,10 +103,12 @@ def rowmotion_pass(poset, values, mul, add, inv_all):
     ``mul`` and ``add`` agree with the realm's, and sums fold left to right.
 
     The second batch is in id order, so a refusal names the element, with the
-    message, of the ``transfer`` composition.  A toggle pass sees D(v) as the
-    up-value at v and g(v) * (sum of E over lower covers) as the down-value,
-    so it refuses exactly when some D(v), g(v) or lower-cover sum is
-    singular; a singular g(v) makes D(v) singular, so the batches agree.
+    message, of the ``transfer`` composition.  Toggle mode inverts D(v) as the
+    up-value at v and g(v) * (sum of W over lower covers) as the down-value,
+    with W its own inverse-down values of the toggled labels; W equals E,
+    though toggle mode forms it by other products.  So it refuses exactly
+    when some D(v), g(v) or lower-cover sum is singular; a singular g(v)
+    makes D(v) singular, so the batches agree.
     """
     # The poset's own tables: a method call per element costs ~2% of a fuzz cell.
     up, down, nonminimal = poset._up_covers, poset._down_covers, poset._nonminimal
@@ -130,19 +137,60 @@ def rowmotion_pass(poset, values, mul, add, inv_all):
 def antichain_rowmotion(poset, g, mode="transfer", extension=None):
     """One step of antichain rowmotion on a labeling.
 
-    mode="transfer" runs ``rowmotion_pass`` on the realm's operations;
+    mode="transfer" runs ``rowmotion_pass`` on the realm's operations.
     mode="toggles" toggles once at each element along ``extension`` (default:
-    the canonical linear extension), bottom to top.  The modes always agree.
+    the canonical linear extension), bottom to top, in one sweep that reuses
+    both values each toggle needs.  Elements above v come after v, so the
+    up-value at v is D(v), the inverse-up transfer of the untoggled g,
+    computed once.  Elements below v come before it, so the inverse-down
+    transfer of the toggled labels, W(x) = g'(x) * (sum of W over lower
+    covers), is final once x is toggled and is stored where an upper cover
+    will read it.  Each value is the product the single ``toggle`` would
+    form, so the labels and each ``SingularValue`` are those of toggling one
+    element at a time (the test suite's oracle).  An ``extension`` that does
+    not list every element once, each after its lower covers, raises
+    ValueError.  The modes always agree.
     """
     if mode == "transfer":
         r = g.realm
         return Labeling(r, rowmotion_pass(poset, g.values, r.mul, r.add, r.inv_all))
     if mode == "toggles":
-        order = poset.topo_order() if extension is None else tuple(extension)
+        order = poset.topo_order() if extension is None else _checked_extension(poset, extension)
+        r = g.realm
+        D = transfer(TransferKind.UP_INV, poset, g)
+        W = [None] * poset.n  # set as each element is toggled
         for v in order:
-            g = toggle(poset, g, v)
+            s = r.sum(W[y] for y in poset.down_covers(v))
+            g = toggle(poset, g, v, up=D[v], down=r.mul(g[v], s))
+            # No upper cover reads W at a maximal v; on symbolic labels that
+            # unread product would be the largest of the step.
+            if poset.up_covers(v):
+                W[v] = r.mul(g[v], s)
         return g
     raise ValueError(f"unknown rowmotion mode {mode!r}")
+
+
+def _checked_extension(poset, extension):
+    """``extension`` as a tuple, or ValueError naming why it is not a linear
+    extension of ``poset``."""
+    order = tuple(extension)
+    position = {}
+    for k, v in enumerate(order):
+        if not (_is_int(v) and 0 <= v < poset.n):
+            raise ValueError(f"extension entry {v!r} is not an element id of a "
+                             f"{poset.n}-element poset")
+        if v in position:
+            raise ValueError(f"extension lists element {v} twice")
+        position[v] = k
+    if len(order) != poset.n:
+        missing = min(set(range(poset.n)) - set(position))
+        raise ValueError(f"extension misses element {missing}")
+    for v in order:
+        for y in poset.down_covers(v):
+            if position[y] > position[v]:
+                raise ValueError(f"extension puts element {v} before element {y}, "
+                                 f"which it covers")
+    return order
 
 
 def order_rowmotion(poset, g):

@@ -5,10 +5,13 @@ rowmotion a+b times through the kernel's engine, and checks exact return to
 the start.  The engine steps with ``dynamics.rowmotion_pass``, the
 transfer-mode step of every realm, which raises ``SingularValue`` on exactly
 the draws where toggle-mode rowmotion would, so resample counts are those of
-toggle mode; a counterexample is replayed through generic toggle mode, an
-independent code path.  Whether the order is a+b for general (a, b) once
-labels stop commuting is an open conjecture; only the 2x2 rectangle has a
-fully worked exact orbit, so the grid gathers evidence, nothing more.
+toggle mode; a counterexample is replayed through generic toggle mode (see
+``_reverify`` for what that replay shares with the engine).  Grinberg and
+Roby claim a proof that the order is a+b for general (a, b) once labels stop
+commuting (arXiv 2208.10655, stated for order rowmotion, which is conjugate
+to antichain rowmotion through the down-transfer); that proof has not been
+checked here, so the grid gathers evidence, nothing more, and a confirmed
+counterexample points first to a bug in this code.
 
 Reports are deterministic functions of the master seed: every trial draws
 from a sub-seed derived by hashing (seed, cell, trial index), so scheduling
@@ -30,10 +33,14 @@ CONJECTURE_NOTES = [
     "Periodicity claim under test: toggle-mode antichain rowmotion over a "
     "noncommutative coefficient ring returns a labeling of [a]x[b] to its "
     "start after a+b steps.",
-    "For general (a, b) with matrix dimension d >= 2 this is an OPEN "
-    "CONJECTURE; these trials are sampled evidence, not a proof.",
+    "For general (a, b) with matrix dimension d >= 2 this was posed as an "
+    "open conjecture. Grinberg and Roby claim a proof (arXiv 2208.10655, for "
+    "order rowmotion, which is conjugate to antichain rowmotion); that proof "
+    "has NOT BEEN CHECKED here, and these trials are sampled evidence, not a "
+    "proof.",
     "Only the 2x2 rectangle is anchored by a fully worked exact orbit "
-    "(order 4); every other cell rests on the conjecture alone.",
+    "(order 4); a confirmed counterexample in any cell points first to a bug "
+    "in this code.",
 ]
 
 
@@ -121,7 +128,13 @@ def _reverify(poset, d, p, attempt_seed, steps):
 
     The labeling is re-derived from its recorded seed with a fresh generator
     rather than trusted from memory, then iterated by toggles instead of the
-    engine's rowmotion pass.  Returns True when the failure stands.
+    engine's rowmotion pass.  The replay still shares the draw
+    (``draw_fp_labels``) and the realm's closed-form products and adjugates
+    (``realms.fp_ops``) with the engine.  It does not share the pass or its
+    Montgomery batch: it inverts one value at a time (``inv_at``) inside the
+    toggle formula C * inv(up) * inv(down) * g(v), and forms the down-values
+    from the toggled labels, not from C * inv(D).  Returns True when the
+    failure stands.
     """
     from .dynamics import antichain_rowmotion
 

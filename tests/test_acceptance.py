@@ -40,6 +40,7 @@ from rowmotion.realms import FUZZ_PRIME
 from rowmotion.sampling import derive_seed, sample_chain_polytope_point
 
 from chain_sums import chain_expansion_check
+from toggle_fold import random_linear_extension
 
 SEED = 20240801
 
@@ -218,23 +219,11 @@ def test_criterion_09_identity_cross_checks():
                     # internally and raises if they ever disagree
                     assert closed_form_first_pass(p, g).eq(via_toggles)
                     for _ in range(5):
-                        order = _random_extension(p, rng)
+                        order = random_linear_extension(p, rng)
                         assert antichain_rowmotion(
                             p, g, "toggles", extension=order).eq(via_toggles)
                     assert chain_expansion_check(TransferKind.UP_INV, p, g)
                     assert chain_expansion_check(TransferKind.DOWN_INV, p, g)
-
-
-def _random_extension(poset, rng):
-    remaining = set(range(poset.n))
-    out = []
-    while remaining:
-        ready = [x for x in remaining
-                 if all(y not in remaining for y in poset.down_covers(x))]
-        pick = rng.choice(ready)
-        out.append(pick)
-        remaining.remove(pick)
-    return out
 
 
 def test_criterion_10_conjecture_fuzzing():

@@ -31,6 +31,7 @@ from rowmotion.sampling import derive_seed, symbolic_labeling
 
 from chain_sums import (chain_expansion_check, chain_polytope_point_by_chains,
                         toggle_chain_form)
+from toggle_fold import random_linear_extension, toggle_fold, values_or_singular
 
 PRIME = 10007
 
@@ -243,21 +244,108 @@ def test_linear_extension_independence():
         g = matrix_labeling(p, 2, seed=300 + s)
         reference = antichain_rowmotion(p, g, mode="toggles")
         for _ in range(5):
-            order = _random_linear_extension(p, rng)
+            order = random_linear_extension(p, rng)
             assert order != base_order or True
             assert antichain_rowmotion(p, g, "toggles", extension=order).eq(reference)
 
 
-def _random_linear_extension(poset, rng):
-    remaining = set(range(poset.n))
-    placed = []
-    while remaining:
-        ready = [x for x in remaining
-                 if all(y not in remaining for y in poset.down_covers(x))]
-        pick = rng.choice(ready)
-        placed.append(pick)
-        remaining.remove(pick)
-    return placed
+@pytest.mark.parametrize("extension,message", [
+    ([0, 0, 0, 0], "extension lists element 0 twice"),
+    ([3, 2, 1, 0], "extension puts element 3 before element 1, which it covers"),
+    ([0, 1, 2], "extension misses element 3"),
+    ([0, 1, 2, 3, 3], "extension lists element 3 twice"),
+    ([0, 1, 2, 4], "extension entry 4 is not an element id of a 4-element poset"),
+])
+def test_toggles_refuse_an_extension_that_is_not_linear(extension, message):
+    """Each of these once returned a labeling that is not rowmotion."""
+    p = product_of_chains(2, 2)
+    g = matrix_labeling(p, 2, seed=1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        antichain_rowmotion(p, g, "toggles", extension=extension)
+
+
+# -- toggle mode against the literal fold -----------------------------------
+
+
+def _sweep_and_fold(poset, g, ext):
+    """Toggle mode and the literal fold on ``g``, each as values or refusal."""
+    return (values_or_singular(lambda: antichain_rowmotion(poset, g, "toggles", extension=ext)),
+            values_or_singular(lambda: toggle_fold(poset, g, ext)))
+
+
+def test_toggle_sweep_equals_the_literal_fold_in_every_realm():
+    """Along random linear extensions one toggles step equals toggling one
+    element at a time, value for value: matp and tropical on every poset,
+    matq with singular values common (equal refusals too), and symbolic
+    ratfun compared by repr."""
+    rng = random.Random(31)
+
+    def fraction():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+
+    def matq_labeling(poset, d):
+        entries = (-1, 0, 1, 2)
+        return Labeling(FractionMatrixRealm(d, c=Fraction(3, 2)), [
+            tuple(Fraction(rng.choice(entries)) for _ in range(d * d)) for _ in range(poset.n)])
+
+    refusals = 0
+    for poset in (product_of_chains(2, 3), product_of_chains(3, 3), SHUFFLED):
+        for _ in range(3):
+            ext = random_linear_extension(poset, rng)
+            labelings = [matrix_labeling(poset, d, seed=rng.randrange(10**6))
+                         for d in (1, 2, 3, 4)]
+            labelings.append(Labeling(TropicalRealm(fraction()),
+                                      [fraction() for _ in range(poset.n)]))
+            labelings += [matq_labeling(poset, d) for d in (1, 2)]
+            for g in labelings:
+                got, want = _sweep_and_fold(poset, g, ext)
+                assert got == want
+                refusals += isinstance(got[1], int)
+    assert refusals > 0
+    for poset in (product_of_chains(2, 3), SHUFFLED):
+        g = symbolic_labeling(poset)
+        ext = random_linear_extension(poset, rng)
+        got = antichain_rowmotion(poset, g, "toggles", extension=ext).values
+        assert [repr(v) for v in got] == [repr(v) for v in toggle_fold(poset, g, ext).values]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_toggle_sweep_refuses_as_the_literal_fold(p):
+    """At small primes most draws hit a singular value; the sweep refuses
+    with the fold's message, naming the same element, at several elements."""
+    rng = random.Random(p)
+    refused = set()
+    for poset in (product_of_chains(2, 3), product_of_chains(3, 3), SHUFFLED):
+        for d in (1, 2, 3, 4):
+            for _ in range(6):
+                g = Labeling(FpMatrixRealm(p, d, c=rng.randrange(1, p)),
+                             [tuple(rng.randrange(p) for _ in range(d * d))
+                              for _ in range(poset.n)])
+                got, want = _sweep_and_fold(poset, g, random_linear_extension(poset, rng))
+                assert got == want
+                refused.add(got[1] if isinstance(got[1], int) else None)
+    assert len(refused - {None}) > 1
+
+
+def test_toggle_step_on_4x5_makes_119_products(monkeypatch):
+    """D takes 20 products; each of the 20 toggles takes one for its
+    down-value and three for the new label, and W one at each of the 19
+    elements that have an upper cover.  Recomputing both dynamic programs
+    per toggle took 360."""
+    poset = product_of_chains(4, 5)
+    g = matrix_labeling(poset, 3, seed=5)
+    calls = []
+    mul = FpMatrixRealm.mul
+
+    def counting_mul(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(FpMatrixRealm, "mul", counting_mul)
+    got = antichain_rowmotion(poset, g, "toggles")
+    assert len(calls) == 119
+    monkeypatch.undo()
+    assert got.values == toggle_fold(poset, g).values
 
 
 def test_order_rowmotion_single_element():

@@ -42,9 +42,10 @@ def test_grid_shape_and_notes():
     assert rep["counterexample_count"] == 0
     assert rep["notes"] == CONJECTURE_NOTES
     joined = " ".join(rep["notes"]).lower()
-    assert "open" in joined and "conjecture" in joined
+    assert "grinberg and roby" in joined and "2208.10655" in joined
+    assert "not been checked" in joined and "claim a proof" in joined
     assert "evidence" in joined and "not a proof" in joined
-    assert "2x2" in joined
+    assert "2x2" in joined and "bug in this code" in joined
 
 
 def test_small_prime_counts_singulars():

@@ -41,6 +41,7 @@ from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, _MatrixRealm
 from rowmotion.sampling import draw_below, sample_chain_polytope_point
 
 from poly_oracle import OraclePolynomial
+from toggle_fold import random_linear_extension, toggle_fold, values_or_singular
 
 PRIMES = (2, 3, 5, 101, 2**61 - 1, 2**64 - 59)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -149,6 +150,20 @@ def test_kernel_step_equals_both_generic_modes(case):
     assert not isinstance(got, str) and not isinstance(via_transfer, str)
     assert Labeling(g.realm, got).eq(oracle)
     assert via_transfer.eq(oracle) and toggles.eq(oracle)
+
+
+@PROPERTY
+@given(matrix_labelings(dims=st.integers(1, 4)), st.fractions(),
+       st.lists(st.fractions(), min_size=6, max_size=6), st.randoms(use_true_random=False))
+def test_toggle_sweep_equals_the_literal_fold(case, c, fractions, rng):
+    """On shuffled-id posets, along a random linear extension, toggle mode
+    equals toggling one element at a time: the same matp values or the same
+    refusal, naming the same element, and the same tropical values."""
+    poset, _, _, _, _, g = case
+    ext = random_linear_extension(poset, rng)
+    for lab in (g, Labeling(TropicalRealm(c), fractions[:poset.n])):
+        got = values_or_singular(lambda: antichain_rowmotion(poset, lab, "toggles", extension=ext))
+        assert got == values_or_singular(lambda: toggle_fold(poset, lab, ext))
 
 
 @PROPERTY
