@@ -200,7 +200,13 @@ def _cmd_rowmotion(args):
         orbit = sample_matrix(poset, _realm_config(args, poset), args.seed, walk)
     else:
         orbit = walk(_load_labeling(args, poset))
-    report = orbit.to_json()
+    try:
+        report = orbit.to_json()
+    except ValueError as exc:
+        # A value too long to print at step 0 is refused as it is; at a
+        # later step, a shorter run prints.
+        orbit._replace(labelings=orbit.labelings[:1], st_words=orbit.st_words[:1]).to_json()
+        raise ValueError(f"{exc}; a lower --steps stops before it") from None
     report.update({"command": "rowmotion", "seed": args.seed,
                    "poset": poset_to_json(poset)})
     return report, True

@@ -261,7 +261,7 @@ def polytope_membership(kind, poset, values, scale=1):
     """
     if isinstance(values, Labeling):
         values = values.values
-    if any(v < 0 or v > scale for v in values):
+    if values and (min(values) < 0 or max(values) > scale):
         return False
     if kind == "order":
         return all(values[lo] <= values[hi] for lo, hi in poset.covers)
@@ -281,10 +281,16 @@ class Orbit(NamedTuple):
     mode: str
 
     def to_json(self):
+        """The orbit as JSON; a value that cannot be printed raises
+        ValueError naming the step."""
         realm = self.labelings[0].realm
-        steps = [{"labels": lab.to_json()["labels"],
-                  "st_word": None if word is None else word.to_json()}
-                 for lab, word in zip(self.labelings, self.st_words)]
+        steps = []
+        for k, (lab, word) in enumerate(zip(self.labelings, self.st_words)):
+            try:
+                steps.append({"labels": lab.to_json()["labels"],
+                              "st_word": None if word is None else word.to_json()})
+            except ValueError as exc:
+                raise ValueError(f"rowmotion step {k}: {exc}") from None
         return {"period": self.period, "mode": self.mode, "realm": realm.config(), "steps": steps}
 
 

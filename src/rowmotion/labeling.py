@@ -31,10 +31,16 @@ class Labeling:
         return all(self.realm.eq(a, b) for a, b in zip(self.values, other.values))
 
     def to_json(self):
-        return {
-            "realm": self.realm.config(),
-            "labels": {str(x): self.realm.value_to_json(v) for x, v in enumerate(self.values)},
-        }
+        """The realm block and the labels keyed by element; a label its realm
+        cannot print raises ValueError naming the element."""
+        r = self.realm
+        labels = {}
+        for x, v in enumerate(self.values):
+            try:
+                labels[str(x)] = r.value_to_json(v)
+            except ValueError as exc:
+                raise ValueError(f"label {x}: {exc}") from None
+        return {"realm": r.config(), "labels": labels}
 
     def __repr__(self):
         return f"Labeling({self.realm.name}, {len(self.values)} values)"

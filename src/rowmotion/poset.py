@@ -187,14 +187,17 @@ class FinitePoset:
         grows, so ``max_chain_sum(v, cap=c) <= c`` answers exactly as
         ``max_chain_sum(v) <= c`` does, and the result is the exact one
         whenever it is at most ``cap``.  Negative values void that guarantee.
+
+        Each element's best chain below is read with ``map`` over the lower
+        covers, with no list built per element: the homomesy sampler runs
+        this pass dozens of times per sample.
         """
         best = [None] * self.n
+        best_at = best.__getitem__
+        down = self._down_covers
         for x in self._topo:
-            below = self._down_covers[x]
-            if below:
-                b = values[x] + max([best[y] for y in below])
-            else:
-                b = values[x]
+            below = down[x]
+            b = values[x] + max(map(best_at, below)) if below else values[x]
             if cap is not None and b > cap:
                 return b
             best[x] = b

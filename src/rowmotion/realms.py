@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -151,6 +152,10 @@ class TropicalRealm(Realm):
     how ``pl_homomesy_report`` runs, over one cleared denominator); rational
     labels or a rational c stay ``Fraction``.  ``str`` gives the same text
     either way, so reports do not depend on which one a value is.
+
+    Negation cannot fail, so ``inv_all`` is one pass with no per-element
+    refusal: c - v when scaled, else -v, the values and the int or
+    ``Fraction`` types of the default c + (-v) and -v.
     """
 
     name = "tropical"
@@ -170,6 +175,12 @@ class TropicalRealm(Realm):
     def inv(self, x):
         return -x
 
+    def inv_all(self, values, elements, scaled=False):
+        if scaled:
+            c = self.c
+            return [c - v for v in values]
+        return [-v for v in values]
+
     def one(self):
         return 0
 
@@ -180,7 +191,7 @@ class TropicalRealm(Realm):
         return {"realm": "tropical", "c": str(self.c)}
 
     def value_to_json(self, x):
-        return str(x)
+        return decimal_text(x, "a tropical label")
 
     def value_from_json(self, obj):
         if isinstance(obj, bool):
@@ -192,13 +203,25 @@ class TropicalRealm(Realm):
 class RationalFunctionRealm(Realm):
     """Field of rational functions in the constant C and one variable per label.
 
-    Variable 0 is always C; ``variables`` lists the remaining names.
+    Variable 0 is always C; ``variables`` lists the remaining names, which
+    must be distinct nonempty strings other than "C" so that every label
+    reads back as one variable (ValueError otherwise).
     """
 
     name = "ratfun"
     commutative = True
 
     def __init__(self, variables):
+        seen = set()
+        for v in variables:
+            if not (isinstance(v, str) and v):
+                raise ValueError(f"a ratfun variable must be a nonempty string, "
+                                 f"got {json.dumps(v, default=str)}")
+            if v == "C":
+                raise ValueError("ratfun variable 'C' is the constant's name")
+            if v in seen:
+                raise ValueError(f"ratfun variable {v!r} is declared twice")
+            seen.add(v)
         self.variable_names = ("C",) + tuple(variables)
         self.nvars = len(self.variable_names)
 
@@ -466,7 +489,9 @@ class FractionMatrixRealm(_MatrixRealm):
     """d-by-d matrices over the exact rationals."""
 
     name = "matq"
-    _entry_to_json = str
+
+    def _entry_to_json(self, v):
+        return decimal_text(v, "a matq entry")
 
     def _entry_from_json(self, v):
         return json_number(v, Fraction, "a matq entry")
@@ -503,7 +528,11 @@ def realm_from_config(cfg):
     if kind == "tropical":
         return TropicalRealm(field("c", Fraction, 1))
     if kind == "ratfun":
-        return RationalFunctionRealm(json_field(cfg, "variables", "realm config"))
+        variables = json_field(cfg, "variables", "realm config")
+        if not isinstance(variables, list):
+            raise ValueError(f"realm config 'variables' must be a list of names, "
+                             f"got {json.dumps(variables, default=str)}")
+        return RationalFunctionRealm(variables)
     if kind == "matp":
         return FpMatrixRealm(field("p", int), field("d", int), field("c", int, 1))
     if kind == "matq":
@@ -535,6 +564,18 @@ def refuse_huge_exponent(v, what):
     if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"{what} has a decimal exponent past {MAX_DECIMAL_EXPONENT}, "
                          f"got {json.dumps(v)}")
+
+
+def decimal_text(v, what):
+    """``str(v)`` for an int or ``Fraction`` v.  Past Python's limit on
+    printing an integer (``sys.get_int_max_str_digits()``, 4300 digits by
+    default) it raises ValueError naming ``what`` and the limit, in place
+    of Python's own message."""
+    try:
+        return str(v)
+    except ValueError:
+        raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+                         f"the most Python prints in an integer") from None
 
 
 def json_field(obj, key, what):

@@ -127,21 +127,37 @@ def fiber_orbit_product(poset, window, fiber):
     (contract: C^b on positive fibers, C^a on negative).
     """
     a, b = poset.a, poset.b
-    if len(window) != a + b:
-        raise ValueError(f"an orbit window on [{a}]x[{b}] has {a + b} labelings, "
-                         f"got {len(window)}")
-    r = window[0].realm
-    if not r.commutative:
-        raise ValueError("orbit fiber products are a commutative-realm contract")
+    r = _window_realm(poset, window)
     kind, index = fiber
     members = dict(zip(("positive", "negative"), fibers(a, b))).get(kind)
     if members is None:
         raise ValueError(f"unknown fiber kind {kind!r}")
     if not 1 <= index <= len(members):
         raise ValueError(f"no {kind} fiber {index} on [{a}]x[{b}]")
+    return _window_product(r, window, members[index - 1])
+
+
+def _window_realm(poset, window):
+    """The realm of an orbit window, or ValueError for a window of the wrong
+    length or a noncommutative realm."""
+    a, b = poset.a, poset.b
+    if len(window) != a + b:
+        raise ValueError(f"an orbit window on [{a}]x[{b}] has {a + b} labelings, "
+                         f"got {len(window)}")
+    r = window[0].realm
+    if not r.commutative:
+        raise ValueError("orbit fiber products are a commutative-realm contract")
+    return r
+
+
+def _window_product(r, window, members):
+    """The product over ``window`` of each labeling's product along
+    ``members``: labels along the fiber left to right, then across the
+    window left to right."""
     total = None
     for lab in window:
-        step = r.product(lab[x] for x in members[index - 1])
+        values = lab.values
+        step = r.product([values[x] for x in members])
         total = step if total is None else r.mul(total, step)
     return total
 
@@ -156,15 +172,17 @@ def fiber_product_checks(poset, window):
 
     One {"fiber", "expected", "pass"} entry per fiber, positive fibers
     first: each positive fiber must multiply to C^b, each negative fiber
-    to C^a.
+    to C^a.  The window is checked and the fibers are listed once for all
+    a+b fibers; each product is the one ``fiber_orbit_product`` returns,
+    formed by the same multiplications in the same order.
     """
-    r = window[0].realm
+    r = _window_realm(poset, window)
     out = []
-    for kind, count, power in (("positive", poset.a, poset.b),
-                               ("negative", poset.b, poset.a)):
+    for kind, members, power in zip(("positive", "negative"), fibers(poset.a, poset.b),
+                                    (poset.b, poset.a)):
         expected = constant_power(r, power)
-        for k in range(1, count + 1):
-            got = fiber_orbit_product(poset, window, (kind, k))
+        for k, fiber in enumerate(members, 1):
+            got = _window_product(r, window, fiber)
             out.append({"fiber": f"{kind} {k}", "expected": f"C^{power}",
                         "pass": r.eq(got, expected)})
     return out

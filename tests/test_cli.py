@@ -366,6 +366,23 @@ NESTED = "[" * 100_000
     pytest.param(RawFile(NESTED, "--in"), "JSON input is nested too deeply", id="nested-in"),
     pytest.param(RawFile(NESTED, "--poset"), "JSON input is nested too deeply",
                  id="nested-poset"),
+    pytest.param(_labels({"realm": "ratfun", "variables": [1, 2, 3, 4]}, "w", "x"),
+                 "a ratfun variable must be a nonempty string, got 1", id="variables-ints"),
+    pytest.param(_labels({"realm": "ratfun", "variables": "wxyz"}, "w", "x"),
+                 'realm config \'variables\' must be a list of names, got "wxyz"',
+                 id="variables-string"),
+    pytest.param(_labels({"realm": "ratfun", "variables": ["C", "a", "a", "d"]}, "a", "d"),
+                 "ratfun variable 'C' is the constant's name", id="variables-constant"),
+    pytest.param(_labels({"realm": "ratfun", "variables": ["a", "a", "c", "d"]}, "a", "d"),
+                 "ratfun variable 'a' is declared twice", id="variables-repeated"),
+    pytest.param(_labels({"realm": "ratfun", "variables": ["w", ""]}, "w", "w"),
+                 'a ratfun variable must be a nonempty string, got ""', id="variables-empty"),
+    pytest.param(_labels({"realm": "ratfun", "variables": None}, "w", "w"),
+                 "realm config 'variables' must be a list of names, got null",
+                 id="variables-null"),
+    pytest.param(_labels({"realm": "tropical"}, "1e5000", "1"),
+                 "rowmotion step 0: label 0: a tropical label has more than 4300 digits, "
+                 "the most Python prints in an integer", id="label-past-print-limit"),
 ])
 def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "g.json"
@@ -397,6 +414,24 @@ def test_huge_decimal_exponent_exits_2_at_once(payload, flags, message, tmp_path
     assert time.monotonic() - start < 1
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def test_matq_entry_past_the_print_limit_exits_2(tmp_path, capsys):
+    """On a poset with no periodicity matq entries grow without bound; the
+    first step with an entry Python cannot print is refused, naming the
+    step, the label and the limit, and one step fewer prints."""
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps({"elements": [0, 1, 2, 3, 4],
+                               "covers": [[4, 2], [2, 0], [3, 0], [3, 1]]}))
+    args = ["rowmotion", "--poset", str(src), "--realm", "matq", "--d", "2", "--seed", "4"]
+    for mode in ("transfer", "toggles"):
+        code, err = _refused([*args, "--mode", mode, "--steps", "14"], capsys)
+        assert code == 2
+        assert err == ("error: rowmotion step 14: label 0: a matq entry has more than 4300 "
+                       "digits, the most Python prints in an integer; a lower --steps "
+                       "stops before it\n")
+    code, rep = run([*args, "--steps", "13"], capsys)
+    assert code == 0 and len(rep["steps"]) == 14
 
 
 def test_symbolic_degree_past_the_field_limit_exits_2(monkeypatch, capsys):

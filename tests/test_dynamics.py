@@ -533,6 +533,20 @@ def test_polytope_membership_examples():
     # dilated by 10: integer numerators over the denominator 10
     assert polytope_membership("chain", p, [2, 1, 4, 3], 10)
     assert not polytope_membership("chain", p, [5, 5, 5, 5], 10)
+
+
+def test_polytope_membership_bounds_every_value():
+    """Each value must lie in [0, scale], whatever the order conditions say;
+    the empty poset's one labeling is in every polytope."""
+    p = product_of_chains(2, 2)
+    for kind, vals in [("order", [-1, 0, 0, 0]), ("order", [0, 0, 0, 11]),
+                       ("order-reversing", [11, 0, 0, 0]), ("order-reversing", [0, 0, 0, -1]),
+                       ("chain", [0, -1, 0, 0]), ("chain", [Fraction(-1, 3), 0, 0, 0])]:
+        assert not polytope_membership(kind, p, vals, 10)
+        assert polytope_membership(kind, p, [min(max(v, 0), 10) for v in vals], 10)
+    empty = build_poset([])
+    for kind in ("order", "order-reversing", "chain"):
+        assert polytope_membership(kind, empty, [])
     assert not polytope_membership("order", p, [0, 5, 5, 11], 10)
 
 

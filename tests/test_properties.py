@@ -37,7 +37,7 @@ from rowmotion import (
     transfer,
 )
 from rowmotion.polynomials import MAX_DEGREE, Polynomial, monomial_gcd
-from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, _MatrixRealm
+from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, Realm, _MatrixRealm
 from rowmotion.sampling import draw_below, sample_chain_polytope_point
 
 from poly_oracle import OraclePolynomial
@@ -240,6 +240,23 @@ def _fiber_products_hit_their_constants(poset, g):
     checks = fiber_product_checks(poset, window)
     assert len(checks) == poset.a + poset.b
     assert all(f["pass"] for f in checks)
+
+
+TROPICAL_NUMBERS = st.integers(-10**30, 10**30) | st.fractions()
+
+
+@PROPERTY
+@given(TROPICAL_NUMBERS, st.lists(TROPICAL_NUMBERS, max_size=12), st.booleans())
+def test_tropical_inv_all_is_the_default_batch(c, values, scaled):
+    """The one-pass tropical batch returns the values of ``Realm.inv_all``
+    (``inv_at`` per element, then ``mul`` by c), and the same int or
+    Fraction type for each, with and without ``scaled``."""
+    r = TropicalRealm(c)
+    elements = range(len(values))
+    got = r.inv_all(values, elements, scaled)
+    want = Realm.inv_all(r, values, elements, scaled)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
 
 
 @PROPERTY

@@ -17,8 +17,11 @@ from rowmotion import (
     sample_generic_labeling,
     st_word,
 )
+from rowmotion import stword
 from rowmotion.sampling import symbolic_labeling
-from rowmotion.stword import constant_power
+from rowmotion.stword import constant_power, fiber_product_checks
+
+from fiber_fold import fiber_fold, fiber_fold_checks
 
 PRIME = 10007
 
@@ -233,6 +236,99 @@ def test_fiber_product_rejects_noncommutative():
     scalar = [matrix_labeling(p, 1, seed=1)] * 4
     with pytest.raises(ValueError, match="unknown fiber kind 'diagonal'"):
         fiber_orbit_product(p, scalar, ("diagonal", 1))
+
+
+class RecordingTropicalRealm(TropicalRealm):
+    """A tropical realm that logs the operands of every ``mul``."""
+
+    def __init__(self, c, log):
+        super().__init__(c)
+        self.log = log
+
+    def mul(self, x, y):
+        self.log.append((x, y))
+        return x + y
+
+
+def _fold_cases():
+    """(poset, window) pairs: orbit windows, which pass every check, and
+    windows of unrelated labelings, which mostly fail."""
+    cases = []
+    for a, b in [(2, 3), (3, 2), (4, 5)]:
+        p = product_of_chains(a, b)
+        point = sample_generic_labeling(p, {"realm": "tropical"}, seed=a * b)
+        ints = Labeling(TropicalRealm(7), [int(v * 7) % 8 for v in point.values])
+        fractions = Labeling(TropicalRealm(Fraction(3, 2)),
+                             [Fraction(k % 5, 1 + k % 3) for k in range(p.n)])
+        for g in (ints, fractions, matrix_labeling(p, 1, seed=60 + a)):
+            cases.append((p, orbit_window(p, g)))
+        shifted = [Labeling(ints.realm, [(v + k * k) % 9 for v in ints.values])
+                   for k in range(a + b)]
+        cases.append((p, shifted))
+    p = product_of_chains(2, 3)
+    cases.append((p, orbit_window(p, symbolic_labeling(p))))
+    noise = [matrix_labeling(p, 1, seed=70 + k) for k in range(5)]
+    cases.append((p, noise))
+    return cases
+
+
+def _same_value(r, x, y):
+    if r.name == "ratfun":
+        return r.render(x) == r.render(y) and repr(x) == repr(y)
+    return x == y and type(x) is type(y)
+
+
+def test_fiber_checks_equal_the_per_fiber_fold():
+    """Every pass flag of ``fiber_product_checks``, and every product of
+    ``fiber_orbit_product``, is the per-fiber fold's: tropical with int and
+    Fraction labels, symbolic ratfun on [2]x[3] and matp with d = 1."""
+    flags = set()
+    for p, window in _fold_cases():
+        r = window[0].realm
+        want = fiber_fold_checks(p, window)
+        got = fiber_product_checks(p, window)
+        assert [(f["fiber"], f["pass"]) for f in got] == [(name, ok) for name, _, ok in want]
+        for name, product, _ in want:
+            kind, k = name.split()
+            assert _same_value(r, fiber_orbit_product(p, window, (kind, int(k))), product)
+        flags.update(f["pass"] for f in got)
+    assert flags == {True, False}
+
+
+def test_fiber_checks_multiply_in_the_fold_order():
+    """The helper makes the fold's ``mul`` calls, operand for operand."""
+    p = product_of_chains(3, 4)
+    window = orbit_window(p, Labeling(TropicalRealm(5), [k % 3 for k in range(p.n)]))
+    logs = []
+    for run in (fiber_product_checks, fiber_fold_checks):
+        log = []
+        realm = RecordingTropicalRealm(5, log)
+        run(p, [Labeling(realm, lab.values) for lab in window])
+        logs.append(log)
+    assert logs[0] == logs[1] and len(logs[0]) > 0
+
+
+def test_fiber_checks_list_the_fibers_once_per_window(monkeypatch):
+    """One ``fibers`` call per ``fiber_product_checks``: 20 for a 20-sample
+    [4]x[5] tropical job, where each fiber once listed them again (180)."""
+    calls = []
+    real = stword.fibers
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(stword, "fibers", counted)
+    assert pl_homomesy_report(4, 5, 20, seed=23)["all_exact"]
+    assert calls == [(4, 5)] * 20
+
+
+def test_fiber_checks_refuse_as_the_single_product():
+    p = product_of_chains(2, 2)
+    with pytest.raises(ValueError, match="has 4 labelings, got 3"):
+        fiber_product_checks(p, [matrix_labeling(p, 1, seed=1)] * 3)
+    with pytest.raises(ValueError, match="commutative-realm contract"):
+        fiber_product_checks(p, [matrix_labeling(p, 2, seed=1)] * 4)
 
 
 def test_telescoping_row_and_column_products():
