@@ -143,9 +143,20 @@ def _read_json(path):
     with its last value, and so is nesting deeper than the parser allows."""
     with open(path) as fh:
         try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_int=_json_int)
         except RecursionError:
             raise ValueError("JSON input is nested too deeply") from None
+
+
+def _json_int(text):
+    """An integer literal as an int, or as its text past the digits Python
+    reads into an int: the field that holds it then refuses it by name
+    (``realms.refuse_huge_number``), not ``json.load`` with Python's own
+    message.  A poset element id may be a string, so there it reads as one."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _unique_keys(pairs):

@@ -1,8 +1,9 @@
 """The periodicity fuzzer's engine: ``dynamics.rowmotion_pass`` on prime-field
-matrices held as n per-element flat row-major tuples.  Only the names that
-the fuzz report and the benchmark harness (``perfbench/``,
-``benchmarks/bench_kernels.py``) call are kept: the backend registry,
-``make_engine``, and the engine's ``step`` and ``first_return``.
+matrices held as n per-element flat row-major tuples, with the matp realm's
+own operations.  Only the names that the fuzz report and the benchmark
+harness (``perfbench/``, ``benchmarks/bench_kernels.py``) call are kept: the
+backend registry, ``make_engine``, and the engine's ``step`` and
+``first_return``.
 """
 
 from __future__ import annotations
@@ -35,17 +36,13 @@ def make_engine(poset, d, p, module=None):
     return engine(poset, d, p)
 
 
-def _unreduced_sum(x, y):
-    return tuple(map(int.__add__, x, y))
-
-
 class FpToggleEngine:
     """Antichain rowmotion for one poset, d and certified prime p.
 
-    The one fuzz-only specialization of ``rowmotion_pass``: it passes the
-    unchecked ``FpMatrixRealm._mul`` and an unreduced entrywise sum, since
-    the shape checks of ``mul`` and ``add`` cost the fuzz grid about 7%.
-    Products and inverses reduce mod p, so the labels it returns are reduced.
+    Transfer-mode ``antichain_rowmotion`` on bare label lists: the pass runs
+    on the matp realm's product, ``add`` and ``inv_all``, so its labels are
+    reduced.  The product is ``_mul``, the function ``mul`` calls, one
+    Python frame fewer per product.
     """
 
     def __init__(self, poset, d, p):
@@ -57,14 +54,14 @@ class FpToggleEngine:
     def step(self, labels, c):
         """One rowmotion step on n per-element tuples; returns the new list."""
         realm = FpMatrixRealm(self.p, self.d, c=c)
-        return rowmotion_pass(self.poset, labels, realm._mul, _unreduced_sum, realm.inv_all)
+        return rowmotion_pass(self.poset, labels, realm._mul, realm.add, realm.inv_all)
 
     def first_return(self, labels, c, max_steps):
         """Smallest m <= max_steps with step^m(labels) == labels, else 0."""
         realm = FpMatrixRealm(self.p, self.d, c=c)
         initial = cur = list(labels)
         for m in range(1, max_steps + 1):
-            cur = rowmotion_pass(self.poset, cur, realm._mul, _unreduced_sum, realm.inv_all)
+            cur = rowmotion_pass(self.poset, cur, realm._mul, realm.add, realm.inv_all)
             if cur == initial:
                 return m
         return 0

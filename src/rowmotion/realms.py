@@ -11,7 +11,9 @@ plus exact equality.  Four realms are provided:
 * square matrices over the exact rationals.
 
 Matrix values are flat row-major tuples of d*d entries; only their JSON
-form has rows.
+form has rows.  A value is checked where it enters (its JSON reader, or a
+sampler that builds d*d entries), and the operations trust it: a matp value
+always has entries in 0..p-1, a matq value ``Fraction`` entries.
 
 Matrix realms with d >= 2 are noncommutative and model skew-field labels:
 an identity is accepted when it holds exactly for many independent samples
@@ -85,7 +87,6 @@ class Realm:
 
     name = "abstract"
     commutative = True
-    tropical = False
 
     def add(self, x, y):
         raise NotImplementedError
@@ -160,7 +161,6 @@ class TropicalRealm(Realm):
 
     name = "tropical"
     commutative = True
-    tropical = True
 
     def __init__(self, c=1):
         c = Fraction(c)
@@ -196,7 +196,7 @@ class TropicalRealm(Realm):
     def value_from_json(self, obj):
         if isinstance(obj, bool):
             raise ValueError(f"a tropical label must be a rational number, got {json.dumps(obj)}")
-        refuse_huge_exponent(obj, "a tropical label")
+        refuse_huge_number(obj, "a tropical label")
         return Fraction(obj)
 
 
@@ -204,8 +204,9 @@ class RationalFunctionRealm(Realm):
     """Field of rational functions in the constant C and one variable per label.
 
     Variable 0 is always C; ``variables`` lists the remaining names, which
-    must be distinct nonempty strings other than "C" so that every label
-    reads back as one variable (ValueError otherwise).
+    must be distinct identifiers other than "C" so that every label reads
+    back as one variable, and every rendered label reads back one way
+    (ValueError otherwise).
     """
 
     name = "ratfun"
@@ -219,6 +220,8 @@ class RationalFunctionRealm(Realm):
                                  f"got {json.dumps(v, default=str)}")
             if v == "C":
                 raise ValueError("ratfun variable 'C' is the constant's name")
+            if not v.isidentifier():
+                raise ValueError(f"ratfun variable {v!r} is not an identifier")
             if v in seen:
                 raise ValueError(f"ratfun variable {v!r} is declared twice")
             seen.add(v)
@@ -259,14 +262,19 @@ class RationalFunctionRealm(Realm):
                              f"({', '.join(self.variable_names)})")
         return self.variable(obj)
 
-    def render(self, x):
-        return x.render(self.variable_names)
-
 
 class _MatrixRealm(Realm):
     """Common d-by-d matrix plumbing.  A value is a flat row-major tuple of
-    d*d entries, (i, j) at i*d + j; rows exist only in the JSON form, whose
-    reader refuses anything but d lists of d entries."""
+    d*d entries, (i, j) at i*d + j; rows exist only in the JSON form.
+
+    A value's shape is checked where it enters: ``value_from_json`` refuses
+    anything but d lists of d entries, and the samplers build d*d entries.
+    The operations trust it, as the tropical and ratfun realms trust theirs.
+    ``_norm`` brings an exact entry into the realm (reduced mod p for matp,
+    a ``Fraction`` for matq), so ``add`` and ``mul`` serve both realms.
+    ``mul`` is ``_mul``, the general product, which matp replaces with the
+    unrolled products of ``fp_ops`` for d <= 3.
+    """
 
     def __init__(self, d, c):
         if d < 1:
@@ -277,18 +285,13 @@ class _MatrixRealm(Realm):
         self._one = self.identity(1)
         self._constant = self.identity(c)
 
-    def _check(self, m):
-        if len(m) != self.d * self.d:
-            raise ValueError(f"expected a {self.d}x{self.d} matrix")
-
     def add(self, x, y):
-        self._check(x)
-        self._check(y)
-        return tuple(self._norm(a + b) for a, b in zip(x, y))
+        return tuple(map(self._norm, map(operator.add, x, y)))
 
     def mul(self, x, y):
-        self._check(x)
-        self._check(y)
+        return self._mul(x, y)
+
+    def _mul(self, x, y):
         return tuple(map(self._norm, mat_product(self.d, x, y)))
 
     def one(self):
@@ -341,8 +344,9 @@ class _MatrixRealm(Realm):
 
 
 def mat_product(d, x, y):
-    """x * y for d x d matrices as flat row-major tuples, entries unreduced;
-    the general product (matq, and F_p for d >= 4)."""
+    """x * y for d x d matrices as flat row-major tuples, in exact integer
+    or ``Fraction`` arithmetic; ``_MatrixRealm._mul`` normalizes its entries.
+    The general product (matq, and F_p for d >= 4)."""
     cols = [y[j::d] for j in range(d)]
     return tuple(sum(map(operator.mul, x[r:r + d], col))
                  for r in range(0, d * d, d) for col in cols)
@@ -350,13 +354,13 @@ def mat_product(d, x, y):
 
 @lru_cache(maxsize=64)
 def fp_ops(d, p):
-    """(mul, det, adj) for d x d matrices mod p as flat row-major tuples.
+    """(mul, det, adj) for d x d matrices mod p as flat row-major tuples,
+    for d = 1, 2, 3: unrolled products and closed-form determinants and
+    adjugates.
 
-    ``mul`` reduces its result; ``det`` returns a residue; ``adj(m, k)`` is
-    k times the adjugate, reduced, so ``adj(m, pow(det(m), -1, p))`` is the
-    inverse.  Inputs may be unreduced.  d = 1, 2, 3 get unrolled products
-    and closed-form determinants and adjugates; d >= 4 gets ``mat_product``
-    reduced mod p and ``det = adj = None`` (invert by Gauss-Jordan).  Cached,
+    Inputs are reduced, entries in 0..p-1.  ``mul`` reduces its result;
+    ``det`` returns a residue; ``adj(m, k)`` is k times the adjugate,
+    reduced, so ``adj(m, pow(det(m), -1, p))`` is the inverse.  Cached,
     since the fuzzer's engine builds a realm per trial.
     """
     if d == 1:
@@ -364,7 +368,7 @@ def fp_ops(d, p):
             return (x[0] * y[0] % p,)
 
         def det(m):
-            return m[0] % p
+            return m[0]
 
         def adj(m, k):
             return (k,)
@@ -382,7 +386,7 @@ def fp_ops(d, p):
         def adj(m, k):
             a, b, c, e = m
             return (e * k % p, -b * k % p, -c * k % p, a * k % p)
-    elif d == 3:
+    else:  # d == 3
         def mul(x, y):
             a, b, c, e, f, g, h, i, j = x
             k, l, m, n, o, q, r, s, t = y
@@ -401,25 +405,21 @@ def fp_ops(d, p):
             return ((f * j - g * i) * k % p, (c * i - b * j) * k % p, (b * g - c * f) * k % p,
                     (g * h - e * j) * k % p, (a * j - c * h) * k % p, (c * e - a * g) * k % p,
                     (e * i - f * h) * k % p, (b * h - a * i) * k % p, (a * f - b * e) * k % p)
-    else:
-        def mul(x, y):
-            return tuple(v % p for v in mat_product(d, x, y))
-
-        return mul, None, None
     return mul, det, adj
 
 
 class FpMatrixRealm(_MatrixRealm):
     """d-by-d matrices over the prime field F_p; entries stored in 0..p-1.
 
-    ``mul`` and ``inv`` hand the flat values straight to ``fp_ops``: for
-    d <= 3 unrolled products, and the inverse as det(m)^-1 * adj(m),
+    For d <= 3, ``mul`` and ``inv`` hand the flat values straight to
+    ``fp_ops``: unrolled products, and the inverse as det(m)^-1 * adj(m),
     singular exactly when det(m) = 0; for d >= 4 the general product and
     the Gauss-Jordan inverse.
     """
 
     name = "matp"
     _entry_to_json = int
+    _det = _adj = None  # no closed form past d = 3
 
     def __init__(self, p, d, c=1):
         require_prime(p)
@@ -427,11 +427,10 @@ class FpMatrixRealm(_MatrixRealm):
         if c == 0:
             raise ValueError("the central constant must be nonzero")
         self.p = p
+        self._norm = p.__rmod__  # v % p, with no Python frame per entry
         super().__init__(d, c)
-        self._mul, self._det, self._adj = fp_ops(d, p)
-
-    def _norm(self, v):
-        return v % self.p
+        if d <= 3:
+            self._mul, self._det, self._adj = fp_ops(d, p)
 
     def _scalar_inv(self, v):
         return pow(v, -1, self.p)
@@ -439,30 +438,18 @@ class FpMatrixRealm(_MatrixRealm):
     def _entry_from_json(self, v):
         return json_number(v, int, "a matp entry") % self.p
 
-    def add(self, x, y):
-        self._check(x)
-        self._check(y)
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
-
-    def mul(self, x, y):
-        self._check(x)
-        self._check(y)
-        return self._mul(x, y)
-
     def inv(self, x):
         if self._det is None:
-            return super().inv(tuple(v % self.p for v in x))
-        self._check(x)
+            return super().inv(x)
         t = self._det(x)
         if not t:
             raise SingularValue(f"singular {self.d}x{self.d} matrix")
         return self._adj(x, pow(t, -1, self.p))
 
     def inv_all(self, values, elements, scaled=False):
-        """``Realm.inv_all`` on maybe unreduced matrices.  For d <= 3, adj(m) *
-        det(m)^-1 with every det inverted at once by Montgomery's trick (one
-        modular inverse, c folded in, 3(k-1) products for k matrices)."""
+        """``Realm.inv_all``.  For d <= 3, adj(m) * det(m)^-1 with every det
+        inverted at once by Montgomery's trick (one modular inverse, c folded
+        in, 3(k-1) products for k matrices)."""
         if self._det is None:
             return super().inv_all(values, elements, scaled)
         p, det, adj = self.p, self._det, self._adj
@@ -489,6 +476,7 @@ class FractionMatrixRealm(_MatrixRealm):
     """d-by-d matrices over the exact rationals."""
 
     name = "matq"
+    _norm = Fraction
 
     def _entry_to_json(self, v):
         return decimal_text(v, "a matq entry")
@@ -501,9 +489,6 @@ class FractionMatrixRealm(_MatrixRealm):
         if c == 0:
             raise ValueError("the central constant must be nonzero")
         super().__init__(d, c)
-
-    def _norm(self, v):
-        return Fraction(v)
 
     def _scalar_inv(self, v):
         if v == 0:
@@ -543,9 +528,9 @@ def realm_from_config(cfg):
 def json_number(v, kind, what):
     """``kind(v)`` for ``kind`` int or Fraction, where ``v`` is a JSON number
     or a string.  A boolean, a float read as an int (which would truncate
-    it), a huge exponent or anything ``kind`` cannot read raises ValueError
-    naming ``what``."""
-    refuse_huge_exponent(v, what)
+    it), a huge number (``refuse_huge_number``) or anything ``kind`` cannot
+    read raises ValueError naming ``what``."""
+    refuse_huge_number(v, what)
     if not (isinstance(v, bool) or (kind is int and isinstance(v, float))):
         try:
             return kind(v)
@@ -555,15 +540,28 @@ def json_number(v, kind, what):
     raise ValueError(f"{what} must be {noun}, got {json.dumps(v, default=str)}")
 
 
-def refuse_huge_exponent(v, what):
-    """ValueError naming ``what`` for a decimal string whose exponent is past
-    ``MAX_DECIMAL_EXPONENT`` in size: ``Fraction`` would build 10**exponent,
-    which for "1e100000000" runs for minutes.  "1e999" reads exactly."""
-    m = _DECIMAL.fullmatch(v) if isinstance(v, str) else None
+def refuse_huge_number(v, what):
+    """ValueError naming ``what`` for a number string that cannot be read
+    quickly, or at all.
+
+    A decimal exponent past ``MAX_DECIMAL_EXPONENT`` in size is refused:
+    ``Fraction`` would build 10**exponent, which for "1e100000000" runs for
+    minutes.  "1e999" reads exactly.  So is a run of more digits than
+    Python reads into an integer (``sys.get_int_max_str_digits()``, 4300 by
+    default), without printing them; ``cli`` reads such a JSON integer
+    literal as its text, so it is refused here by its field too.
+    """
+    if not isinstance(v, str):
+        return
+    m = _DECIMAL.fullmatch(v)
     digits = m["exp"].replace("_", "").lstrip("0") if m else ""
     if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"{what} has a decimal exponent past {MAX_DECIMAL_EXPONENT}, "
                          f"got {json.dumps(v)}")
+    limit = sys.get_int_max_str_digits()
+    if limit and re.search(rf"\d{{{limit + 1}}}", v.replace("_", "")):
+        raise ValueError(f"{what} has more than {limit} digits, "
+                         f"the most Python reads in an integer")
 
 
 def decimal_text(v, what):

@@ -3,14 +3,15 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from rowmotion import stword
-from rowmotion.cli import main
+from rowmotion.cli import _read_json, main
 from rowmotion.polynomials import MAX_DEGREE, Polynomial
 from rowmotion.ratfun import RationalFunction
-from rowmotion.realms import RationalFunctionRealm
+from rowmotion.realms import FractionMatrixRealm, RationalFunctionRealm, TropicalRealm
 
 
 def run(args, capsys):
@@ -383,6 +384,8 @@ NESTED = "[" * 100_000
     pytest.param(_labels({"realm": "tropical"}, "1e5000", "1"),
                  "rowmotion step 0: label 0: a tropical label has more than 4300 digits, "
                  "the most Python prints in an integer", id="label-past-print-limit"),
+    pytest.param(_labels({"realm": "ratfun", "variables": ["x*y", "x", "y", "z"]}, "x", "y"),
+                 "ratfun variable 'x*y' is not an identifier", id="variables-not-identifiers"),
 ])
 def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "g.json"
@@ -414,6 +417,57 @@ def test_huge_decimal_exponent_exits_2_at_once(payload, flags, message, tmp_path
     assert time.monotonic() - start < 1
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def _raw_labels(realm, first, rest):
+    """``_labels`` as JSON text, for numbers that ``json.dumps`` cannot write."""
+    return (f'{{"realm": {realm}, "labels": {{"0": {first}, "1": {rest}, "2": {rest}, '
+            f'"3": {rest}}}}}')
+
+
+LONG = "1" * 5000
+TROPICAL = '{"realm": "tropical"}'
+MATP1_TEXT = '{"realm": "matp", "p": 101, "d": 1}'
+MATQ1_TEXT = '{"realm": "matq", "d": 1}'
+
+
+@pytest.mark.parametrize("text,message", [
+    (_raw_labels(TROPICAL, LONG, '"2"'), "label 0: a tropical label"),
+    (_raw_labels(TROPICAL, f'"{LONG}"', '"2"'), "label 0: a tropical label"),
+    (_raw_labels(MATP1_TEXT, f"[[{LONG}]]", "[[2]]"), "label 0: a matp entry"),
+    (_raw_labels(MATP1_TEXT, f'[["{LONG[:3000]}_{LONG[:3000]}"]]', "[[2]]"),
+     "label 0: a matp entry"),
+    (_raw_labels(f'{{"realm": "matp", "p": {LONG}, "d": 1}}', "[[1]]", "[[2]]"),
+     "realm config 'p'"),
+    (_raw_labels(MATQ1_TEXT, f'[["{LONG}"]]', "[[2]]"), "label 0: a matq entry"),
+    (_raw_labels(MATQ1_TEXT, f'[["1/{LONG}"]]', "[[2]]"), "label 0: a matq entry"),
+], ids=["tropical-literal", "tropical-string", "matp-literal", "matp-string",
+        "p-literal", "matq-string", "matq-denominator"])
+def test_number_past_the_digit_limit_exits_2(text, message, tmp_path, capsys):
+    """A JSON integer literal or a number string with more digits than
+    Python reads into an integer is refused by the field that holds it,
+    naming the limit and not printing the digits."""
+    src = tmp_path / "g.json"
+    src.write_text(text)
+    code, err = _refused(["rowmotion", "--chains", "2", "2", "--in", str(src), "--steps", "1"],
+                         capsys)
+    assert code == 2
+    assert err == (f"error: {message} has more than 4300 digits, the most Python reads "
+                   f"in an integer\n")
+
+
+def test_number_at_the_digit_limit_is_read(tmp_path, capsys):
+    """4300 digits, Python's limit, still read: as a matp entry literal or
+    string in an input file, and as a tropical label or matq entry."""
+    digits = "1" * 4299 + "2"
+    src = tmp_path / "g.json"
+    src.write_text(_raw_labels(MATP1_TEXT, f"[[{digits}]]", f'[["{digits}"]]'))
+    code, rep = run(["rowmotion", "--chains", "2", "2", "--in", str(src), "--steps", "1"], capsys)
+    assert code == 0
+    assert rep["steps"][0]["labels"]["0"] == [[int(digits) % 101]]
+    assert _read_json(str(src))["labels"]["0"] == [[int(digits)]]
+    assert TropicalRealm().value_from_json(digits) == int(digits)
+    assert FractionMatrixRealm(1).value_from_json([[f"1/{digits}"]]) == (Fraction(1, int(digits)),)
 
 
 def test_matq_entry_past_the_print_limit_exits_2(tmp_path, capsys):

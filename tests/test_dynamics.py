@@ -412,7 +412,7 @@ def test_pass_tropical_matches_composition():
 def test_pass_symbolic_matches_composition(poset):
     """Two steps on symbolic labels, compared as the reports render them."""
     g = symbolic_labeling(poset)
-    render = g.realm.render
+    render = g.realm.value_to_json
     for _ in range(2):
         got, want = antichain_rowmotion(poset, g), _composition(poset, g)
         assert [render(v) for v in got.values] == [render(v) for v in want.values]

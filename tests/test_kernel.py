@@ -104,6 +104,28 @@ def test_first_return_matches_generic_period():
     assert {None, 5, 6} <= periods
 
 
+@pytest.mark.parametrize("p", [5, 101])
+def test_first_return_refuses_exactly_where_transfer_mode_does(p):
+    """At small primes, where sums of residues pass p and singular values
+    are common, ``first_return`` finds the period transfer-mode ``iterate``
+    finds, 0 where it finds none, and refuses exactly where it refuses."""
+    rng = random.Random(p)
+    posets = [product_of_chains(a, b) for a in (1, 2, 3) for b in (2, 3)]
+    posets.append(NON_RECTANGLE)
+    outcomes = set()
+    for poset in posets:
+        for d in (1, 2, 3, 4):
+            eng = kernel.make_engine(poset, d, p)
+            for _ in range(8 if d < 4 else 4):
+                labels, c = draw_labels(rng, poset.n, d, p)
+                g = Labeling(FpMatrixRealm(p, d, c=c), labels)
+                steps = poset.n + 1
+                expected = _outcome(lambda: iterate(poset, g, steps=steps).period or 0)
+                assert _outcome(lambda: eng.first_return(labels, c, steps)) == expected
+                outcomes.add(expected if expected in (0, SingularValue) else "period")
+    assert {SingularValue, "period"} <= outcomes
+
+
 def test_first_return_period_2x2():
     rng = random.Random(4)
     poset = product_of_chains(2, 2)

@@ -44,6 +44,8 @@ from poly_oracle import OraclePolynomial
 from toggle_fold import random_linear_extension, toggle_fold, values_or_singular
 
 PRIMES = (2, 3, 5, 101, 2**61 - 1, 2**64 - 59)
+# a prime where sums of residues often pass p, and the fuzzing prime
+RESIDUE_PRIMES = (5, 2**61 - 1)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
 
@@ -60,11 +62,11 @@ RECTANGLES = st.builds(product_of_chains, st.integers(1, 3), st.integers(1, 3))
 
 
 @st.composite
-def matrix_labelings(draw, shapes=posets(), dims=st.integers(1, 3)):
+def matrix_labelings(draw, shapes=posets(), dims=st.integers(1, 3), primes=PRIMES):
     """(poset, d, p, per-element labels, central constant c, labeling)."""
     poset = draw(shapes)
     d = draw(dims)
-    p = draw(st.sampled_from(PRIMES))
+    p = draw(st.sampled_from(primes))
     # half the entries near p: large residues are where products overflow
     entries = st.integers(0, p - 1) | st.integers(max(0, p - 256), p - 1)
     matrices = st.tuples(*[entries] * (d * d))
@@ -85,6 +87,26 @@ def fp_matrices(draw):
                | st.sampled_from((0, 1, p - 1)))
     matrices = st.tuples(*[entries] * (d * d))
     return FpMatrixRealm(p, d), draw(matrices), draw(matrices)
+
+
+@st.composite
+def fp_realm_values(draw):
+    """(realm, values): a matp realm with d = 1..4 at a prime of
+    ``RESIDUE_PRIMES`` and one to six of its values, with the entries 0, 1
+    and p - 1 common."""
+    d = draw(st.integers(1, 4))
+    p = draw(st.sampled_from(RESIDUE_PRIMES))
+    entries = st.integers(0, p - 1) | st.sampled_from((0, 1, p - 1))
+    values = draw(st.lists(st.tuples(*[entries] * (d * d)), min_size=1, max_size=6))
+    return FpMatrixRealm(p, d, c=draw(st.integers(1, p - 1))), values
+
+
+@st.composite
+def fraction_matrices(draw):
+    """(realm, x, y): a matq realm with d = 1..4 and two of its values."""
+    d = draw(st.integers(1, 4))
+    matrices = st.tuples(*[st.fractions()] * (d * d))
+    return FractionMatrixRealm(d), draw(matrices), draw(matrices)
 
 
 @st.composite
@@ -202,6 +224,65 @@ def test_fp_matrix_ops_match_loops_and_gauss_jordan(case):
         for i in range(d) for j in range(d))
     assert (_inverse_or_refusal(realm, FpMatrixRealm.inv, x)
             == _inverse_or_refusal(realm, _MatrixRealm.inv, x))
+
+
+def _reduced(realm, m):
+    return len(m) == realm.d * realm.d and all(0 <= v < realm.p for v in m)
+
+
+@PROPERTY
+@given(fp_realm_values())
+def test_fp_matrix_ops_return_reduced_values(case):
+    """Every value that the matp ``add``, ``mul``, ``inv`` and ``inv_all``
+    (scaled or not) return has d*d entries in [0, p): matp values enter
+    reduced, and no operation makes an unreduced one."""
+    realm, values = case
+    for x, y in zip(values, values[1:] + values[:1]):
+        assert _reduced(realm, realm.add(x, y)) and _reduced(realm, realm.mul(x, y))
+        inv = _outcome(lambda: realm.inv(x))
+        assert inv is SingularValue or _reduced(realm, inv)
+    for scaled in (False, True):
+        out = _outcome(lambda: realm.inv_all(values, range(len(values)), scaled))
+        assert out is SingularValue or all(_reduced(realm, m) for m in out)
+
+
+@PROPERTY
+@given(matrix_labelings(dims=st.integers(1, 4), primes=RESIDUE_PRIMES), st.integers(1, 3))
+def test_engine_steps_are_transfer_mode_steps(case, steps):
+    """Step after step, the engine's labels are the values of transfer-mode
+    ``antichain_rowmotion``, or both refuse with one message; and
+    ``first_return`` is the first step back at the start, or that refusal."""
+    poset, d, p, labels, c, g = case
+    eng = kernel.make_engine(poset, d, p)
+    returned = _refusal(lambda: eng.first_return(labels, c, steps))
+    start = g.values
+    for m in range(1, steps + 1):
+        got = _refusal(lambda: eng.step(labels, c))
+        want = _refusal(lambda: antichain_rowmotion(poset, g, mode="transfer"))
+        if isinstance(want, str):
+            assert got == returned == want
+            return
+        assert tuple(got) == want.values
+        if want.values == start:
+            assert returned == m
+            return
+        labels, g = got, want
+    assert returned == 0
+
+
+@PROPERTY
+@given(fraction_matrices())
+def test_fraction_matrix_ops_keep_fraction_entries(case):
+    """The matq sum and product are entrywise and triple-loop exact, with
+    ``Fraction`` entries, also against the realm's own identity."""
+    realm, x, y = case
+    d = realm.d
+    assert realm.add(x, y) == tuple(a + b for a, b in zip(x, y))
+    assert realm.mul(x, y) == tuple(sum(x[i * d + k] * y[k * d + j] for k in range(d))
+                                    for i in range(d) for j in range(d))
+    for m in (realm.add(x, y), realm.mul(x, y), realm.add(realm.one(), x),
+              realm.mul(realm.constant(), y)):
+        assert len(m) == d * d and all(type(v) is Fraction for v in m)
 
 
 @PROPERTY

@@ -134,11 +134,19 @@ def test_singular_matrix_raises():
 
 
 def test_dimension_mismatch_rejected():
-    r = FpMatrixRealm(PRIME, 2, c=1)
-    with pytest.raises(ValueError):
-        r.add((1,), (1, 0, 0, 1))
-    with pytest.raises(ValueError):
-        r.mul((1, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 0, 1))
+    """A matrix value's shape is checked where it is read, so the realm's
+    operations can trust it: at d = 1 and d = 4, a flat list, d - 1 rows and
+    a ragged row are refused, naming the shape."""
+    for d in (1, 4):
+        for r in (FpMatrixRealm(PRIME, d, c=1), FractionMatrixRealm(d)):
+            rows = [[str(i + j) for j in range(d)] for i in range(d)]
+            assert r.value_from_json(rows) == tuple(r._norm(i + j)
+                                                    for i in range(d) for j in range(d))
+            ragged = rows[:-1] + [rows[-1] + ["1"]]
+            for bad in ([v for row in rows for v in row], rows[:-1], ragged):
+                with pytest.raises(ValueError, match=f"^a {r.name} label must be {d} lists "
+                                                     f"of {d} entries$"):
+                    r.value_from_json(bad)
 
 
 def test_commutative_realms_commute_on_samples():
@@ -255,13 +263,13 @@ def test_symbolic_labeling_names():
     p22 = product_of_chains(2, 2)
     g = symbolic_labeling(p22)
     r = g.realm
-    by_coord = {p22.coord(x): r.render(g[x]) for x in range(4)}
+    by_coord = {p22.coord(x): r.value_to_json(g[x]) for x in range(4)}
     assert by_coord == {(1, 1): "w", (2, 1): "x", (1, 2): "y", (2, 2): "z"}
 
     p23 = product_of_chains(2, 3)
     g = symbolic_labeling(p23)
     r = g.realm
-    by_coord = {p23.coord(x): r.render(g[x]) for x in range(6)}
+    by_coord = {p23.coord(x): r.value_to_json(g[x]) for x in range(6)}
     assert by_coord == {(1, 1): "u", (2, 1): "v", (1, 2): "w",
                         (2, 2): "x", (1, 3): "y", (2, 3): "z"}
 

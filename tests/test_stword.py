@@ -274,7 +274,7 @@ def _fold_cases():
 
 def _same_value(r, x, y):
     if r.name == "ratfun":
-        return r.render(x) == r.render(y) and repr(x) == repr(y)
+        return r.value_to_json(x) == r.value_to_json(y) and repr(x) == repr(y)
     return x == y and type(x) is type(y)
 
 
