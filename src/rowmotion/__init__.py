@@ -54,7 +54,6 @@ from .stword import (
     fiber_product_checks,
     orbit_window,
     pl_homomesy_report,
-    sample_orbit_window,
     st_word,
 )
 

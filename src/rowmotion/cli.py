@@ -22,21 +22,21 @@ from .fixtures import fixture_table, run_figure_fixtures
 from .fuzz import fuzz_grid
 from .labeling import labeling_from_json
 from .poset import poset_from_json, poset_to_json, product_of_chains
-from .realms import FUZZ_PRIME
+from .realms import FUZZ_PRIME, FloatLiteral, refuse_huge_number
 from .sampling import derive_seed, sample_generic_labeling, sample_matrix
-from .stword import (fiber_product_checks, orbit_window, pl_homomesy_report,
-                     sample_orbit_window, st_word)
+from .stword import fiber_product_checks, orbit_window, pl_homomesy_report, st_word
 
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _refuse_empty_counts(args)
         report, ok = args.handler(args)
         if report is not None:
             _emit(report, args)
-    except (OSError, PosetError, SingularValue, SamplingExhausted, ValueError) as exc:
+    except (OSError, OverflowError, PosetError, SingularValue, SamplingExhausted,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1
@@ -50,6 +50,23 @@ def _refuse_empty_counts(args):
             raise ValueError(f"--{name} must be at least 1, got {value}")
 
 
+def _int_option(p, flag, **kwargs):
+    """Add the integer option ``flag`` to the parser ``p``.  A value with
+    more digits than Python reads into an int is refused naming the flag
+    and the limit (``realms.refuse_huge_number``), echoing no digit, as an
+    OverflowError: argparse passes that on, so ``main`` prints one
+    ``error:`` line, where argparse would print its usage and every digit."""
+    def read(text):
+        try:
+            refuse_huge_number(text, flag)
+        except ValueError as exc:
+            raise OverflowError(str(exc)) from None
+        return int(text)
+
+    read.__name__ = "int"  # argparse's own refusal: "invalid int value: 'x'"
+    p.add_argument(flag, type=read, **kwargs)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="rowmotion",
@@ -59,7 +76,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    _int_option(common, "--seed", default=0, help="master seed (default 0)")
     common.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("poset", parents=[common],
@@ -69,7 +86,7 @@ def _build_parser():
 
     p = sub.add_parser("orbits", parents=[common],
                        help="all rowmotion orbits of [a]x[b] with exact statistics")
-    p.add_argument("--chains", nargs=2, type=int, required=True, metavar=("A", "B"))
+    _int_option(p, "--chains", nargs=2, required=True, metavar=("A", "B"))
     p.add_argument("--realm", default="comb", choices=["comb"],
                    help="orbit census realm (combinatorial only)")
     p.set_defaults(handler=_cmd_orbits)
@@ -79,13 +96,13 @@ def _build_parser():
     _poset_source(p)
     _realm_flags(p)
     p.add_argument("--mode", choices=["transfer", "toggles"], default="transfer")
-    p.add_argument("--steps", type=int, help="iteration bound (default 4(a+b))")
+    _int_option(p, "--steps", help="iteration bound (default 4(a+b))")
     p.add_argument("--in", dest="labels_in", help="labeling JSON file")
     p.set_defaults(handler=_cmd_rowmotion)
 
     p = sub.add_parser("stword", parents=[common],
                        help="fiber word of a labeling on [a]x[b]")
-    p.add_argument("--chains", nargs=2, type=int, required=True, metavar=("A", "B"))
+    _int_option(p, "--chains", nargs=2, required=True, metavar=("A", "B"))
     _realm_flags(p)
     p.add_argument("--in", dest="labels_in", help="labeling JSON file")
     p.set_defaults(handler=_cmd_stword)
@@ -93,41 +110,42 @@ def _build_parser():
     p = sub.add_parser("homomesy", parents=[common],
                        help="orbit fiber products / means against their contracts")
     p.add_argument("--realm", choices=["ratfun", "matp", "tropical"], required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--p", type=int, default=FUZZ_PRIME)
+    _int_option(p, "--a", required=True)
+    _int_option(p, "--b", required=True)
+    _int_option(p, "--samples", default=100)
+    _int_option(p, "--p", default=FUZZ_PRIME)
     p.set_defaults(handler=_cmd_homomesy)
 
     p = sub.add_parser("fuzz-nar", parents=[common],
                        help="fuzz the noncommutative periodicity conjecture")
-    p.add_argument("--amax", type=int, default=3)
-    p.add_argument("--bmax", type=int, default=3)
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--p", type=int, default=FUZZ_PRIME)
+    _int_option(p, "--amax", default=3)
+    _int_option(p, "--bmax", default=3)
+    _int_option(p, "--dmax", default=3)
+    _int_option(p, "--trials", default=100)
+    _int_option(p, "--p", default=FUZZ_PRIME)
     p.set_defaults(handler=_cmd_fuzz)
 
     p = sub.add_parser("fixtures", parents=[common],
                        help="run the worked-example regression table")
-    p.add_argument("--samples", type=int, default=100)
+    _int_option(p, "--samples", default=100)
     p.set_defaults(handler=_cmd_fixtures)
     return parser
 
 
 def _poset_source(p):
     p.add_argument("--poset", help="poset JSON file")
-    p.add_argument("--chains", nargs=2, type=int, metavar=("A", "B"),
-                   help="rectangle poset [A]x[B]")
+    _int_option(p, "--chains", nargs=2, metavar=("A", "B"), help="rectangle poset [A]x[B]")
 
 
 def _realm_flags(p):
     p.add_argument("--realm", choices=["tropical", "ratfun", "matp", "matq"],
                    default="ratfun")
-    p.add_argument("--p", type=int, default=FUZZ_PRIME, help="matp prime")
-    p.add_argument("--d", type=int, default=2, help="matrix dimension")
-    p.add_argument("--c", help="central constant (tropical: default 1; matq: drawn at "
-                   "random when not given)")
+    _int_option(p, "--p", default=FUZZ_PRIME, help="matp prime")
+    _int_option(p, "--d", default=2, help="matrix dimension")
+    p.add_argument("--c", help="central constant of a sampled labeling (tropical: default "
+                   "1; matp, matq: drawn at random when not given; refused for ratfun, "
+                   "whose constant is the variable C, and with --in, whose realm block "
+                   "gives it)")
 
 
 def _load_poset(args):
@@ -140,10 +158,14 @@ def _load_poset(args):
 
 def _read_json(path):
     """The JSON document in ``path``.  A repeated key is refused, not read
-    with its last value, and so is nesting deeper than the parser allows."""
+    with its last value, and so is nesting deeper than the parser allows.
+    A number literal with a fraction or an exponent keeps its text
+    (``realms.FloatLiteral``), so a field that holds a number reads it
+    exactly (``realms.json_number``): 0.1 is 1/10, not the nearest float."""
     with open(path) as fh:
         try:
-            return json.load(fh, object_pairs_hook=_unique_keys, parse_int=_json_int)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_int=_json_int,
+                             parse_float=FloatLiteral)
         except RecursionError:
             raise ValueError("JSON input is nested too deeply") from None
 
@@ -168,22 +190,40 @@ def _unique_keys(pairs):
     return obj
 
 
-def _realm_config(args, poset):
+def _realm_config(args):
+    """The realm block of a sampled labeling, from the realm flags."""
     kind = args.realm
-    if kind == "ratfun":
-        return {"realm": "ratfun"}
+    cfg = {"realm": kind}
     if kind == "matp":
-        return {"realm": "matp", "p": args.p, "d": args.d}
-    cfg = {"realm": "tropical"} if kind == "tropical" else {"realm": "matq", "d": args.d}
+        cfg["p"] = args.p
+    if kind in ("matp", "matq"):
+        cfg["d"] = args.d
     if args.c is not None:
+        if kind == "ratfun":
+            raise ValueError("--c does not apply to --realm ratfun, whose constant is "
+                             "the variable C")
         cfg["c"] = args.c
     return cfg
 
 
-def _load_labeling(args, poset):
+def _load_labeling(args, poset, walk):
+    """``walk(g)`` for the command's labeling g of ``poset``: read from
+    ``--in``, or sampled from the realm flags and ``--seed``.
+
+    A sampled matrix labeling (matp, matq) is redrawn while ``walk``, the
+    command's own work on it, meets a singular value
+    (``sampling.sample_matrix``).  A labeling read with ``--in`` is walked
+    as given, and ``--c`` is refused with it: its realm block gives c.
+    """
     if args.labels_in:
-        return labeling_from_json(_read_json(args.labels_in), poset=poset)
-    return sample_generic_labeling(poset, _realm_config(args, poset), args.seed)
+        if args.c is not None:
+            raise ValueError("--c applies to a sampled labeling; with --in the realm "
+                             "block gives the constant")
+        return walk(labeling_from_json(_read_json(args.labels_in), poset))
+    cfg = _realm_config(args)
+    if args.realm in ("matp", "matq"):
+        return sample_matrix(poset, cfg, args.seed, walk)
+    return walk(sample_generic_labeling(poset, cfg, args.seed))
 
 
 def _cmd_poset(args):
@@ -201,16 +241,8 @@ def _cmd_orbits(args):
 
 def _cmd_rowmotion(args):
     poset = _load_poset(args)
-
-    def walk(g):
-        return iterate(poset, g, steps=args.steps, mode=args.mode)
-
-    if not args.labels_in and args.realm in ("matp", "matq"):
-        # A sampled matrix labeling is redrawn when any step it is iterated
-        # for meets a singular value.
-        orbit = sample_matrix(poset, _realm_config(args, poset), args.seed, walk)
-    else:
-        orbit = walk(_load_labeling(args, poset))
+    orbit = _load_labeling(args, poset,
+                           lambda g: iterate(poset, g, steps=args.steps, mode=args.mode))
     try:
         report = orbit.to_json()
     except ValueError as exc:
@@ -225,8 +257,7 @@ def _cmd_rowmotion(args):
 
 def _cmd_stword(args):
     poset = product_of_chains(*args.chains)
-    g = _load_labeling(args, poset)
-    word = st_word(poset, g)
+    g, word = _load_labeling(args, poset, lambda g: (g, st_word(poset, g)))
     report = {"command": "stword", "seed": args.seed, "chains": list(args.chains),
               "st_word": word.to_json(), **g.to_json()}
     return report, True
@@ -247,13 +278,14 @@ def _cmd_homomesy(args):
         ok = all(f["pass"] for f in fibers)
         return report, ok
     # matp: sampled scalar labelings (d = 1; the product contract is
-    # commutative-realm only), each resampled until its whole window is
-    # nonsingular.
+    # commutative-realm only), each redrawn while its window meets a
+    # singular value.
     fibers = []
     ok = True
     for idx in range(args.samples):
         sub = derive_seed(args.seed, "homomesy", idx)
-        window = sample_orbit_window(poset, {"realm": "matp", "p": args.p, "d": 1}, sub)
+        window = sample_matrix(poset, {"realm": "matp", "p": args.p, "d": 1}, sub,
+                               lambda g: orbit_window(poset, g))
         for f in fiber_product_checks(poset, window):
             if not f["pass"]:
                 f["sample_seed"] = sub

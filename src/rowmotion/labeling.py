@@ -46,18 +46,18 @@ class Labeling:
         return f"Labeling({self.realm.name}, {len(self.values)} values)"
 
 
-def labeling_from_json(obj, poset=None, realm=None):
-    """Read a labeling from {"realm": ..., "labels": {...}}.
+def labeling_from_json(obj, poset):
+    """Read a labeling of ``poset`` from {"realm": ..., "labels": {...}}.
 
-    Label keys are element ids, or "i,j" coordinates when ``poset`` is a
-    rectangle.  A pre-built ``realm`` overrides the config block.  A missing
-    key, a malformed key, a second key for an already labeled element or a
-    label its realm cannot read raises ValueError naming the label.
+    The realm is built from the config block (``realm_from_config``) and
+    reads each label itself (``value_from_json``).  Label keys are element
+    ids, or "i,j" coordinates when ``poset`` is a rectangle.  A missing key,
+    a malformed key, a second key for an already labeled element or a label
+    its realm cannot read raises ValueError naming the label.
     """
     from .realms import json_field, realm_from_config
 
-    if realm is None:
-        realm = realm_from_config(json_field(obj, "realm", "labeling"))
+    realm = realm_from_config(json_field(obj, "realm", "labeling"))
     raw = json_field(obj, "labels", "labeling")
     if not isinstance(raw, dict):
         raise ValueError("labeling 'labels' must be a JSON object keyed by element")
@@ -66,7 +66,7 @@ def labeling_from_json(obj, poset=None, realm=None):
     for key, val in raw.items():
         try:
             if "," in key:
-                if poset is None or not hasattr(poset, "id"):
+                if not hasattr(poset, "id"):
                     raise ValueError("coordinate label keys need a rectangle poset")
                 i, j = (int(t) for t in key.split(","))
                 x = poset.id(i, j)
@@ -78,7 +78,6 @@ def labeling_from_json(obj, poset=None, realm=None):
             values[x] = realm.value_from_json(val)
         except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"label {key}: {exc}") from None
-    n = poset.n if poset is not None else len(values)
-    if sorted(values) != list(range(n)):
+    if sorted(values) != list(range(poset.n)):
         raise ValueError("labeling must cover every poset element exactly once")
-    return Labeling(realm, [values[x] for x in range(n)])
+    return Labeling(realm, [values[x] for x in range(poset.n)])

@@ -48,12 +48,13 @@ MR_CERTIFIED_BELOW = 318665857834031151167461
 def is_prime(n):
     """Deterministic primality test for n < MR_CERTIFIED_BELOW.
 
-    Raises ValueError for larger n, which this test cannot certify.  Cached:
-    it takes about 0.2 ms for a 61-bit prime, and every fuzz cell and every
-    sampled matrix realm checks its modulus.
+    Raises ValueError for larger n, which this test cannot certify; the
+    message names the limit and not n, which may have thousands of digits.
+    Cached: it takes about 0.2 ms for a 61-bit prime, and every fuzz cell
+    and every sampled matrix realm checks its modulus.
     """
     if n >= MR_CERTIFIED_BELOW:
-        raise ValueError(f"p = {n} is too large to certify as prime "
+        raise ValueError(f"p is too large to certify as prime "
                          f"(limit {MR_CERTIFIED_BELOW})")
     if n < 2:
         return False
@@ -194,10 +195,7 @@ class TropicalRealm(Realm):
         return decimal_text(x, "a tropical label")
 
     def value_from_json(self, obj):
-        if isinstance(obj, bool):
-            raise ValueError(f"a tropical label must be a rational number, got {json.dumps(obj)}")
-        refuse_huge_number(obj, "a tropical label")
-        return Fraction(obj)
+        return json_number(obj, Fraction, "a tropical label")
 
 
 class RationalFunctionRealm(Realm):
@@ -525,19 +523,35 @@ def realm_from_config(cfg):
     raise ValueError(f"unknown realm {kind!r}")
 
 
+class FloatLiteral(float):
+    """A JSON number literal with a fraction or an exponent, as ``cli`` reads
+    it: the float ``json`` would give, which every other reader sees, and the
+    literal's ``text``, which ``json_number`` reads exactly."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text):
+        self = super().__new__(cls, text)
+        self.text = text
+        return self
+
+
 def json_number(v, kind, what):
     """``kind(v)`` for ``kind`` int or Fraction, where ``v`` is a JSON number
-    or a string.  A boolean, a float read as an int (which would truncate
-    it), a huge number (``refuse_huge_number``) or anything ``kind`` cannot
-    read raises ValueError naming ``what``."""
-    refuse_huge_number(v, what)
+    or a string; a ``FloatLiteral`` is read from its text, so 0.1 is 1/10
+    and 1e999 is 10**999.  A boolean, a float read as an int (which would
+    truncate it), a huge number (``refuse_huge_number``) or anything
+    ``kind`` cannot read raises ValueError naming ``what``."""
+    text = v.text if isinstance(v, FloatLiteral) else v
+    refuse_huge_number(text, what)
     if not (isinstance(v, bool) or (kind is int and isinstance(v, float))):
         try:
-            return kind(v)
+            return kind(text)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             pass
     noun = "an integer" if kind is int else "a rational number"
-    raise ValueError(f"{what} must be {noun}, got {json.dumps(v, default=str)}")
+    shown = text if isinstance(v, FloatLiteral) else json.dumps(v, default=str)
+    raise ValueError(f"{what} must be {noun}, got {shown}")
 
 
 def refuse_huge_number(v, what):
@@ -549,7 +563,8 @@ def refuse_huge_number(v, what):
     minutes.  "1e999" reads exactly.  So is a run of more digits than
     Python reads into an integer (``sys.get_int_max_str_digits()``, 4300 by
     default), without printing them; ``cli`` reads such a JSON integer
-    literal as its text, so it is refused here by its field too.
+    literal as its text, and a float literal with its text
+    (``FloatLiteral``), so they are refused here by their field too.
     """
     if not isinstance(v, str):
         return

@@ -11,14 +11,10 @@ import hashlib
 import random
 from fractions import Fraction
 
+from .dynamics import antichain_rowmotion
 from .errors import SamplingExhausted, SingularValue
 from .labeling import Labeling
-from .realms import (
-    FpMatrixRealm,
-    RationalFunctionRealm,
-    realm_from_config,
-    symbolic_variable_names,
-)
+from .realms import RationalFunctionRealm, realm_from_config, symbolic_variable_names
 
 RESAMPLE_LIMIT = 32
 
@@ -45,11 +41,12 @@ def symbolic_labeling(poset):
 def sample_generic_labeling(poset, realm_config, seed):
     """Sample a labeling per the realm config block.
 
-    Symbolic realms are deterministic (fresh variables).  Matrix realms draw
-    uniform entries and a nonzero central scalar (a matq config's ``c``
-    replaces the drawn one), resampling up to the retry
-    bound until one full antichain-rowmotion pass hits no singular value.
-    Tropical realms draw rationals in [0, 1] with bounded denominators.
+    Symbolic realms are deterministic (fresh variables).  Tropical realms
+    draw rationals in [0, 1] with bounded denominators.  Matrix realms draw
+    as ``sample_matrix`` does, and keep the first draw on which one
+    transfer-mode antichain-rowmotion step meets no singular value.  That
+    one-step probe serves callers of this function; a command redraws on
+    its own work instead (``cli._load_labeling``).
     """
     kind = realm_config["realm"]
     if kind == "ratfun":
@@ -60,7 +57,11 @@ def sample_generic_labeling(poset, realm_config, seed):
         values = [_bounded_rational(rng) for _ in range(poset.n)]
         return Labeling(realm, values)
     if kind in ("matp", "matq"):
-        return _sample_matrix_labeling(poset, realm_config, seed)
+        def probe(g):
+            antichain_rowmotion(poset, g, mode="transfer")
+            return g
+
+        return sample_matrix(poset, realm_config, seed, probe)
     raise ValueError(f"unknown realm {kind!r}")
 
 
@@ -130,16 +131,6 @@ def sample_matrix(poset, realm_config, seed, walk):
     )
 
 
-def _sample_matrix_labeling(poset, realm_config, seed):
-    from .dynamics import antichain_rowmotion
-
-    def probe(g):
-        antichain_rowmotion(poset, g, mode="transfer")
-        return g
-
-    return sample_matrix(poset, realm_config, seed, probe)
-
-
 def draw_fp_labels(rng, n, d, p):
     """One draw from ``rng``: the central constant c in [1, p), then d*d entries
     in [0, p) per element.  Returns (labels, c), labels as n flat row-major
@@ -150,13 +141,16 @@ def draw_fp_labels(rng, n, d, p):
 
 
 def _draw_matrix_labeling(n, realm_config, rng):
-    d = int(realm_config["d"])
-    if realm_config["realm"] == "matp":
-        p = int(realm_config["p"])
-        labels, c = draw_fp_labels(rng, n, d, p)
-        return Labeling(FpMatrixRealm(p, d, c=c), labels)
-    # c is drawn even when the config gives one, so the entries do not depend on it
-    drawn = Fraction(rng.randrange(1, 64), rng.randrange(1, 64))
-    realm = realm_from_config({"c": drawn, **realm_config})
-    return Labeling(realm, [tuple(Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
-                                  for _ in range(d * d)) for _ in range(n)])
+    """n matrix labels drawn from ``rng``, the central constant first
+    (``draw_fp_labels`` for matp, small rationals for matq), in the realm
+    ``realm_from_config`` builds, which checks the config's ``p`` and ``d``.
+    A config ``c`` replaces the drawn one, so the entries do not depend on it."""
+    shape = realm_from_config(realm_config)
+    d = shape.d
+    if shape.name == "matp":
+        labels, drawn = draw_fp_labels(rng, n, d, shape.p)
+    else:
+        drawn = Fraction(rng.randrange(1, 64), rng.randrange(1, 64))
+        labels = [tuple(Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
+                        for _ in range(d * d)) for _ in range(n)]
+    return Labeling(realm_from_config({"c": drawn, **realm_config}), labels)

@@ -28,7 +28,7 @@ from .dynamics import antichain_rowmotion, polytope_membership
 from .labeling import Labeling
 from .poset import RectanglePoset, fibers, product_of_chains
 from .realms import TropicalRealm
-from .sampling import derive_seed, sample_chain_polytope_point, sample_matrix
+from .sampling import derive_seed, sample_chain_polytope_point
 
 
 class STWord:
@@ -106,16 +106,6 @@ def orbit_window(poset, g):
     for _ in range(poset.a + poset.b - 1):
         window.append(antichain_rowmotion(poset, window[-1]))
     return window
-
-
-def sample_orbit_window(poset, realm_config, seed):
-    """The orbit window of a sampled matrix labeling (``matp`` or ``matq``).
-
-    Draws as ``sample_generic_labeling`` does, but a draw is kept only when
-    no step of its whole window meets a singular value; otherwise the next
-    draw is tried, up to the retry bound.
-    """
-    return sample_matrix(poset, realm_config, seed, lambda g: orbit_window(poset, g))
 
 
 def fiber_orbit_product(poset, window, fiber):

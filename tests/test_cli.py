@@ -9,9 +9,13 @@ import pytest
 
 from rowmotion import stword
 from rowmotion.cli import _read_json, main
+from rowmotion.dynamics import antichain_rowmotion
+from rowmotion.errors import SingularValue
+from rowmotion.poset import product_of_chains
 from rowmotion.polynomials import MAX_DEGREE, Polynomial
 from rowmotion.ratfun import RationalFunction
 from rowmotion.realms import FractionMatrixRealm, RationalFunctionRealm, TropicalRealm
+from rowmotion.sampling import sample_matrix
 
 
 def run(args, capsys):
@@ -270,17 +274,65 @@ def test_missing_poset_source_fails(capsys):
     assert main(["rowmotion", "--realm", "ratfun"]) == 2
 
 
-@pytest.mark.parametrize("c_args,c", [([], "20/47"), (["--c", "5"], "5"),
-                                      (["--c", "7/2"], "7/2")])
+SAMPLED_D1_SEED1 = {
+    "matq": {"0": [["10/7"]], "1": [["17/3"]], "2": [["-11/5"]], "3": [["-27/11"]]},
+    "matp": {"0": [[763905515218938353]], "1": [[885719387998914177]],
+             "2": [[2251712896770211161]], "3": [[1821587163162428431]]},
+}
+
+
+@pytest.mark.parametrize("c_args,c", [
+    (["--realm", "matq"], "20/47"), (["--realm", "matq", "--c", "5"], "5"),
+    (["--realm", "matq", "--c", "7/2"], "7/2"),
+    (["--realm", "matp"], 1673073484607122568), (["--realm", "matp", "--c", "5"], 5),
+])
 def test_sampled_matq_rowmotion_reports_its_central_constant(c_args, c, capsys):
-    """An explicit --c is the sampled matq realm's constant; without it the
-    constant is drawn.  The drawn entries are the same either way."""
-    code, rep = run(["rowmotion", "--chains", "2", "2", "--realm", "matq", "--d", "1",
-                     "--seed", "1"] + c_args, capsys)
+    """An explicit --c is the sampled matq or matp realm's constant; without
+    it the constant is drawn.  The drawn entries are the same either way."""
+    code, rep = run(["rowmotion", "--chains", "2", "2", "--d", "1", "--seed", "1"] + c_args,
+                    capsys)
     assert code == 0
     assert rep["realm"]["c"] == c
-    assert rep["steps"][0]["labels"] == {"0": [["10/7"]], "1": [["17/3"]], "2": [["-11/5"]],
-                                         "3": [["-27/11"]]}
+    assert rep["steps"][0]["labels"] == SAMPLED_D1_SEED1[c_args[1]]
+
+
+def test_sampled_stword_is_redrawn_only_by_its_own_singular_values(capsys):
+    """stword redraws a sampled matrix labeling only when its fiber word
+    meets a singular value.  At p = 5 the first draw of seed 10 has an
+    invertible word but a singular first rowmotion step, which stword never
+    takes, so the first draw is reported."""
+    args = ["stword", "--chains", "2", "2", "--realm", "matp", "--d", "1", "--p", "5",
+            "--seed", "10"]
+    code, rep = run(args, capsys)
+    assert code == 0
+    first = sample_matrix(product_of_chains(2, 2), {"realm": "matp", "p": 5, "d": 1}, 10,
+                          lambda g: g)
+    assert {"realm": rep["realm"], "labels": rep["labels"]} == first.to_json()
+    with pytest.raises(SingularValue):
+        antichain_rowmotion(product_of_chains(2, 2), first)
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "94190eb4892f1dbafbe566000158ea9ae53358a9a34e3284368c9dfad7bfcee0")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["rowmotion", "--chains", "2", "2", "--realm", "ratfun", "--c", "5"],
+     "--c does not apply to --realm ratfun, whose constant is the variable C"),
+    (["stword", "--chains", "2", "2", "--c", "5"],
+     "--c does not apply to --realm ratfun, whose constant is the variable C"),
+    (["rowmotion", "--chains", "2", "2", "--realm", "tropical", "--in", "IN", "--c", "7"],
+     "--c applies to a sampled labeling; with --in the realm block gives the constant"),
+    (["stword", "--chains", "2", "2", "--realm", "tropical", "--in", "IN", "--c", "7"],
+     "--c applies to a sampled labeling; with --in the realm block gives the constant"),
+])
+def test_c_where_it_cannot_apply_exits_2(args, message, tmp_path, capsys):
+    """--c is refused, not ignored, for the ratfun realm and with --in."""
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(_labels({"realm": "tropical", "c": "2"}, "1", "1")))
+    code, err = _refused([str(src) if a == "IN" else a for a in args], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def _refused(args, capsys):
@@ -341,8 +393,9 @@ NESTED = "[" * 100_000
      "label 0: a matq label must be 2 lists of 2 entries"),
     (_labels(MATP2, 5, I2), "label 0: a matp label must be 2 lists of 2 entries"),
     (_labels(MATP2, [[1, 2], [3]], I2), "label 0: a matp label must be 2 lists of 2 entries"),
-    (_labels({"realm": "tropical"}, [1], "1"),
-     "label 0: argument should be a string or a Rational instance"),
+    pytest.param(_labels({"realm": "tropical"}, [1], "1"),
+                 "label 0: a tropical label must be a rational number, got [1]",
+                 id="tropical-list"),
     (_labels({"realm": "ratfun", "variables": ["w", "x", "y", "z"]}, "q", "x"),
      "label 0: 'q' is not a declared variable (C, w, x, y, z)"),
     ({"realm": {"realm": "tropical"}, "labels": ["1", "1", "1", "1"]},
@@ -362,8 +415,9 @@ NESTED = "[" * 100_000
      "label 0: a tropical label must be a rational number, got true"),
     (_labels(MATQ2, [[True, "0"], ["0", "1"]], I2),
      "label 0: a matq entry must be a rational number, got true"),
-    (_labels({"realm": "tropical"}, float("inf"), "1"),
-     "label 0: cannot convert Infinity to integer ratio"),
+    pytest.param(_labels({"realm": "tropical"}, float("inf"), "1"),
+                 "label 0: a tropical label must be a rational number, got Infinity",
+                 id="tropical-infinity"),
     pytest.param(RawFile(NESTED, "--in"), "JSON input is nested too deeply", id="nested-in"),
     pytest.param(RawFile(NESTED, "--poset"), "JSON input is nested too deeply",
                  id="nested-poset"),
@@ -386,6 +440,15 @@ NESTED = "[" * 100_000
                  "the most Python prints in an integer", id="label-past-print-limit"),
     pytest.param(_labels({"realm": "ratfun", "variables": ["x*y", "x", "y", "z"]}, "x", "y"),
                  "ratfun variable 'x*y' is not an identifier", id="variables-not-identifiers"),
+    pytest.param(_labels({"realm": "tropical"}, float("nan"), "1"),
+                 "label 0: a tropical label must be a rational number, got NaN",
+                 id="tropical-nan"),
+    pytest.param(_labels(MATQ2, [[float("-inf"), "0"], ["0", "1"]], I2),
+                 "label 0: a matq entry must be a rational number, got -Infinity",
+                 id="matq-minus-infinity"),
+    pytest.param(RawFile('{"realm": {"realm": "matp", "p": 101, "d": 1}, "labels": '
+                         '{"0": [[1e2]], "1": [[2]], "2": [[2]], "3": [[2]]}}', "--in"),
+                 "label 0: a matp entry must be an integer, got 1e2", id="matp-exponent-literal"),
 ])
 def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "g.json"
@@ -404,13 +467,21 @@ def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
      'label 0: a matq entry has a decimal exponent past 10000, got "-1E-100000000"'),
     (None, ["--realm", "tropical", "--c", "2.5e1_000_000"],
      'realm config \'c\' has a decimal exponent past 10000, got "2.5e1_000_000"'),
+    ('{"realm": {"realm": "tropical"}, "labels": {"0": 1e100000000, "1": 1, "2": 1, "3": 1}}',
+     [], 'label 0: a tropical label has a decimal exponent past 10000, got "1e100000000"'),
+    ('{"realm": {"realm": "matq", "d": 1}, "labels": {"0": [[-1E-100000000]], "1": [[2]], '
+     '"2": [[2]], "3": [[2]]}}', [],
+     'label 0: a matq entry has a decimal exponent past 10000, got "-1E-100000000"'),
+    ('{"realm": {"realm": "tropical", "c": 2.5e1000000}, "labels": {"0": 1, "1": 1, "2": 1, '
+     '"3": 1}}', [], 'realm config \'c\' has a decimal exponent past 10000, got "2.5e1000000"'),
 ])
 def test_huge_decimal_exponent_exits_2_at_once(payload, flags, message, tmp_path, capsys):
-    """A rational read from a decimal string would build 10**exponent; past
-    the bound it is refused, naming the field, before any time is spent."""
+    """A rational read from a decimal string or a JSON number literal (text
+    here) would build 10**exponent; past the bound it is refused, naming
+    the field, before any time is spent."""
     if payload is not None:
         src = tmp_path / "g.json"
-        src.write_text(json.dumps(payload))
+        src.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         flags = ["--in", str(src)]
     start = time.monotonic()
     code, err = _refused(["rowmotion", "--chains", "2", "2", *flags], capsys)
@@ -441,8 +512,9 @@ MATQ1_TEXT = '{"realm": "matq", "d": 1}'
      "realm config 'p'"),
     (_raw_labels(MATQ1_TEXT, f'[["{LONG}"]]', "[[2]]"), "label 0: a matq entry"),
     (_raw_labels(MATQ1_TEXT, f'[["1/{LONG}"]]', "[[2]]"), "label 0: a matq entry"),
+    (_raw_labels(TROPICAL, f"{LONG}.5", '"2"'), "label 0: a tropical label"),
 ], ids=["tropical-literal", "tropical-string", "matp-literal", "matp-string",
-        "p-literal", "matq-string", "matq-denominator"])
+        "p-literal", "matq-string", "matq-denominator", "tropical-float-literal"])
 def test_number_past_the_digit_limit_exits_2(text, message, tmp_path, capsys):
     """A JSON integer literal or a number string with more digits than
     Python reads into an integer is refused by the field that holds it,
@@ -454,6 +526,73 @@ def test_number_past_the_digit_limit_exits_2(text, message, tmp_path, capsys):
     assert code == 2
     assert err == (f"error: {message} has more than 4300 digits, the most Python reads "
                    f"in an integer\n")
+
+
+@pytest.mark.parametrize("text,first", [
+    (_raw_labels(TROPICAL, "0.1", '"1"'), "1/10"),
+    (_raw_labels(TROPICAL, "-2.50E-1", '"1"'), "-1/4"),
+    (_raw_labels(TROPICAL, "1e999", '"1"'), str(10**999)),
+    (_raw_labels(MATQ1_TEXT, "[[0.1]]", "[[2]]"), [["1/10"]]),
+], ids=["tropical", "tropical-exponent", "tropical-1e999", "matq"])
+def test_number_literal_is_read_exactly(text, first, tmp_path, capsys):
+    """A JSON number literal with a fraction or an exponent is read from
+    its text, as a number string is: 0.1 is 1/10, not the nearest binary
+    float, and 1e999 is 10**999, not infinity."""
+    src = tmp_path / "g.json"
+    src.write_text(text)
+    code, rep = run(["rowmotion", "--chains", "2", "2", "--in", str(src), "--steps", "1"],
+                    capsys)
+    assert code == 0
+    assert rep["steps"][0]["labels"]["0"] == first
+
+
+def test_realm_block_c_literal_reads_like_the_option(tmp_path, capsys):
+    """A realm block's "c": 0.3 is 3/10, as --c 0.3 is."""
+    src = tmp_path / "g.json"
+    src.write_text(_raw_labels('{"realm": "tropical", "c": 0.3}', '"0"', '"1"'))
+    code, rep = run(["rowmotion", "--chains", "2", "2", "--in", str(src), "--steps", "1"],
+                    capsys)
+    assert code == 0 and rep["realm"]["c"] == "3/10"
+    code, rep = run(["rowmotion", "--chains", "2", "2", "--realm", "tropical", "--c", "0.3",
+                     "--steps", "1"], capsys)
+    assert code == 0 and rep["realm"]["c"] == "3/10"
+
+
+@pytest.mark.parametrize("args", [
+    ["rowmotion", "--chains", "2", "2", "--realm", "matp", "--p", LONG],
+    ["rowmotion", "--chains", "2", "2", "--steps", LONG],
+    ["homomesy", "--realm", "matp", "--a", "2", "--b", "2", "--p", LONG],
+    ["fuzz-nar", "--seed", LONG],
+    ["stword", "--chains", "2", LONG],
+], ids=["rowmotion-p", "steps", "homomesy-p", "seed", "chains"])
+def test_integer_option_past_the_digit_limit_exits_2(args, capsys):
+    """An integer option with more digits than Python reads into an int is
+    refused with one line that names the option and the limit and echoes
+    no digit (argparse would print its usage and all 5,000 digits)."""
+    code, err = _refused(args, capsys)
+    flag = next(a for a in reversed(args) if a.startswith("--"))
+    assert code == 2
+    assert err == (f"error: {flag} has more than 4300 digits, the most Python reads "
+                   f"in an integer\n")
+    assert len(err) < 200
+
+
+def test_modulus_past_the_certified_limit_names_the_limit(capsys):
+    """A --p that reads but is too large to certify as prime is refused
+    naming the limit, not its own 4,300 digits."""
+    code, err = _refused(["rowmotion", "--chains", "2", "2", "--realm", "matp", "--p",
+                          "1" * 4300], capsys)
+    assert code == 2
+    assert err == "error: p is too large to certify as prime (limit 318665857834031151167461)\n"
+
+
+def test_integer_option_that_is_not_a_number_is_an_argparse_error(capsys):
+    """Below the digit limit a malformed integer option is argparse's own
+    usage error, as it was with ``type=int``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["rowmotion", "--chains", "2", "2", "--p", "x"])
+    assert exc.value.code == 2
+    assert "error: argument --p: invalid int value: 'x'\n" in capsys.readouterr().err
 
 
 def test_number_at_the_digit_limit_is_read(tmp_path, capsys):
