@@ -97,14 +97,16 @@ def _build_parser():
     _realm_flags(p)
     p.add_argument("--mode", choices=["transfer", "toggles"], default="transfer")
     _int_option(p, "--steps", help="iteration bound (default 4(a+b))")
-    p.add_argument("--in", dest="labels_in", help="labeling JSON file")
+    p.add_argument("--in", dest="labels_in", help="labeling JSON file, whose realm block "
+                   "gives --realm, --p, --d and --c")
     p.set_defaults(handler=_cmd_rowmotion)
 
     p = sub.add_parser("stword", parents=[common],
                        help="fiber word of a labeling on [a]x[b]")
     _int_option(p, "--chains", nargs=2, required=True, metavar=("A", "B"))
     _realm_flags(p)
-    p.add_argument("--in", dest="labels_in", help="labeling JSON file")
+    p.add_argument("--in", dest="labels_in", help="labeling JSON file, whose realm block "
+                   "gives --realm, --p, --d and --c")
     p.set_defaults(handler=_cmd_stword)
 
     p = sub.add_parser("homomesy", parents=[common],
@@ -113,7 +115,8 @@ def _build_parser():
     _int_option(p, "--a", required=True)
     _int_option(p, "--b", required=True)
     _int_option(p, "--samples", default=100)
-    _int_option(p, "--p", default=FUZZ_PRIME)
+    _int_option(p, "--p", help=f"matp prime (default {FUZZ_PRIME}; refused for the "
+                "other realms)")
     p.set_defaults(handler=_cmd_homomesy)
 
     p = sub.add_parser("fuzz-nar", parents=[common],
@@ -138,14 +141,16 @@ def _poset_source(p):
 
 
 def _realm_flags(p):
+    """The flags of a sampled labeling's realm.  Each defaults to None, so
+    ``_load_labeling`` can refuse one given with ``--in``; ``_realm_config``
+    fills in the defaults."""
     p.add_argument("--realm", choices=["tropical", "ratfun", "matp", "matq"],
-                   default="ratfun")
-    _int_option(p, "--p", default=FUZZ_PRIME, help="matp prime")
-    _int_option(p, "--d", default=2, help="matrix dimension")
+                   help="realm of a sampled labeling (default ratfun)")
+    _int_option(p, "--p", help=f"matp prime (default {FUZZ_PRIME})")
+    _int_option(p, "--d", help="matrix dimension (default 2)")
     p.add_argument("--c", help="central constant of a sampled labeling (tropical: default "
                    "1; matp, matq: drawn at random when not given; refused for ratfun, "
-                   "whose constant is the variable C, and with --in, whose realm block "
-                   "gives it)")
+                   "whose constant is the variable C)")
 
 
 def _load_poset(args):
@@ -191,13 +196,14 @@ def _unique_keys(pairs):
 
 
 def _realm_config(args):
-    """The realm block of a sampled labeling, from the realm flags."""
-    kind = args.realm
+    """The realm block of a sampled labeling, from the realm flags and their
+    defaults: realm ratfun, p ``FUZZ_PRIME``, d 2."""
+    kind = args.realm or "ratfun"
     cfg = {"realm": kind}
     if kind == "matp":
-        cfg["p"] = args.p
+        cfg["p"] = FUZZ_PRIME if args.p is None else args.p
     if kind in ("matp", "matq"):
-        cfg["d"] = args.d
+        cfg["d"] = 2 if args.d is None else args.d
     if args.c is not None:
         if kind == "ratfun":
             raise ValueError("--c does not apply to --realm ratfun, whose constant is "
@@ -213,15 +219,18 @@ def _load_labeling(args, poset, walk):
     A sampled matrix labeling (matp, matq) is redrawn while ``walk``, the
     command's own work on it, meets a singular value
     (``sampling.sample_matrix``).  A labeling read with ``--in`` is walked
-    as given, and ``--c`` is refused with it: its realm block gives c.
+    as given, and the realm flags are refused with it: its realm block
+    gives the realm, c, p and d.
     """
     if args.labels_in:
-        if args.c is not None:
-            raise ValueError("--c applies to a sampled labeling; with --in the realm "
-                             "block gives the constant")
+        for flag, what in (("c", "constant"), ("realm", "realm"), ("p", "prime"),
+                           ("d", "dimension")):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies to a sampled labeling; with --in the "
+                                 f"realm block gives the {what}")
         return walk(labeling_from_json(_read_json(args.labels_in), poset))
     cfg = _realm_config(args)
-    if args.realm in ("matp", "matq"):
+    if cfg["realm"] in ("matp", "matq"):
         return sample_matrix(poset, cfg, args.seed, walk)
     return walk(sample_generic_labeling(poset, cfg, args.seed))
 
@@ -265,6 +274,8 @@ def _cmd_stword(args):
 
 def _cmd_homomesy(args):
     a, b = args.a, args.b
+    if args.p is not None and args.realm != "matp":
+        raise ValueError(f"--p does not apply to --realm {args.realm}; it is the matp prime")
     poset = product_of_chains(a, b)
     report = {"command": "homomesy", "realm": args.realm, "a": a, "b": b,
               "seed": args.seed}
@@ -280,12 +291,12 @@ def _cmd_homomesy(args):
     # matp: sampled scalar labelings (d = 1; the product contract is
     # commutative-realm only), each redrawn while its window meets a
     # singular value.
+    cfg = {"realm": "matp", "p": FUZZ_PRIME if args.p is None else args.p, "d": 1}
     fibers = []
     ok = True
     for idx in range(args.samples):
         sub = derive_seed(args.seed, "homomesy", idx)
-        window = sample_matrix(poset, {"realm": "matp", "p": args.p, "d": 1}, sub,
-                               lambda g: orbit_window(poset, g))
+        window = sample_matrix(poset, cfg, sub, lambda g: orbit_window(poset, g))
         for f in fiber_product_checks(poset, window):
             if not f["pass"]:
                 f["sample_seed"] = sub

@@ -189,8 +189,9 @@ class FinitePoset:
         whenever it is at most ``cap``.  Negative values void that guarantee.
 
         Each element's best chain below is read with ``map`` over the lower
-        covers, with no list built per element: the homomesy sampler runs
-        this pass dozens of times per sample.
+        covers, with no list built per element: tropical homomesy runs this
+        pass a+b times per sample on [a]x[b], once in the sampler and once
+        per membership check of the orbit window.
         """
         best = [None] * self.n
         best_at = best.__getitem__

@@ -543,20 +543,25 @@ def json_number(v, kind, what):
     truncate it), a huge number (``refuse_huge_number``) or anything
     ``kind`` cannot read raises ValueError naming ``what``."""
     text = v.text if isinstance(v, FloatLiteral) else v
-    refuse_huge_number(text, what)
+    refuse_huge_number(v, what)
     if not (isinstance(v, bool) or (kind is int and isinstance(v, float))):
         try:
             return kind(text)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             pass
     noun = "an integer" if kind is int else "a rational number"
-    shown = text if isinstance(v, FloatLiteral) else json.dumps(v, default=str)
-    raise ValueError(f"{what} must be {noun}, got {shown}")
+    raise ValueError(f"{what} must be {noun}, got {_as_written(v)}")
+
+
+def _as_written(v):
+    """``v`` as a JSON input wrote it: a ``FloatLiteral`` by its text, so
+    1e2 shows unquoted, and anything else as JSON, so a string is quoted."""
+    return v.text if isinstance(v, FloatLiteral) else json.dumps(v, default=str)
 
 
 def refuse_huge_number(v, what):
-    """ValueError naming ``what`` for a number string that cannot be read
-    quickly, or at all.
+    """ValueError naming ``what`` for a number string or ``FloatLiteral``
+    that cannot be read quickly, or at all.
 
     A decimal exponent past ``MAX_DECIMAL_EXPONENT`` in size is refused:
     ``Fraction`` would build 10**exponent, which for "1e100000000" runs for
@@ -564,17 +569,19 @@ def refuse_huge_number(v, what):
     Python reads into an integer (``sys.get_int_max_str_digits()``, 4300 by
     default), without printing them; ``cli`` reads such a JSON integer
     literal as its text, and a float literal with its text
-    (``FloatLiteral``), so they are refused here by their field too.
+    (``FloatLiteral``), so they are refused here by their field too.  The
+    refusal shows the number as written (``_as_written``).
     """
-    if not isinstance(v, str):
+    text = v.text if isinstance(v, FloatLiteral) else v
+    if not isinstance(text, str):
         return
-    m = _DECIMAL.fullmatch(v)
+    m = _DECIMAL.fullmatch(text)
     digits = m["exp"].replace("_", "").lstrip("0") if m else ""
     if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"{what} has a decimal exponent past {MAX_DECIMAL_EXPONENT}, "
-                         f"got {json.dumps(v)}")
+                         f"got {_as_written(v)}")
     limit = sys.get_int_max_str_digits()
-    if limit and re.search(rf"\d{{{limit + 1}}}", v.replace("_", "")):
+    if limit and re.search(rf"\d{{{limit + 1}}}", text.replace("_", "")):
         raise ValueError(f"{what} has more than {limit} digits, "
                          f"the most Python reads in an integer")
 

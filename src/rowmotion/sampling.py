@@ -65,46 +65,21 @@ def sample_generic_labeling(poset, realm_config, seed):
     raise ValueError(f"unknown realm {kind!r}")
 
 
-def sample_chain_polytope_point(poset, rng, denominator=60, rejection_rounds=64):
+def sample_chain_polytope_point(poset, rng, denominator=60):
     """Random rational point of the chain polytope; its entries share one
-    denominator, ``denominator`` or the W below.
+    denominator, max(``denominator``, W) for the W below.
 
     Draws integer numerators k in [0, denominator], one per element, and
-    accepts the point k/denominator when the largest chain sum of the k
-    (``FinitePoset.max_chain_sum``, one longest-chain pass over the covers)
-    is at most ``denominator``.  The pass is capped at ``denominator``, so a
-    rejected draw stops at its first partial chain sum above it.  When
-    rejection keeps missing (the polytope volume shrinks fast with poset
-    size), the last draw is scaled down by its largest chain sum W, from one
-    uncapped pass: the point k/W lies exactly on the polytope.
-
-    The numerators are ``draw_below(rng, denominator + 1, n)``: the values
-    and the final ``rng`` state of plain ``randrange`` calls, drawn faster.
+    scales them by max(denominator, W), where W is their largest chain sum
+    (``FinitePoset.max_chain_sum``, one longest-chain pass over the covers).
+    The point's largest chain sum is min(1, W/denominator), so it is in the
+    chain polytope, and on the facet of its longest chain exactly when
+    W >= denominator.  One draw serves every poset; the law is not uniform
+    on the polytope.
     """
-    for _ in range(rejection_rounds):
-        numerators = draw_below(rng, denominator + 1, poset.n)
-        if poset.max_chain_sum(numerators, cap=denominator) <= denominator:
-            return [Fraction(k, denominator) for k in numerators]
-    worst = poset.max_chain_sum(numerators)
-    return [Fraction(k, worst) for k in numerators]
-
-
-def draw_below(rng, bound, count):
-    """``[rng.randrange(bound) for _ in range(count)]`` for a
-    ``random.Random``, the same values and the same final state, with its
-    rejection loop written out: ``getrandbits`` of the bound's bit length,
-    redrawn while it is not below ``bound``."""
-    if bound < 1:
-        raise ValueError(f"empty range: bound {bound}")
-    bits = bound.bit_length()
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        k = getrandbits(bits)
-        while k >= bound:
-            k = getrandbits(bits)
-        out.append(k)
-    return out
+    numerators = [rng.randrange(denominator + 1) for _ in range(poset.n)]
+    scale = max(denominator, poset.max_chain_sum(numerators))
+    return [Fraction(k, scale) for k in numerators]
 
 
 def _bounded_rational(rng):

@@ -188,7 +188,7 @@ def pl_homomesy_report(a, b, samples, seed):
     ab/(a+b).  Failures record the sample seed.
 
     The window runs on integers.  The sampled point's entries have one
-    common denominator L (their lcm, which divides the sampler's 60 or W),
+    common denominator L (their lcm, which divides the sampler's max(60, W)),
     and tropical rowmotion is homogeneous: max, + and negation commute with
     scaling the labels and c by L > 0.  So the numerators are iterated with
     c = L, and every check is scaled to match: labels in [0, L] with chain

@@ -48,20 +48,13 @@ def toggle_chain_form(poset, g, v):
     return g.replace(v, r.mul(r.constant(), r.inv_at(total, v)))
 
 
-def chain_polytope_point_by_chains(poset, rng, denominator=60, rejection_rounds=64):
+def chain_polytope_point_by_chains(poset, rng, denominator=60):
     """The chain-polytope sampler written over every maximal chain in
-    ``Fraction`` arithmetic: draw k/denominator per element, accept when
-    every maximal chain sums to at most 1, else scale the last draw down by
-    its largest chain sum."""
-    chains = poset.maximal_chains()
-    values = None
-    for _ in range(rejection_rounds):
-        values = [Fraction(rng.randrange(denominator + 1), denominator)
-                  for _ in range(poset.n)]
-        if all(sum(values[x] for x in chain) <= 1 for chain in chains):
-            return values
-    worst = max(sum(values[x] for x in chain) for chain in chains)
-    return [v / worst for v in values]
+    ``Fraction`` arithmetic: draw k/denominator per element, and scale the
+    draw down by its largest chain sum when that sum is above 1."""
+    values = [Fraction(rng.randrange(denominator + 1), denominator) for _ in range(poset.n)]
+    worst = max((sum(values[x] for x in chain) for chain in poset.maximal_chains()), default=0)
+    return [v / max(worst, 1) for v in values]
 
 
 def _paths(poset, v, upward):

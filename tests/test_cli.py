@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from rowmotion import stword
+from rowmotion import cli, stword
 from rowmotion.cli import _read_json, main
 from rowmotion.dynamics import antichain_rowmotion
 from rowmotion.errors import SingularValue
 from rowmotion.poset import product_of_chains
 from rowmotion.polynomials import MAX_DEGREE, Polynomial
 from rowmotion.ratfun import RationalFunction
-from rowmotion.realms import FractionMatrixRealm, RationalFunctionRealm, TropicalRealm
+from rowmotion.realms import (FUZZ_PRIME, FractionMatrixRealm, RationalFunctionRealm,
+                              TropicalRealm)
 from rowmotion.sampling import sample_matrix
 
 
@@ -335,6 +336,62 @@ def test_c_where_it_cannot_apply_exits_2(args, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["rowmotion", "stword"])
+@pytest.mark.parametrize("flags,message", [
+    (["--realm", "matp"], "--realm applies to a sampled labeling; with --in the realm block "
+     "gives the realm"),
+    (["--realm", "tropical"], "--realm applies to a sampled labeling; with --in the realm "
+     "block gives the realm"),
+    (["--p", "7"], "--p applies to a sampled labeling; with --in the realm block gives the "
+     "prime"),
+    (["--d", "3"], "--d applies to a sampled labeling; with --in the realm block gives the "
+     "dimension"),
+    (["--realm", "matp", "--d", "3", "--p", "7"], "--realm applies to a "
+     "sampled labeling; with --in the realm block gives the realm"),
+], ids=["realm-other", "realm-same", "p", "d", "all"])
+def test_realm_flags_with_in_exit_2(command, flags, message, tmp_path, capsys):
+    """--realm, --p and --d are refused with --in, as --c is, not ignored
+    in favour of the file's realm block; even a --realm that matches it."""
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(_labels({"realm": "tropical"}, "1", "1")))
+    code, err = _refused([command, "--chains", "2", "2", "--in", str(src), *flags], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_realm_flags_default_when_not_given(monkeypatch, capsys):
+    """Without --realm, --p and --d a sampled labeling is ratfun, a matp
+    one has p = 2^61 - 1 and d = 2, and homomesy --realm matp samples at
+    p = 2^61 - 1."""
+    code, rep = run(["rowmotion", "--chains", "2", "2", "--steps", "1"], capsys)
+    assert code == 0 and rep["realm"]["realm"] == "ratfun"
+    code, rep = run(["rowmotion", "--chains", "2", "2", "--realm", "matp", "--steps", "1"],
+                    capsys)
+    assert code == 0 and (rep["realm"]["p"], rep["realm"]["d"]) == (FUZZ_PRIME, 2)
+    code, rep = run(["stword", "--chains", "2", "2", "--realm", "matq"], capsys)
+    assert code == 0 and rep["realm"]["d"] == 2
+    configs = []
+    draw = cli.sample_matrix
+    monkeypatch.setattr(cli, "sample_matrix",
+                        lambda poset, cfg, *a: configs.append(cfg) or draw(poset, cfg, *a))
+    assert main(["homomesy", "--realm", "matp", "--a", "2", "--b", "2", "--samples", "2"]) == 0
+    assert [c["p"] for c in configs] == [FUZZ_PRIME, FUZZ_PRIME]
+
+
+@pytest.mark.parametrize("realm", ["tropical", "ratfun"])
+@pytest.mark.parametrize("p", ["4", "101"])
+def test_homomesy_p_for_another_realm_exits_2(realm, p, capsys):
+    """homomesy refuses a --p, prime or not, for a realm that has no prime,
+    as it refuses a composite one for matp."""
+    code, err = _refused(["homomesy", "--realm", realm, "--a", "2", "--b", "2",
+                          "--samples", "2", "--p", p], capsys)
+    assert code == 2
+    assert err == f"error: --p does not apply to --realm {realm}; it is the matp prime\n"
+    code, err = _refused(["homomesy", "--realm", "matp", "--a", "2", "--b", "2",
+                          "--samples", "2", "--p", "4"], capsys)
+    assert code == 2 and err == "error: p = 4 is not prime\n"
+
+
 def _refused(args, capsys):
     """Exit code and stderr of a refused run; nothing reaches stdout."""
     code = main(args)
@@ -468,17 +525,18 @@ def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     (None, ["--realm", "tropical", "--c", "2.5e1_000_000"],
      'realm config \'c\' has a decimal exponent past 10000, got "2.5e1_000_000"'),
     ('{"realm": {"realm": "tropical"}, "labels": {"0": 1e100000000, "1": 1, "2": 1, "3": 1}}',
-     [], 'label 0: a tropical label has a decimal exponent past 10000, got "1e100000000"'),
+     [], 'label 0: a tropical label has a decimal exponent past 10000, got 1e100000000'),
     ('{"realm": {"realm": "matq", "d": 1}, "labels": {"0": [[-1E-100000000]], "1": [[2]], '
      '"2": [[2]], "3": [[2]]}}', [],
-     'label 0: a matq entry has a decimal exponent past 10000, got "-1E-100000000"'),
+     'label 0: a matq entry has a decimal exponent past 10000, got -1E-100000000'),
     ('{"realm": {"realm": "tropical", "c": 2.5e1000000}, "labels": {"0": 1, "1": 1, "2": 1, '
-     '"3": 1}}', [], 'realm config \'c\' has a decimal exponent past 10000, got "2.5e1000000"'),
+     '"3": 1}}', [], 'realm config \'c\' has a decimal exponent past 10000, got 2.5e1000000'),
 ])
 def test_huge_decimal_exponent_exits_2_at_once(payload, flags, message, tmp_path, capsys):
     """A rational read from a decimal string or a JSON number literal (text
     here) would build 10**exponent; past the bound it is refused, naming
-    the field, before any time is spent."""
+    the field, before any time is spent.  The refusal shows the number as
+    the input wrote it: a string quoted, a number literal bare."""
     if payload is not None:
         src = tmp_path / "g.json"
         src.write_text(payload if isinstance(payload, str) else json.dumps(payload))

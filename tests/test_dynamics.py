@@ -552,8 +552,9 @@ def test_polytope_membership_bounds_every_value():
 
 def test_chain_polytope_sampler_matches_chain_enumeration():
     """The sampler draws the same points as the sampler written over every
-    maximal chain, on rectangles (accepting on [2]x[2], always scaling down
-    on [4]x[5]) and on a poset that is not a rectangle."""
+    maximal chain, on rectangles (inside the polytope or on a longest-chain
+    facet on [2]x[2], always on one on [4]x[5]) and on a poset that is not a
+    rectangle."""
     from rowmotion.sampling import sample_chain_polytope_point
 
     branchy = build_poset([(0, 2), (1, 2), (2, 3), (2, 4), (4, 5), (1, 6)])

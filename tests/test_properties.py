@@ -38,7 +38,7 @@ from rowmotion import (
 )
 from rowmotion.polynomials import MAX_DEGREE, Polynomial, monomial_gcd
 from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, Realm, _MatrixRealm
-from rowmotion.sampling import draw_below, sample_chain_polytope_point
+from rowmotion.sampling import sample_chain_polytope_point
 
 from poly_oracle import OraclePolynomial
 from toggle_fold import random_linear_extension, toggle_fold, values_or_singular
@@ -403,45 +403,40 @@ def test_capped_max_chain_sum_answers_the_uncapped_test(case, cap):
 DENOMINATORS = st.sampled_from((0, 1, 59, 60, 62, 63, 64, 127))
 
 
+def _randrange_chain_polytope_point(poset, rng, denominator):
+    """The sampler written with ``randrange``: one draw of numerators,
+    scaled by the larger of ``denominator`` and their largest chain sum."""
+    numerators = [rng.randrange(denominator + 1) for _ in range(poset.n)]
+    worst = poset.max_chain_sum(numerators)
+    return [Fraction(k, max(denominator, worst)) for k in numerators], worst
+
+
 @PROPERTY
-@given(st.integers(0, 2**64), DENOMINATORS, st.integers(0, 50))
-def test_draw_below_is_randrange(seed, denominator, count):
-    """``draw_below`` returns what ``randrange`` would, call for call, and
-    leaves the generator in the same state."""
+@given(posets(), st.integers(0, 2**64), DENOMINATORS)
+def test_chain_polytope_sampler_draws_like_randrange(poset, seed, denominator):
+    """The sampler's point (or its refusal of denominator 0) and final
+    generator state are those of one ``randrange`` draw per element scaled
+    by max(denominator, W), W the draw's largest chain sum.  The point is in
+    the chain polytope, its entries share that one denominator, and its
+    largest chain sum is 1 exactly when W >= denominator."""
     ours, theirs = random.Random(seed), random.Random(seed)
-    bound = denominator + 1
-    assert draw_below(ours, bound, count) == [theirs.randrange(bound) for _ in range(count)]
-    assert ours.getstate() == theirs.getstate()
-
-
-def _randrange_chain_polytope_point(poset, rng, denominator, rejection_rounds):
-    """The sampler written with ``randrange`` and an uncapped pass."""
-    for _ in range(rejection_rounds):
-        numerators = [rng.randrange(denominator + 1) for _ in range(poset.n)]
-        worst = poset.max_chain_sum(numerators)
-        if worst <= denominator:
-            return [Fraction(k, denominator) for k in numerators]
-    return [Fraction(k, worst) for k in numerators]
-
-
-def _point_or_error(sample, poset, rng, denominator, rounds):
     try:
-        return sample(poset, rng, denominator, rounds)
+        point = sample_chain_polytope_point(poset, ours, denominator)
     except ZeroDivisionError:
-        return ZeroDivisionError
-
-
-@PROPERTY
-@given(posets(), st.integers(0, 2**64), DENOMINATORS, st.integers(1, 8))
-def test_chain_polytope_sampler_draws_like_randrange(poset, seed, denominator, rounds):
-    """The sampler's points (or its refusal of denominator 0) and final
-    generator state are those of the same rejection loop on ``randrange``
-    draws with an uncapped longest-chain pass."""
-    ours, theirs = random.Random(seed), random.Random(seed)
-    assert (_point_or_error(sample_chain_polytope_point, poset, ours, denominator, rounds)
-            == _point_or_error(_randrange_chain_polytope_point, poset, theirs, denominator,
-                               rounds))
+        point = ZeroDivisionError
+    try:
+        expected, worst = _randrange_chain_polytope_point(poset, theirs, denominator)
+    except ZeroDivisionError:
+        expected = ZeroDivisionError
+    assert point == expected
     assert ours.getstate() == theirs.getstate()
+    if point is ZeroDivisionError:
+        assert denominator == 0
+        return
+    scale = max(denominator, worst)
+    assert polytope_membership("chain", poset, point)
+    assert all((scale * v).denominator == 1 for v in point)
+    assert (poset.max_chain_sum(point) == 1) == (worst >= denominator)
 
 
 @PROPERTY
