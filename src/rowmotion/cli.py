@@ -31,36 +31,71 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _refuse_empty_counts(args)
         report, ok = args.handler(args)
         if report is not None:
             _emit(report, args)
     except (OSError, OverflowError, PosetError, SingularValue, SamplingExhausted,
-            ValueError) as exc:
+            ValueError, _Refused) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1
 
 
-def _refuse_empty_counts(args):
-    """Refuse a count below 1, which would report a vacuous pass."""
-    for name in ("samples", "trials", "amax", "bmax", "dmax", "steps"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{name} must be at least 1, got {value}")
+# The flags each source reads: a labeling source of ``rowmotion`` and ``stword``
+# (a sampled realm, or ``--in``), or a ``homomesy`` realm.  A refusal names the
+# first flag in ``_FLAGS`` order that is given and not read.
+_FLAGS = {"labeling": ("c", "realm", "p", "d"), "homomesy": ("p", "samples")}
+_READS = {
+    "labeling": {"tropical": ("realm", "c"), "ratfun": ("realm",),
+                 "matp": ("realm", "p", "d", "c"), "matq": ("realm", "d", "c"), "--in": ()},
+    "homomesy": {"ratfun": (), "matp": ("samples", "p"), "tropical": ("samples",)},
+}
+_DEFAULTS = {"realm": "ratfun", "p": FUZZ_PRIME, "d": 2, "samples": 100}
+_WHY_UNREAD = {"c": ", whose constant is the variable C", "p": "; it is the matp prime",
+               "d": "; it is the matrix dimension", "samples": "; its one labeling is symbolic"}
+_IN_GIVES = {"c": "constant", "realm": "realm", "p": "prime", "d": "dimension"}
 
 
-def _int_option(p, flag, **kwargs):
-    """Add the integer option ``flag`` to the parser ``p``.  A value with
-    more digits than Python reads into an int is refused naming the flag
-    and the limit (``realms.refuse_huge_number``), echoing no digit, as an
-    OverflowError: argparse passes that on, so ``main`` prints one
-    ``error:`` line, where argparse would print its usage and every digit."""
+def _read_flags(args, kind, source):
+    """The flags of ``kind`` that ``source`` reads, as {flag: value}, with
+    the default for one not given (--c has none).  A flag given that
+    ``source`` does not read is refused, not ignored."""
+    values = {}
+    for flag in _FLAGS[kind]:
+        value = getattr(args, flag)
+        if flag in _READS[kind][source]:
+            values[flag] = _DEFAULTS.get(flag) if value is None else value
+        elif value is not None and source == "--in":
+            raise ValueError(f"--{flag} applies to a sampled labeling; with --in the realm "
+                             f"block gives the {_IN_GIVES[flag]}")
+        elif value is not None:
+            raise ValueError(f"--{flag} does not apply to --realm {source}"
+                             f"{_WHY_UNREAD[flag]}")
+    return {flag: value for flag, value in values.items() if value is not None}
+
+
+def _help(kind, flag, text):
+    """``text`` and the sources of ``kind`` that read ``flag``, for --help."""
+    return f"{text}; read by --realm " + ", ".join(
+        s for s, flags in _READS[kind].items() if flag in flags)
+
+
+class _Refused(Exception):
+    """An option value refused by its ``type``, which argparse passes on."""
+
+
+def _int_option(p, flag, least=None, **kwargs):
+    """Add the integer option ``flag`` to the parser ``p``, refusing a value
+    below ``least`` (a count of 0 would report a vacuous pass), and one with
+    more digits than Python reads into an int naming the flag and the limit
+    (``realms.refuse_huge_number``), where argparse would print every digit."""
     def read(text):
         try:
             refuse_huge_number(text, flag)
         except ValueError as exc:
-            raise OverflowError(str(exc)) from None
+            raise _Refused(str(exc)) from None
+        if least is not None and int(text) < least:
+            raise _Refused(f"{flag} must be at least {least}, got {int(text)}")
         return int(text)
 
     read.__name__ = "int"  # argparse's own refusal: "invalid int value: 'x'"
@@ -96,41 +131,37 @@ def _build_parser():
     _poset_source(p)
     _realm_flags(p)
     p.add_argument("--mode", choices=["transfer", "toggles"], default="transfer")
-    _int_option(p, "--steps", help="iteration bound (default 4(a+b))")
-    p.add_argument("--in", dest="labels_in", help="labeling JSON file, whose realm block "
-                   "gives --realm, --p, --d and --c")
+    _int_option(p, "--steps", least=1, help="iteration bound (default 4(a+b))")
     p.set_defaults(handler=_cmd_rowmotion)
 
     p = sub.add_parser("stword", parents=[common],
                        help="fiber word of a labeling on [a]x[b]")
     _int_option(p, "--chains", nargs=2, required=True, metavar=("A", "B"))
     _realm_flags(p)
-    p.add_argument("--in", dest="labels_in", help="labeling JSON file, whose realm block "
-                   "gives --realm, --p, --d and --c")
     p.set_defaults(handler=_cmd_stword)
 
     p = sub.add_parser("homomesy", parents=[common],
                        help="orbit fiber products / means against their contracts")
-    p.add_argument("--realm", choices=["ratfun", "matp", "tropical"], required=True)
+    p.add_argument("--realm", choices=list(_READS["homomesy"]), required=True)
     _int_option(p, "--a", required=True)
     _int_option(p, "--b", required=True)
-    _int_option(p, "--samples", default=100)
-    _int_option(p, "--p", help=f"matp prime (default {FUZZ_PRIME}; refused for the "
-                "other realms)")
+    _int_option(p, "--samples", least=1,
+                help=_help("homomesy", "samples", "labelings sampled (default 100)"))
+    _int_option(p, "--p", help=_help("homomesy", "p", f"prime (default {FUZZ_PRIME})"))
     p.set_defaults(handler=_cmd_homomesy)
 
     p = sub.add_parser("fuzz-nar", parents=[common],
                        help="fuzz the noncommutative periodicity conjecture")
-    _int_option(p, "--amax", default=3)
-    _int_option(p, "--bmax", default=3)
-    _int_option(p, "--dmax", default=3)
-    _int_option(p, "--trials", default=100)
+    _int_option(p, "--amax", least=1, default=3)
+    _int_option(p, "--bmax", least=1, default=3)
+    _int_option(p, "--dmax", least=1, default=3)
+    _int_option(p, "--trials", least=1, default=100)
     _int_option(p, "--p", default=FUZZ_PRIME)
     p.set_defaults(handler=_cmd_fuzz)
 
     p = sub.add_parser("fixtures", parents=[common],
                        help="run the worked-example regression table")
-    _int_option(p, "--samples", default=100)
+    _int_option(p, "--samples", least=1, default=_DEFAULTS["samples"])
     p.set_defaults(handler=_cmd_fixtures)
     return parser
 
@@ -141,24 +172,27 @@ def _poset_source(p):
 
 
 def _realm_flags(p):
-    """The flags of a sampled labeling's realm.  Each defaults to None, so
-    ``_load_labeling`` can refuse one given with ``--in``; ``_realm_config``
-    fills in the defaults."""
-    p.add_argument("--realm", choices=["tropical", "ratfun", "matp", "matq"],
+    """The labeling sources: ``--in``, or a sampled realm and its flags.
+    Each defaults to None, so ``_read_flags`` can tell a flag given."""
+    p.add_argument("--realm", choices=[s for s in _READS["labeling"] if s != "--in"],
                    help="realm of a sampled labeling (default ratfun)")
-    _int_option(p, "--p", help=f"matp prime (default {FUZZ_PRIME})")
-    _int_option(p, "--d", help="matrix dimension (default 2)")
-    p.add_argument("--c", help="central constant of a sampled labeling (tropical: default "
-                   "1; matp, matq: drawn at random when not given; refused for ratfun, "
-                   "whose constant is the variable C)")
+    _int_option(p, "--p", help=_help("labeling", "p", f"prime (default {FUZZ_PRIME})"))
+    _int_option(p, "--d", help=_help("labeling", "d", "matrix dimension (default 2)"))
+    p.add_argument("--c", help=_help("labeling", "c", "central constant (tropical: default "
+                                     "1; matp, matq: drawn at random when not given)"))
+    p.add_argument("--in", dest="labels_in", help="labeling JSON file, whose realm block "
+                   "gives --realm, --p, --d and --c")
 
 
 def _load_poset(args):
-    if args.poset:
-        return poset_from_json(_read_json(args.poset))
-    if args.chains:
+    if args.poset is None:
+        if args.chains is None:
+            raise ValueError("give --poset FILE or --chains A B")
         return product_of_chains(*args.chains)
-    raise ValueError("give --poset FILE or --chains A B")
+    poset = poset_from_json(_read_json(args.poset))  # a bad file is named first
+    if args.chains is not None:
+        raise ValueError("give --poset FILE or --chains A B, not both")
+    return poset
 
 
 def _read_json(path):
@@ -195,23 +229,6 @@ def _unique_keys(pairs):
     return obj
 
 
-def _realm_config(args):
-    """The realm block of a sampled labeling, from the realm flags and their
-    defaults: realm ratfun, p ``FUZZ_PRIME``, d 2."""
-    kind = args.realm or "ratfun"
-    cfg = {"realm": kind}
-    if kind == "matp":
-        cfg["p"] = FUZZ_PRIME if args.p is None else args.p
-    if kind in ("matp", "matq"):
-        cfg["d"] = 2 if args.d is None else args.d
-    if args.c is not None:
-        if kind == "ratfun":
-            raise ValueError("--c does not apply to --realm ratfun, whose constant is "
-                             "the variable C")
-        cfg["c"] = args.c
-    return cfg
-
-
 def _load_labeling(args, poset, walk):
     """``walk(g)`` for the command's labeling g of ``poset``: read from
     ``--in``, or sampled from the realm flags and ``--seed``.
@@ -219,17 +236,12 @@ def _load_labeling(args, poset, walk):
     A sampled matrix labeling (matp, matq) is redrawn while ``walk``, the
     command's own work on it, meets a singular value
     (``sampling.sample_matrix``).  A labeling read with ``--in`` is walked
-    as given, and the realm flags are refused with it: its realm block
-    gives the realm, c, p and d.
-    """
-    if args.labels_in:
-        for flag, what in (("c", "constant"), ("realm", "realm"), ("p", "prime"),
-                           ("d", "dimension")):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} applies to a sampled labeling; with --in the "
-                                 f"realm block gives the {what}")
+    as given: its realm block gives the realm, c, p and d, which a sampled
+    one takes from the flags its realm reads (``_read_flags``)."""
+    source = "--in" if args.labels_in is not None else args.realm or _DEFAULTS["realm"]
+    cfg = _read_flags(args, "labeling", source)
+    if source == "--in":
         return walk(labeling_from_json(_read_json(args.labels_in), poset))
-    cfg = _realm_config(args)
     if cfg["realm"] in ("matp", "matq"):
         return sample_matrix(poset, cfg, args.seed, walk)
     return walk(sample_generic_labeling(poset, cfg, args.seed))
@@ -237,13 +249,11 @@ def _load_labeling(args, poset, walk):
 
 def _cmd_poset(args):
     poset = _load_poset(args)
-    report = {"command": "poset", "seed": args.seed, "poset": poset_to_json(poset)}
-    return report, True
+    return {"command": "poset", "seed": args.seed, "poset": poset_to_json(poset)}, True
 
 
 def _cmd_orbits(args):
-    a, b = args.chains
-    report = orbit_report(a, b)
+    report = orbit_report(*args.chains)
     report.update({"command": "orbits", "realm": "comb", "seed": args.seed})
     return report, True
 
@@ -274,38 +284,31 @@ def _cmd_stword(args):
 
 def _cmd_homomesy(args):
     a, b = args.a, args.b
-    if args.p is not None and args.realm != "matp":
-        raise ValueError(f"--p does not apply to --realm {args.realm}; it is the matp prime")
+    flags = _read_flags(args, "homomesy", args.realm)
     poset = product_of_chains(a, b)
     report = {"command": "homomesy", "realm": args.realm, "a": a, "b": b,
               "seed": args.seed}
     if args.realm == "tropical":
-        report["report"] = pl_homomesy_report(a, b, args.samples, args.seed)
+        report["report"] = pl_homomesy_report(a, b, flags["samples"], args.seed)
         return report, report["report"]["all_exact"]
     if args.realm == "ratfun":
         g = sample_generic_labeling(poset, {"realm": "ratfun"}, args.seed)
-        fibers = fiber_product_checks(poset, orbit_window(poset, g))
-        report["fibers"] = fibers
-        ok = all(f["pass"] for f in fibers)
-        return report, ok
+        report["fibers"] = fibers = fiber_product_checks(poset, orbit_window(poset, g))
+        return report, all(f["pass"] for f in fibers)
     # matp: sampled scalar labelings (d = 1; the product contract is
     # commutative-realm only), each redrawn while its window meets a
     # singular value.
-    cfg = {"realm": "matp", "p": FUZZ_PRIME if args.p is None else args.p, "d": 1}
+    cfg = {"realm": "matp", "p": flags["p"], "d": 1}
     fibers = []
-    ok = True
-    for idx in range(args.samples):
+    for idx in range(flags["samples"]):
         sub = derive_seed(args.seed, "homomesy", idx)
         window = sample_matrix(poset, cfg, sub, lambda g: orbit_window(poset, g))
         for f in fiber_product_checks(poset, window):
             if not f["pass"]:
                 f["sample_seed"] = sub
                 fibers.append(f)
-                ok = False
-    report["samples"] = args.samples
-    report["failures"] = fibers
-    report["all_pass"] = ok
-    return report, ok
+    report.update(samples=flags["samples"], failures=fibers, all_pass=not fibers)
+    return report, not fibers
 
 
 def _cmd_fuzz(args):
@@ -316,19 +319,16 @@ def _cmd_fuzz(args):
 
 def _cmd_fixtures(args):
     results = run_figure_fixtures(samples=args.samples, seed=args.seed)
-    report = {
-        "command": "fixtures",
-        "seed": args.seed,
-        "fixtures": [r.to_json() for r in results],
-        "all_pass": all(r.passed for r in results),
-    }
+    report = {"command": "fixtures", "seed": args.seed,
+              "fixtures": [r.to_json() for r in results],
+              "all_pass": all(r.passed for r in results)}
     print(fixture_table(results), file=sys.stderr)
     return report, report["all_pass"]
 
 
 def _emit(report, args):
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:

@@ -26,7 +26,7 @@ from .errors import SingularValue
 from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm, TropicalRealm
-from .sampling import derive_seed, draw_fp_labels, symbolic_labeling
+from .sampling import derive_seed, sample_matrix, symbolic_labeling
 from .stword import constant_power, fiber_product_checks, orbit_window, st_word
 
 
@@ -322,34 +322,30 @@ def _nar_expected_steps(realm, w, x, y, z):
 def _fx_nar_2x2_orbit(samples, seed):
     p = product_of_chains(2, 2)
     per_d = max(1, samples)
+
+    def mismatch(g):
+        """The first step at which g's orbit leaves the worked example, or
+        None; a singular value on the way redraws g (``sample_matrix``)."""
+        realm = g.realm
+        expected_steps, st0 = _nar_expected_steps(realm, *g.values)
+        cur = g
+        for k in range(1, 5):
+            cur = antichain_rowmotion(p, cur, mode="toggles")
+            want = expected_steps[k % 4]
+            if any(not realm.eq(cur[e], want[e]) for e in range(4)):
+                return f"label mismatch at d={realm.d}, step {k}"
+            got = st_word(p, cur).entries
+            rot = _rot(tuple(st0), k)
+            if any(not realm.eq(got[i], rot[i]) for i in range(4)):
+                return f"word mismatch at d={realm.d}, step {k}"
+        return None if cur.eq(g) else f"no return after 4 steps at d={realm.d}"
+
     for d in (1, 2, 3):
-        done = 0
-        attempt = 0
-        while done < per_d:
-            attempt += 1
-            if attempt > 4 * per_d:
-                return False, f"too many singular samples at d={d}"
-            rng = random.Random(derive_seed(seed, "nar-fixture", d, attempt))
-            labels, c = draw_fp_labels(rng, 4, d, FUZZ_PRIME)
-            realm = FpMatrixRealm(FUZZ_PRIME, d, c=c)
-            g = Labeling(realm, labels)
-            try:
-                expected_steps, st0 = _nar_expected_steps(realm, *g.values)
-                cur = g
-                for k in range(1, 5):
-                    cur = antichain_rowmotion(p, cur, mode="toggles")
-                    want = expected_steps[k % 4]
-                    if any(not realm.eq(cur[e], want[e]) for e in range(4)):
-                        return False, f"label mismatch at d={d}, step {k}"
-                    got = st_word(p, cur).entries
-                    rot = _rot(tuple(st0), k)
-                    if any(not realm.eq(got[i], rot[i]) for i in range(4)):
-                        return False, f"word mismatch at d={d}, step {k}"
-                if not cur.eq(g):
-                    return False, f"no return after 4 steps at d={d}"
-            except SingularValue:
-                continue
-            done += 1
+        cfg = {"realm": "matp", "p": FUZZ_PRIME, "d": d}
+        for idx in range(per_d):
+            miss = sample_matrix(p, cfg, derive_seed(seed, "nar-fixture", d, idx), mismatch)
+            if miss:
+                return False, miss
     return True, f"{per_d} samples at each d in (1, 2, 3)"
 
 

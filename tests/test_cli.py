@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rowmotion import cli, stword
+from rowmotion import cli, fixtures, stword
 from rowmotion.cli import _read_json, main
 from rowmotion.dynamics import antichain_rowmotion
 from rowmotion.errors import SingularValue
@@ -779,3 +779,146 @@ def test_count_below_one_exits_2(args, capsys):
     flag, value = args[-2:]
     assert code == 2
     assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+# The flags each labeling source of rowmotion and stword reads (a sampled
+# realm, or --in), and each homomesy realm, with a value every reader accepts.
+# --seed is read everywhere: every report records it.
+LABELING_READS = {"tropical": {"--c"}, "ratfun": set(), "matp": {"--p", "--d", "--c"},
+                  "matq": {"--d", "--c"}, "--in": set()}
+HOMOMESY_READS = {"tropical": {"--samples"}, "ratfun": set(), "matp": {"--samples", "--p"}}
+FLAG_VALUE = {"--realm": "matp", "--p": "101", "--d": "1", "--c": "3", "--samples": "2",
+              "--seed": "5"}
+
+
+def _flag_cases():
+    cases = [(command, source, flag, flag in reads | {"--seed"})
+             for command in ("rowmotion", "stword")
+             for source, reads in LABELING_READS.items()
+             for flag in ["--realm"] * (source == "--in") + ["--p", "--d", "--c", "--seed"]]
+    cases += [("homomesy", source, flag, flag in reads | {"--seed"})
+              for source, reads in HOMOMESY_READS.items()
+              for flag in ("--p", "--samples", "--seed")]
+    return [pytest.param(*case, id="-".join([case[0], case[1].lstrip("-"), case[2].lstrip("-"),
+                                              "read" if case[3] else "refused"]))
+            for case in cases]
+
+
+@pytest.mark.parametrize("command,source,flag,read", _flag_cases())
+def test_flag_is_read_or_refused(command, source, flag, read, tmp_path, capsys):
+    """Each flag is read by the sources that use it and refused, with one
+    ``error:`` line, by every other: none is accepted and ignored."""
+    if command == "homomesy":
+        args = ["homomesy", "--realm", source, "--a", "2", "--b", "2"]
+    elif source == "--in":
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(_labels({"realm": "tropical"}, "1", "1")))
+        args = [command, "--chains", "2", "2", "--in", str(src)]
+    else:
+        args = [command, "--chains", "2", "2", "--realm", source]
+    args += ["--steps", "1"] * (command == "rowmotion") + [flag, FLAG_VALUE[flag]]
+    if read:
+        code, rep = run(args, capsys)
+        assert code == 0 and rep["seed"] == (5 if flag == "--seed" else 0)
+        return
+    code, err = _refused(args, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if source == "--in":
+        assert err.startswith(f"error: {flag} applies to a sampled labeling; with --in ")
+    else:
+        assert err.startswith(f"error: {flag} does not apply to --realm {source}")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["rowmotion", "--chains", "2", "2", "--realm", "tropical", "--p", "4", "--d", "9",
+      "--steps", "1"], "--p does not apply to --realm tropical; it is the matp prime"),
+    (["stword", "--chains", "2", "2", "--realm", "matq", "--p", "4"],
+     "--p does not apply to --realm matq; it is the matp prime"),
+    (["rowmotion", "--chains", "2", "2", "--realm", "tropical", "--d", "9"],
+     "--d does not apply to --realm tropical; it is the matrix dimension"),
+    (["homomesy", "--realm", "ratfun", "--a", "2", "--b", "2", "--samples", "7"],
+     "--samples does not apply to --realm ratfun; its one labeling is symbolic"),
+    (["rowmotion", "--poset", "P", "--chains", "3", "3", "--realm", "tropical"],
+     "give --poset FILE or --chains A B, not both"),
+    (["poset", "--poset", "P", "--chains", "3", "3"],
+     "give --poset FILE or --chains A B, not both"),
+], ids=["rowmotion-tropical-p-d", "stword-matq-p", "rowmotion-tropical-d",
+        "homomesy-ratfun-samples", "rowmotion-poset-chains", "poset-poset-chains"])
+def test_flag_once_ignored_exits_2(args, message, tmp_path, capsys):
+    """A flag its source does not read is refused with the reason, and a
+    poset given both as a file and as --chains is refused."""
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps({"chains": [2, 2]}))
+    code, err = _refused([str(src) if a == "P" else a for a in args], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_homomesy_ratfun_3x3_passes(capsys):
+    """Symbolic homomesy on [3]x[3] finishes in desk time and passes."""
+    start = time.monotonic()
+    code, rep = run(["homomesy", "--realm", "ratfun", "--a", "3", "--b", "3"], capsys)
+    assert time.monotonic() - start < 60
+    assert code == 0 and all(f["pass"] for f in rep["fibers"])
+
+
+def test_toggle_and_transfer_orbits_agree(capsys):
+    """The two rowmotion modes report the same orbit for one seed."""
+    args = ["rowmotion", "--chains", "4", "5", "--realm", "matp", "--d", "3", "--seed", "5"]
+    reports = [run(args + ["--mode", mode], capsys) for mode in ("toggles", "transfer")]
+    assert [code for code, _ in reports] == [0, 0]
+    assert reports[0][1]["steps"] == reports[1][1]["steps"]
+
+
+def test_fuzz_at_a_small_prime_redraws_singular_labelings(capsys):
+    """At p = 101 some d = 4 draws are singular; they are redrawn and every
+    trial still passes."""
+    code, rep = run(["fuzz-nar", "--amax", "2", "--bmax", "2", "--dmax", "4", "--trials", "5",
+                     "--p", "101", "--seed", "3"], capsys)
+    assert code == 0 and rep["all_pass"]
+    assert any(c["singular_resamples"] for c in rep["cells"] if c["d"] == 4)
+
+
+NAR_EXPECTED_STEPS = fixtures._nar_expected_steps
+
+
+def _singular(realm, *labels):
+    raise SingularValue("singular")
+
+
+def _shifted(realm, *labels):
+    """The worked example's orbit, one step ahead."""
+    steps, st0 = NAR_EXPECTED_STEPS(realm, *labels)
+    return steps[1:] + steps[:1], st0
+
+
+@pytest.mark.parametrize("expected,detail", [
+    (_singular, "raised SamplingExhausted: no nonsingular labeling after 32 attempts"),
+    (_shifted, "label mismatch at d=1, step 1"),
+], ids=["all-draws-singular", "wrong-orbit"])
+def test_noncommutative_fixture_failure_is_reported(expected, detail, monkeypatch, capsys):
+    """The noncommutative orbit fixture fails in the table, and the run
+    goes on to the other fixtures, when every draw is singular (the redraws
+    run out) and when the orbit leaves the worked example."""
+    monkeypatch.setattr(fixtures, "_nar_expected_steps", expected)
+    code, rep = run(["fixtures", "--samples", "1"], capsys)
+    assert code == 1
+    failed = [f for f in rep["fixtures"] if not f["passed"]]
+    assert [f["name"] for f in failed] == ["nar-2x2-orbit"]
+    assert failed[0]["detail"].startswith(detail)
+
+
+@pytest.mark.parametrize("args", [
+    ["rowmotion", "--chains", "2", "2", "--in", ""],
+    ["stword", "--chains", "2", "2", "--in", ""],
+    ["rowmotion", "--chains", "2", "2", "--poset", ""],
+    ["poset", "--chains", "2", "2", "--out", ""],
+], ids=["rowmotion-in", "stword-in", "poset", "out"])
+def test_empty_path_is_refused_not_ignored(args, capsys):
+    """An empty file name is a file that cannot be opened, not a flag left
+    out: the run is refused, not made from a sampled labeling, from
+    --chains or onto stdout."""
+    code, err = _refused(args, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "''" in err
