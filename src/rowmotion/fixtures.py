@@ -9,7 +9,6 @@ The CLI ``fixtures`` command prints the pass/fail table.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,11 +21,10 @@ from .combinatorial import (
     st_word_combinatorial,
 )
 from .dynamics import TransferKind, antichain_rowmotion, iterate, transfer
-from .errors import SingularValue
 from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm, TropicalRealm
-from .sampling import derive_seed, sample_matrix, symbolic_labeling
+from .sampling import derive_seed, redraw, sample_matrix, symbolic_labeling
 from .stword import constant_power, fiber_product_checks, orbit_window, st_word
 
 
@@ -350,40 +348,37 @@ def _fx_nar_2x2_orbit(samples, seed):
 
 
 def _fx_skew_inverse_sum(samples, seed):
+    """inv(inv(x) + inv(y)) equals y*inv(x+y)*x and x*inv(x+y)*y on every
+    sampled pair, and each of four wrong forms differs from it on some pair
+    at each d >= 2 (none at d = 1).  Pair ``idx`` is drawn by the one redraw
+    rule, ``sampling.redraw``, under (seed, "skew", d, idx)."""
     per_d = max(1, samples)
     wrong_forms_missed = []
     for d in (1, 2, 3):
+        realm = FpMatrixRealm(FUZZ_PRIME, d, c=1)
+        inv, add, mul = realm.inv, realm.add, realm.mul
+
+        def draw(rng):
+            return [tuple(rng.randrange(FUZZ_PRIME) for _ in range(d * d)) for _ in range(2)]
+
+        def forms(pair):
+            x, y = pair
+            lhs = inv(add(inv(x), inv(y)))
+            s_inv = inv(add(x, y))
+            return lhs, [mul(mul(y, s_inv), x), mul(mul(x, s_inv), y),
+                         mul(mul(y, x), s_inv), mul(s_inv, mul(x, y)),
+                         mul(mul(x, y), s_inv), mul(s_inv, mul(y, x))]
+
         wrong_seen = [False] * 4
-        done = 0
-        attempt = 0
-        while done < per_d:
-            attempt += 1
-            if attempt > 4 * per_d:
-                return False, f"too many singular samples at d={d}"
-            rng = random.Random(derive_seed(seed, "skew", d, attempt))
-            realm = FpMatrixRealm(FUZZ_PRIME, d, c=1)
-            draw = lambda: tuple(rng.randrange(FUZZ_PRIME) for _ in range(d * d))
-            x, y = draw(), draw()
-            try:
-                lhs = realm.inv(realm.add(realm.inv(x), realm.inv(y)))
-                s_inv = realm.inv(realm.add(x, y))
-            except SingularValue:
-                continue
-            mul = realm.mul
-            if not realm.eq(lhs, mul(mul(y, s_inv), x)):
+        for idx in range(per_d):
+            (lhs, (first, second, *wrong)), _ = redraw(draw, forms, seed, "skew", d, idx)
+            if not realm.eq(lhs, first):
                 return False, f"first good form failed at d={d}"
-            if not realm.eq(lhs, mul(mul(x, s_inv), y)):
+            if not realm.eq(lhs, second):
                 return False, f"second good form failed at d={d}"
-            wrong = [
-                mul(mul(y, x), s_inv),
-                mul(s_inv, mul(x, y)),
-                mul(mul(x, y), s_inv),
-                mul(s_inv, mul(y, x)),
-            ]
             for i, form in enumerate(wrong):
                 if not realm.eq(lhs, form):
                     wrong_seen[i] = True
-            done += 1
         if d == 1 and any(wrong_seen):
             return False, "a commuting sample separated the equal scalar forms"
         if d >= 2 and not all(wrong_seen):

@@ -13,21 +13,23 @@ to antichain rowmotion through the down-transfer); that proof has not been
 checked here, so the grid gathers evidence, nothing more, and a confirmed
 counterexample points first to a bug in this code.
 
-Reports are deterministic functions of the master seed: every trial draws
-from a sub-seed derived by hashing (seed, cell, trial index), so scheduling
-cannot change the output.
+Reports are deterministic functions of the master seed: every trial is
+redrawn (``sampling.redraw``, a bare ``draw_fp_labels`` per attempt, no
+realm) under a sub-seed derived by hashing (seed, cell, trial index), so
+scheduling cannot change the output.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from . import kernel
-from .errors import SingularValue
+from .errors import SamplingExhausted, SingularValue
 from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm
-from .sampling import RESAMPLE_LIMIT, derive_seed, draw_fp_labels
+from .sampling import RESAMPLE_LIMIT, derive_seed, draw_fp_labels, redraw
 
 CONJECTURE_NOTES = [
     "Periodicity claim under test: toggle-mode antichain rowmotion over a "
@@ -48,39 +50,37 @@ def fuzz_nar_periodicity(a, b, d, trials, seed, p=FUZZ_PRIME):
     """Run one (a, b, d, p) fuzz cell; returns its report dict.
 
     A trial passes when the first return time divides a+b (an earlier return
-    is recorded, not failed).  Sampling retries on singular intermediates up
-    to the retry bound, then the trial counts as exhausted.  A counterexample
-    is re-verified once, from a freshly derived seed, through the generic
-    realm code path before being reported.
+    is recorded, not failed).  A draw that meets a singular value is redrawn;
+    after the retry bound the trial counts as exhausted.  A counterexample
+    records the seed of its accepted attempt and is re-verified once from
+    it, through the generic realm code path, before being reported.
     """
     poset = product_of_chains(a, b)
     engine = kernel.make_engine(poset, d, p)
     steps = a + b
     passes = failures = exhausted = early_returns = singular_resamples = 0
     counterexamples = []
+    draw = partial(draw_fp_labels, n=poset.n, d=d, p=p)
+
+    def walk(drawn):
+        return engine.first_return(*drawn, steps)
+
     for t in range(trials):
         trial_seed = derive_seed(seed, "nar-trial", a, b, d, t)
-        outcome = None
-        for attempt in range(RESAMPLE_LIMIT):
-            attempt_seed = derive_seed(trial_seed, attempt)
-            labels, c = draw_fp_labels(random.Random(attempt_seed), poset.n, d, p)
-            try:
-                m = engine.first_return(labels, c, steps)
-            except SingularValue:
-                singular_resamples += 1
-                continue
-            outcome = (m, attempt_seed, labels, c)
-            break
-        if outcome is None:
+        try:
+            m, k = redraw(draw, walk, trial_seed)
+        except SamplingExhausted:
             exhausted += 1
+            singular_resamples += RESAMPLE_LIMIT
             continue
-        m, attempt_seed, labels, c = outcome
+        singular_resamples += k
         if 0 < m < steps:
             early_returns += 1
         if m > 0 and steps % m == 0:
             passes += 1
         else:
             failures += 1
+            attempt_seed = derive_seed(trial_seed, k)
             counterexamples.append({
                 "trial": t,
                 "seed": attempt_seed,

@@ -331,14 +331,22 @@ def poset_to_json(poset):
     return obj
 
 
+# The keys of a poset document: those ``poset_to_json`` writes.
+_POSET_KEYS = ("chains", "coords", "elements", "covers", "names")
+
+
 def poset_from_json(obj):
     """Read a poset from {"chains": [a, b]} or {"elements": ..., "covers": ...}.
 
-    Element ids are strings or integers.  Input of the wrong shape raises
-    PosetError saying which part is malformed.
+    Element ids are strings or integers.  Input of the wrong shape, or a key
+    that ``poset_to_json`` does not write, raises PosetError saying which
+    part is malformed.
     """
     if not isinstance(obj, dict):
         raise PosetError("poset must be a JSON object")
+    for key in obj:
+        if key not in _POSET_KEYS:
+            raise PosetError(f"poset key {key!r} is not one of {', '.join(_POSET_KEYS)}")
     if "chains" in obj:
         chains = obj["chains"]
         if not (isinstance(chains, (list, tuple)) and len(chains) == 2

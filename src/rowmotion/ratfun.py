@@ -42,16 +42,7 @@ class RationalFunction:
             den = den.exact_scale_down(g)
         # Whole-quotient cancellation: enough to keep iterated transfer maps
         # reduced in practice, without a multivariate gcd.
-        if not _is_unit(den):
-            q = num.exact_div(den)
-            if q is not None:
-                num = q
-                den = Polynomial.constant(num.nvars, 1)
-            elif not _is_unit(num):
-                q = den.exact_div(num)
-                if q is not None:
-                    num = Polynomial.constant(num.nvars, 1)
-                    den = q
+        num, den = _cancel(num, den)
         if den.leading_coefficient() < 0:
             num = num.scale(-1)
             den = den.scale(-1)

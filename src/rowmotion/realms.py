@@ -497,17 +497,29 @@ class FractionMatrixRealm(_MatrixRealm):
         return {"realm": "matq", "d": self.d, "c": str(self.c)}
 
 
+# The keys each realm's config block may hold: those its ``config()`` writes.
+_CONFIG_KEYS = {"tropical": ("realm", "c"), "ratfun": ("realm", "variables"),
+                "matp": ("realm", "p", "d", "c"), "matq": ("realm", "d", "c")}
+
+
 def realm_from_config(cfg):
     """Instantiate a realm from its JSON config block.
 
-    Raises ValueError for an unknown realm, a missing required key, or a
-    ``p``, ``d`` or ``c`` that does not read as its number (``json_number``),
-    naming the key."""
+    Raises ValueError for an unknown realm, a key the realm does not read, a
+    missing required key, or a ``p``, ``d`` or ``c`` that does not read as
+    its number (``json_number``), naming the key."""
     def field(key, kind, default=None):
         raw = json_field(cfg, key, "realm config") if default is None else cfg.get(key, default)
         return json_number(raw, kind, f"realm config {key!r}")
 
     kind = json_field(cfg, "realm", "realm config")
+    keys = _CONFIG_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ValueError(f"unknown realm {kind!r}")
+    for key in cfg:
+        if key not in keys:
+            raise ValueError(f"realm config {key!r} is not read by realm {kind}, "
+                             f"which reads {', '.join(keys)}")
     if kind == "tropical":
         return TropicalRealm(field("c", Fraction, 1))
     if kind == "ratfun":
@@ -518,9 +530,7 @@ def realm_from_config(cfg):
         return RationalFunctionRealm(variables)
     if kind == "matp":
         return FpMatrixRealm(field("p", int), field("d", int), field("c", int, 1))
-    if kind == "matq":
-        return FractionMatrixRealm(field("d", int), field("c", Fraction, 1))
-    raise ValueError(f"unknown realm {kind!r}")
+    return FractionMatrixRealm(field("d", int), field("c", Fraction, 1))  # matq
 
 
 class FloatLiteral(float):

@@ -87,23 +87,42 @@ def _bounded_rational(rng):
     return Fraction(rng.randrange(den + 1), den)
 
 
-def sample_matrix(poset, realm_config, seed, walk):
-    """``walk(g)`` on the first sampled matrix labeling g it accepts.
-
-    Attempt k draws g from ``derive_seed(seed, "matrix", k)``: uniform
-    entries and a nonzero central scalar.  An attempt whose walk meets a
-    singular value moves on to the next one, up to the retry bound.
-    """
-    for attempt in range(RESAMPLE_LIMIT):
-        g = _draw_matrix_labeling(poset.n, realm_config,
-                                  random.Random(derive_seed(seed, "matrix", attempt)))
+def redraw(draw, walk, *context):
+    """``(walk(draw(rng)), k)`` for the first attempt k whose walk meets no
+    singular value; attempt k draws from ``derive_seed(*context, k)``.  The
+    one redraw rule of every sampled check (commands, fuzzer, fixtures).
+    After ``RESAMPLE_LIMIT`` singular attempts raises ``SamplingExhausted``
+    naming ``context[0]``, the seed to replay."""
+    for k in range(RESAMPLE_LIMIT):
+        drawn = draw(random.Random(derive_seed(*context, k)))
         try:
-            return walk(g)
+            return walk(drawn), k
         except SingularValue:
             continue
-    raise SamplingExhausted(
-        f"no nonsingular labeling after {RESAMPLE_LIMIT} attempts", seed=seed
-    )
+    raise SamplingExhausted(f"no nonsingular labeling after {RESAMPLE_LIMIT} attempts",
+                            seed=context[0])
+
+
+def sample_matrix(poset, realm_config, seed, walk):
+    """``walk(g)`` on the first matrix labeling g that ``redraw`` accepts
+    under (seed, "matrix").  A draw takes the central constant first
+    (``draw_fp_labels`` for matp, a small rational for matq), then the
+    entries; a config ``c`` replaces the drawn one.  The config's realm is
+    checked once per call, not per draw."""
+    shape = realm_from_config(realm_config)
+    n, d = poset.n, shape.d
+
+    def draw(rng):
+        if shape.name == "matp":
+            labels, drawn = draw_fp_labels(rng, n, d, shape.p)
+        else:
+            drawn = Fraction(rng.randrange(1, 64), rng.randrange(1, 64))
+            labels = [tuple(Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
+                            for _ in range(d * d)) for _ in range(n)]
+        realm = shape if "c" in realm_config else realm_from_config({**realm_config, "c": drawn})
+        return Labeling(realm, labels)
+
+    return redraw(draw, walk, seed, "matrix")[0]
 
 
 def draw_fp_labels(rng, n, d, p):
@@ -113,19 +132,3 @@ def draw_fp_labels(rng, n, d, p):
     c = rng.randrange(1, p)
     entries = iter([rng.randrange(p) for _ in range(n * d * d)])
     return list(zip(*[entries] * (d * d))), c
-
-
-def _draw_matrix_labeling(n, realm_config, rng):
-    """n matrix labels drawn from ``rng``, the central constant first
-    (``draw_fp_labels`` for matp, small rationals for matq), in the realm
-    ``realm_from_config`` builds, which checks the config's ``p`` and ``d``.
-    A config ``c`` replaces the drawn one, so the entries do not depend on it."""
-    shape = realm_from_config(realm_config)
-    d = shape.d
-    if shape.name == "matp":
-        labels, drawn = draw_fp_labels(rng, n, d, shape.p)
-    else:
-        drawn = Fraction(rng.randrange(1, 64), rng.randrange(1, 64))
-        labels = [tuple(Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
-                        for _ in range(d * d)) for _ in range(n)]
-    return Labeling(realm_from_config({"c": drawn, **realm_config}), labels)

@@ -506,6 +506,25 @@ NESTED = "[" * 100_000
     pytest.param(RawFile('{"realm": {"realm": "matp", "p": 101, "d": 1}, "labels": '
                          '{"0": [[1e2]], "1": [[2]], "2": [[2]], "3": [[2]]}}', "--in"),
                  "label 0: a matp entry must be an integer, got 1e2", id="matp-exponent-literal"),
+    pytest.param(_labels({"realm": "tropical", "C": "3/2"}, "1", "1"),
+                 "realm config 'C' is not read by realm tropical, which reads realm, c",
+                 id="tropical-key-C"),
+    pytest.param(_labels({"realm": "tropical", "d": 2}, "1", "1"),
+                 "realm config 'd' is not read by realm tropical, which reads realm, c",
+                 id="tropical-key-d"),
+    pytest.param(_labels({**MATQ2, "p": 101}, I2, I2),
+                 "realm config 'p' is not read by realm matq, which reads realm, d, c",
+                 id="matq-key-p"),
+    pytest.param(_labels({**MATP1, "dim": 2}, [[1]], [[2]]),
+                 "realm config 'dim' is not read by realm matp, which reads realm, p, d, c",
+                 id="matp-key-dim"),
+    pytest.param(_labels({"realm": "ratfun", "variables": ["w", "x", "y", "z"], "c": "2"},
+                         "w", "x"),
+                 "realm config 'c' is not read by realm ratfun, which reads realm, variables",
+                 id="ratfun-key-c"),
+    pytest.param(RawFile('{"elements": [0, 1, 2], "cover": [[0, 1], [1, 2]]}', "--poset"),
+                 "poset key 'cover' is not one of chains, coords, elements, covers, names",
+                 id="poset-key-cover"),
 ])
 def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "g.json"
@@ -738,6 +757,12 @@ def test_fuzz_accepts_prime_modulus(p, capsys):
     ({"elements": 3}, "poset 'elements' must be a list of string or integer ids"),
     ({"elements": [[0]], "covers": []},
      "poset 'elements' must be a list of string or integer ids"),
+    pytest.param({"elements": [0, 1, 2], "cover": [[0, 1], [1, 2]]},
+                 "poset key 'cover' is not one of chains, coords, elements, covers, names",
+                 id="key-cover"),
+    pytest.param({"chains": [2, 2], "realm": "tropical"},
+                 "poset key 'realm' is not one of chains, coords, elements, covers, names",
+                 id="key-realm"),
 ])
 def test_malformed_poset_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "poset.json"
@@ -745,6 +770,24 @@ def test_malformed_poset_exits_2(payload, message, tmp_path, capsys):
     code, err = _refused(["poset", "--poset", str(src)], capsys)
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["poset", "--chains", "2", "3"],
+    ["rowmotion", "--chains", "2", "2", "--realm", "tropical", "--steps", "1"],
+    ["poset", "--poset", "NAMED"],
+], ids=["poset-chains", "rowmotion-report", "poset-names"])
+def test_canonical_poset_reads_back(args, tmp_path, capsys):
+    """The poset block that ``poset`` and ``rowmotion`` write, every key of
+    it ("names" too, for named elements), reads back through --poset."""
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps({"covers": [["u", "v"], ["v", "w"]]}))
+    code, rep = run([str(named) if a == "NAMED" else a for a in args], capsys)
+    assert code == 0 and ("names" in rep["poset"]) == (args[-1] == "NAMED")
+    src = tmp_path / "poset.json"
+    src.write_text(json.dumps(rep["poset"]))
+    code, echo = run(["poset", "--poset", str(src)], capsys)
+    assert code == 0 and echo["poset"]["covers"] == rep["poset"]["covers"]
 
 
 @pytest.mark.parametrize("args,text,key", [
@@ -893,19 +936,30 @@ def _shifted(realm, *labels):
     return steps[1:] + steps[:1], st0
 
 
-@pytest.mark.parametrize("expected,detail", [
-    (_singular, "raised SamplingExhausted: no nonsingular labeling after 32 attempts"),
-    (_shifted, "label mismatch at d=1, step 1"),
-], ids=["all-draws-singular", "wrong-orbit"])
-def test_noncommutative_fixture_failure_is_reported(expected, detail, monkeypatch, capsys):
-    """The noncommutative orbit fixture fails in the table, and the run
-    goes on to the other fixtures, when every draw is singular (the redraws
-    run out) and when the orbit leaves the worked example."""
-    monkeypatch.setattr(fixtures, "_nar_expected_steps", expected)
+class _SingularRealm(fixtures.FpMatrixRealm):
+    """A prime-field matrix realm in which no value has an inverse."""
+
+    def inv(self, x):
+        raise SingularValue("singular")
+
+
+@pytest.mark.parametrize("attr,value,name,detail", [
+    ("_nar_expected_steps", _singular, "nar-2x2-orbit",
+     "raised SamplingExhausted: no nonsingular labeling after 32 attempts"),
+    ("_nar_expected_steps", _shifted, "nar-2x2-orbit", "label mismatch at d=1, step 1"),
+    ("FpMatrixRealm", _SingularRealm, "skew-inverse-sum",
+     "raised SamplingExhausted: no nonsingular labeling after 32 attempts"),
+], ids=["all-draws-singular", "wrong-orbit", "skew-all-singular"])
+def test_noncommutative_fixture_failure_is_reported(attr, value, name, detail, monkeypatch,
+                                                    capsys):
+    """A noncommutative fixture fails in the table, and the run goes on to
+    the other fixtures, when every draw is singular (the redraws run out)
+    and when the orbit leaves the worked example."""
+    monkeypatch.setattr(fixtures, attr, value)
     code, rep = run(["fixtures", "--samples", "1"], capsys)
     assert code == 1
     failed = [f for f in rep["fixtures"] if not f["passed"]]
-    assert [f["name"] for f in failed] == ["nar-2x2-orbit"]
+    assert [f["name"] for f in failed] == [name]
     assert failed[0]["detail"].startswith(detail)
 
 

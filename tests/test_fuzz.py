@@ -3,10 +3,16 @@
 import hashlib
 import json
 
+import random
+
 import pytest
 
+from rowmotion import kernel
+from rowmotion.errors import SamplingExhausted
 from rowmotion.fuzz import CONJECTURE_NOTES, fuzz_grid, fuzz_nar_periodicity
+from rowmotion.poset import product_of_chains
 from rowmotion.realms import FUZZ_PRIME
+from rowmotion.sampling import derive_seed, draw_fp_labels, redraw
 
 
 def test_cell_accounting_and_passes():
@@ -69,3 +75,37 @@ def test_cell_reports_pinned(p, digest):
              for a in (1, 2) for b in (1, 2) for d in (1, 2)]
     text = json.dumps(cells, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_counterexample_records_its_accepted_attempt(monkeypatch):
+    """A trial whose first return is wrong is a counterexample: the cell
+    records its trial, the seed of the attempt the redraw accepted (not
+    attempt 0), the first return, and whether the toggle replay confirms
+    it.  Here the engine is made to report 0 for one resampled trial whose
+    draw does return, so the replay refutes it."""
+    a, b, d, p, seed, trials = 2, 2, 1, 5, 7, 10
+    poset = product_of_chains(a, b)
+    engine = kernel.make_engine(poset, d, p)
+    trial_seeds = [derive_seed(seed, "nar-trial", a, b, d, t) for t in range(trials)]
+    accepted = []
+    for ts in trial_seeds:
+        try:
+            accepted.append(redraw(lambda rng: draw_fp_labels(rng, poset.n, d, p),
+                                   lambda drawn: engine.first_return(*drawn, a + b), ts)[1])
+        except SamplingExhausted:
+            accepted.append(None)
+    t, k = next((t, k) for t, k in enumerate(accepted) if k)
+    target = draw_fp_labels(random.Random(derive_seed(trial_seeds[t], k)), poset.n, d, p)
+    original = kernel.FpToggleEngine.first_return
+
+    def first_return(self, labels, c, max_steps):
+        m = original(self, labels, c, max_steps)
+        return 0 if (list(labels), c) == target else m
+
+    monkeypatch.setattr(kernel.FpToggleEngine, "first_return", first_return)
+    cell = fuzz_nar_periodicity(a, b, d, trials=trials, seed=seed, p=p)
+    assert cell["failures"] == 1
+    assert cell["counterexample_seeds"] == [{
+        "trial": t, "seed": derive_seed(trial_seeds[t], k), "first_return": 0,
+        "confirmed": False}]
+    assert derive_seed(trial_seeds[t], k) != derive_seed(trial_seeds[t], 0)

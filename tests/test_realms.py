@@ -18,7 +18,7 @@ from rowmotion import (
     sample_generic_labeling,
 )
 from rowmotion.realms import FUZZ_PRIME
-from rowmotion.sampling import symbolic_labeling
+from rowmotion.sampling import RESAMPLE_LIMIT, derive_seed, redraw, symbolic_labeling
 
 PRIME = 10007
 
@@ -298,6 +298,31 @@ def test_sampling_exhausted():
     with pytest.raises(SamplingExhausted):
         sample_generic_labeling(
             product_of_chains(2, 2), {"realm": "matp", "p": 2, "d": 1}, seed=0)
+
+
+def test_redraw_returns_the_first_nonsingular_attempt():
+    """Attempt k draws from ``derive_seed(*context, k)``; the first whose
+    walk meets no singular value is returned with its k, and once the bound
+    is spent the refusal names ``context[0]``."""
+    walked = []
+
+    def walk(x):
+        walked.append(x)
+        if len(walked) < 3:
+            raise SingularValue("singular")
+        return -x
+
+    value, k = redraw(lambda rng: rng.random(), walk, 5, "ctx")
+    assert k == 2 and len(walked) == 3
+    assert value == -random.Random(derive_seed(5, "ctx", 2)).random()
+
+    def singular(x):
+        raise SingularValue("singular")
+
+    with pytest.raises(SamplingExhausted) as info:
+        redraw(lambda rng: None, singular, 5, "ctx")
+    assert info.value.seed == 5
+    assert str(info.value) == f"no nonsingular labeling after {RESAMPLE_LIMIT} attempts (seed 5)"
 
 
 def test_nc_scalar_matches_commutative():
