@@ -23,7 +23,7 @@ from .fuzz import fuzz_grid
 from .labeling import labeling_from_json
 from .poset import poset_from_json, poset_to_json, product_of_chains
 from .realms import FUZZ_PRIME, FloatLiteral, refuse_huge_number
-from .sampling import derive_seed, sample_generic_labeling, sample_matrix
+from .sampling import derive_seed, sample_generic_labeling
 from .stword import fiber_product_checks, orbit_window, pl_homomesy_report, st_word
 
 
@@ -131,7 +131,8 @@ def _build_parser():
     _poset_source(p)
     _realm_flags(p)
     p.add_argument("--mode", choices=["transfer", "toggles"], default="transfer")
-    _int_option(p, "--steps", least=1, help="iteration bound (default 4(a+b))")
+    _int_option(p, "--steps", least=1,
+                help="iteration bound (default 4(a+b) on [a]x[b], else 4n on n elements)")
     p.set_defaults(handler=_cmd_rowmotion)
 
     p = sub.add_parser("stword", parents=[common],
@@ -231,20 +232,15 @@ def _unique_keys(pairs):
 
 def _load_labeling(args, poset, walk):
     """``walk(g)`` for the command's labeling g of ``poset``: read from
-    ``--in``, or sampled from the realm flags and ``--seed``.
-
-    A sampled matrix labeling (matp, matq) is redrawn while ``walk``, the
-    command's own work on it, meets a singular value
-    (``sampling.sample_matrix``).  A labeling read with ``--in`` is walked
-    as given: its realm block gives the realm, c, p and d, which a sampled
-    one takes from the flags its realm reads (``_read_flags``)."""
+    ``--in`` and walked as given (its realm block gives the realm, c, p and
+    d), or sampled by ``sampling.sample_generic_labeling`` from the flags its
+    realm reads (``_read_flags``) and ``--seed``; a sampled matrix labeling
+    is redrawn while ``walk`` meets a singular value."""
     source = "--in" if args.labels_in is not None else args.realm or _DEFAULTS["realm"]
     cfg = _read_flags(args, "labeling", source)
     if source == "--in":
         return walk(labeling_from_json(_read_json(args.labels_in), poset))
-    if cfg["realm"] in ("matp", "matq"):
-        return sample_matrix(poset, cfg, args.seed, walk)
-    return walk(sample_generic_labeling(poset, cfg, args.seed))
+    return sample_generic_labeling(poset, cfg, args.seed, walk)
 
 
 def _cmd_poset(args):
@@ -292,8 +288,9 @@ def _cmd_homomesy(args):
         report["report"] = pl_homomesy_report(a, b, flags["samples"], args.seed)
         return report, report["report"]["all_exact"]
     if args.realm == "ratfun":
-        g = sample_generic_labeling(poset, {"realm": "ratfun"}, args.seed)
-        report["fibers"] = fibers = fiber_product_checks(poset, orbit_window(poset, g))
+        window = sample_generic_labeling(poset, {"realm": "ratfun"}, args.seed,
+                                         lambda g: orbit_window(poset, g))
+        report["fibers"] = fibers = fiber_product_checks(poset, window)
         return report, all(f["pass"] for f in fibers)
     # matp: sampled scalar labelings (d = 1; the product contract is
     # commutative-realm only), each redrawn while its window meets a
@@ -302,7 +299,7 @@ def _cmd_homomesy(args):
     fibers = []
     for idx in range(flags["samples"]):
         sub = derive_seed(args.seed, "homomesy", idx)
-        window = sample_matrix(poset, cfg, sub, lambda g: orbit_window(poset, g))
+        window = sample_generic_labeling(poset, cfg, sub, lambda g: orbit_window(poset, g))
         for f in fiber_product_checks(poset, window):
             if not f["pass"]:
                 f["sample_seed"] = sub

@@ -51,26 +51,18 @@ def st_word_combinatorial(a, b, antichain):
     """Binary fiber word of an antichain of [a]x[b].
 
     Entry i <= a is 1 iff the antichain meets positive fiber i; entry a+l is
-    1 iff it misses negative fiber l.  The same word is recomputed from the
-    indicator sums (row sums, and 1 minus column sums) as a cross-check.
+    1 iff it misses negative fiber l.  Fibers are chains, so an antichain
+    meets each at most once.
     """
     poset = product_of_chains(a, b)
     s = frozenset(antichain)
     if not poset.is_antichain(s):
         raise ValueError(f"not an antichain: {sorted(s)}")
     positive, negative = fibers(a, b)
-    word = tuple(
+    return tuple(
         [1 if any(x in s for x in fib) else 0 for fib in positive]
         + [0 if any(x in s for x in fib) else 1 for fib in negative]
     )
-    # Indicator form: no fiber holds two antichain members, so sums are 0/1.
-    alt = tuple(
-        [sum(1 for x in fib if x in s) for fib in positive]
-        + [1 - sum(1 for x in fib if x in s) for fib in negative]
-    )
-    if word != alt:
-        raise RuntimeError(f"fiber word cross-check failed: {word} vs {alt}")
-    return word
 
 
 class CombinatorialOrbit(NamedTuple):

@@ -82,15 +82,14 @@ def toggle(poset, g, v, *, up=None, down=None):
 
     The new label is C * inv(up) * inv(down) * g(v), where ``up`` and
     ``down`` are the inverse-up and inverse-down transfers of g at v.  Left
-    out, each is computed by a dynamic program over the up-set or down-set of
-    v only; a caller that already holds them, as toggle-mode rowmotion does,
-    passes them in.
+    out, each is read off the whole transfer; a caller that already holds
+    them, as toggle-mode rowmotion does, passes them in.
     """
     r = g.realm
     if up is None:
-        up = _up_inv_at(poset, g, v)
+        up = transfer(TransferKind.UP_INV, poset, g)[v]
     if down is None:
-        down = _down_inv_at(poset, g, v)
+        down = transfer(TransferKind.DOWN_INV, poset, g)[v]
     new = r.mul(r.mul(r.mul(r.constant(), r.inv_at(up, v)), r.inv_at(down, v)), g[v])
     return g.replace(v, new)
 
@@ -322,22 +321,3 @@ def iterate(poset, g, steps=None, mode="transfer"):
             break
     return Orbit(labelings, words, period, mode)
 
-
-def _up_inv_at(poset, g, v):
-    """Inverse-up transfer evaluated at v only (restricted to the up-set)."""
-    r = g.realm
-    val = {}
-    for x in reversed(poset.topo_order()):
-        if poset.leq(v, x):
-            val[x] = r.mul(r.sum(val[y] for y in poset.up_covers(x)), g[x])
-    return val[v]
-
-
-def _down_inv_at(poset, g, v):
-    """Inverse-down transfer evaluated at v only (restricted to the down-set)."""
-    r = g.realm
-    val = {}
-    for x in poset.topo_order():
-        if poset.leq(x, v):
-            val[x] = r.mul(g[x], r.sum(val[y] for y in poset.down_covers(x)))
-    return val[v]

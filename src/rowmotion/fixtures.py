@@ -20,11 +20,11 @@ from .combinatorial import (
     rowmotion_antichain,
     st_word_combinatorial,
 )
-from .dynamics import TransferKind, antichain_rowmotion, iterate, transfer
+from .dynamics import TransferKind, iterate, transfer
 from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm, TropicalRealm
-from .sampling import derive_seed, redraw, sample_matrix, symbolic_labeling
+from .sampling import derive_seed, redraw, sample_generic_labeling, symbolic_labeling
 from .stword import constant_power, fiber_product_checks, orbit_window, st_word
 
 
@@ -171,20 +171,12 @@ def _fx_pl_shared_word(samples, seed):
 # -- birational ---------------------------------------------------------
 
 
-def _vars_2x2():
-    p = product_of_chains(2, 2)
+def _vars(a, b):
+    """[a]x[b], its symbolic labeling g, g's realm r, then C and g's variables."""
+    p = product_of_chains(a, b)
     g = symbolic_labeling(p)
     r = g.realm
-    cc, w, x, y, z = (r.variable(n) for n in ("C", "w", "x", "y", "z"))
-    return p, g, r, cc, w, x, y, z
-
-
-def _vars_2x3():
-    p = product_of_chains(2, 3)
-    g = symbolic_labeling(p)
-    r = g.realm
-    names = ("C", "u", "v", "w", "x", "y", "z")
-    return (p, g, r) + tuple(r.variable(n) for n in names)
+    return (p, g, r) + tuple(r.variable(name) for name in r.variable_names)
 
 
 def _expected_bar_2x2(cc, w, x, y, z):
@@ -224,24 +216,27 @@ def _rot(word, k):
     return word[-k:] + word[:-k]
 
 
-def _check_symbolic_orbit(p, g, r, expected_steps, st0):
-    orbit = iterate(p, g)
-    period = len(expected_steps)
-    if orbit.period != period:
-        return False, f"period {orbit.period}, expected {period}"
-    for k, labels in enumerate(expected_steps):
-        for x, want in enumerate(labels):
+def _orbit_mismatch(p, g, expected_steps, st0, mode, at):
+    """Where the ``mode`` orbit of g leaves ``expected_steps``, its labels at
+    steps 0..n-1, or its word at step k leaves st0 rotated k places, as a
+    message with ``at`` before the step; None if it never does.  The period
+    is checked first, then steps k = 1..n."""
+    r, n = g.realm, len(expected_steps)
+    orbit = iterate(p, g, steps=n, mode=mode)
+    if orbit.period != n:
+        return f"{at}period {orbit.period}, expected {n}"
+    for k in range(1, n + 1):
+        for x, want in enumerate(expected_steps[k % n]):
             if not r.eq(orbit.labelings[k][x], want):
-                return False, f"label mismatch at step {k}, element {x}"
-        got = orbit.st_words[k].entries
+                return f"label mismatch at {at}step {k}, element {x}"
         for i, want in enumerate(_rot(st0, k)):
-            if not r.eq(got[i], want):
-                return False, f"word mismatch at step {k}, entry {i + 1}"
-    return True, f"period {period}, all labels and words match"
+            if not r.eq(orbit.st_words[k].entries[i], want):
+                return f"word mismatch at {at}step {k}, entry {i + 1}"
+    return None
 
 
 def _fx_bar_2x3_one_step(samples, seed):
-    p, g, r, cc, u, v, w, x, y, z = _vars_2x3()
+    p, g, r, cc, u, v, w, x, y, z = _vars(2, 3)
     q = v * x + w * x + w * y
     up_inv = transfer(TransferKind.UP_INV, p, g)
     expected_up = [u * q * z, v * x * z, w * (x + y) * z, x * z, y * z, z]
@@ -260,22 +255,21 @@ def _fx_bar_2x3_one_step(samples, seed):
 
 
 def _fx_bar_2x2_orbit(samples, seed):
-    p, g, r, cc, w, x, y, z = _vars_2x2()
-    return _check_symbolic_orbit(
-        p, g, r, _expected_bar_2x2(cc, w, x, y, z), _expected_st_2x2(cc, w, x, y, z)
-    )
+    p, g, r, *labels = _vars(2, 2)
+    miss = _orbit_mismatch(p, g, _expected_bar_2x2(*labels), _expected_st_2x2(*labels),
+                           "transfer", "")
+    return miss is None, miss or "period 4, all labels and words match"
 
 
 def _fx_bar_2x3_orbit(samples, seed):
-    p, g, r, cc, u, v, w, x, y, z = _vars_2x3()
-    return _check_symbolic_orbit(
-        p, g, r, _expected_bar_2x3(cc, u, v, w, x, y, z),
-        _expected_st_2x3(cc, u, v, w, x, y, z),
-    )
+    p, g, r, *labels = _vars(2, 3)
+    miss = _orbit_mismatch(p, g, _expected_bar_2x3(*labels), _expected_st_2x3(*labels),
+                           "transfer", "")
+    return miss is None, miss or "period 5, all labels and words match"
 
 
 def _fx_fiber_products_2x2(samples, seed):
-    p, g, r, cc, w, x, y, z = _vars_2x2()
+    p, g, r, cc, w, x, y, z = _vars(2, 2)
     # The worked per-step factors of the first-row product.
     factors = [
         w, y,
@@ -289,7 +283,7 @@ def _fx_fiber_products_2x2(samples, seed):
 
 
 def _fx_fiber_products_2x3(samples, seed):
-    p, g = _vars_2x3()[:2]
+    p, g = _vars(2, 3)[:2]
     checks = [f["pass"] for f in fiber_product_checks(p, orbit_window(p, g))]
     return all(checks), f"checks {checks}"
 
@@ -298,23 +292,18 @@ def _fx_fiber_products_2x3(samples, seed):
 
 
 def _nar_expected_steps(realm, w, x, y, z):
-    inv, mul, add = realm.inv, realm.mul, realm.add
+    inv, add, prod = realm.inv, realm.add, realm.product
     cc = realm.constant()
-
-    def prod(*ms):
-        out = ms[0]
-        for m in ms[1:]:
-            out = mul(out, m)
-        return out
-
     s = add(x, y)
     harmonic = inv(add(inv(x), inv(y)))
     return [
         [w, x, y, z],
-        [prod(cc, inv(w), inv(s), inv(z)), prod(inv(x), s, w), prod(inv(y), s, w), harmonic],
-        [z, prod(cc, inv(w), inv(y), inv(z)), prod(cc, inv(w), inv(x), inv(z)), w],
-        [harmonic, prod(z, s, inv(x)), prod(z, s, inv(y)), prod(cc, inv(w), inv(s), inv(z))],
-    ], [prod(y, w), prod(z, x), prod(cc, inv(w), inv(x)), prod(cc, inv(y), inv(z))]
+        [prod([cc, inv(w), inv(s), inv(z)]), prod([inv(x), s, w]), prod([inv(y), s, w]),
+         harmonic],
+        [z, prod([cc, inv(w), inv(y), inv(z)]), prod([cc, inv(w), inv(x), inv(z)]), w],
+        [harmonic, prod([z, s, inv(x)]), prod([z, s, inv(y)]),
+         prod([cc, inv(w), inv(s), inv(z)])],
+    ], [prod([y, w]), prod([z, x]), prod([cc, inv(w), inv(x)]), prod([cc, inv(y), inv(z)])]
 
 
 def _fx_nar_2x2_orbit(samples, seed):
@@ -322,26 +311,16 @@ def _fx_nar_2x2_orbit(samples, seed):
     per_d = max(1, samples)
 
     def mismatch(g):
-        """The first step at which g's orbit leaves the worked example, or
-        None; a singular value on the way redraws g (``sample_matrix``)."""
-        realm = g.realm
-        expected_steps, st0 = _nar_expected_steps(realm, *g.values)
-        cur = g
-        for k in range(1, 5):
-            cur = antichain_rowmotion(p, cur, mode="toggles")
-            want = expected_steps[k % 4]
-            if any(not realm.eq(cur[e], want[e]) for e in range(4)):
-                return f"label mismatch at d={realm.d}, step {k}"
-            got = st_word(p, cur).entries
-            rot = _rot(tuple(st0), k)
-            if any(not realm.eq(got[i], rot[i]) for i in range(4)):
-                return f"word mismatch at d={realm.d}, step {k}"
-        return None if cur.eq(g) else f"no return after 4 steps at d={realm.d}"
+        """Where g's toggle-mode orbit leaves the worked example, or None; a
+        singular value on the way redraws g (``sample_generic_labeling``)."""
+        return _orbit_mismatch(p, g, *_nar_expected_steps(g.realm, *g.values), "toggles",
+                               f"d={g.realm.d}, ")
 
     for d in (1, 2, 3):
         cfg = {"realm": "matp", "p": FUZZ_PRIME, "d": d}
         for idx in range(per_d):
-            miss = sample_matrix(p, cfg, derive_seed(seed, "nar-fixture", d, idx), mismatch)
+            miss = sample_generic_labeling(p, cfg, derive_seed(seed, "nar-fixture", d, idx),
+                                           mismatch)
             if miss:
                 return False, miss
     return True, f"{per_d} samples at each d in (1, 2, 3)"

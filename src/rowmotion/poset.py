@@ -11,6 +11,7 @@ element order used for naming symbolic labels.
 from __future__ import annotations
 
 import heapq
+import json
 from functools import lru_cache
 from itertools import combinations
 
@@ -338,9 +339,11 @@ _POSET_KEYS = ("chains", "coords", "elements", "covers", "names")
 def poset_from_json(obj):
     """Read a poset from {"chains": [a, b]} or {"elements": ..., "covers": ...}.
 
-    Element ids are strings or integers.  Input of the wrong shape, or a key
-    that ``poset_to_json`` does not write, raises PosetError saying which
-    part is malformed.
+    Element ids are strings or integers.  With ``names`` the ids are the
+    dense ids ``poset_to_json`` writes, and ``names`` names them.  Input of
+    the wrong shape, a key that ``poset_to_json`` does not write, or a key
+    the poset is not read from whose value is not what ``poset_to_json``
+    writes for it raises PosetError saying which part is malformed.
     """
     if not isinstance(obj, dict):
         raise PosetError("poset must be a JSON object")
@@ -352,17 +355,33 @@ def poset_from_json(obj):
         if not (isinstance(chains, (list, tuple)) and len(chains) == 2
                 and all(_is_int(c) for c in chains)):
             raise PosetError("poset 'chains' must be two integers")
-        return product_of_chains(*chains)
-    covers = obj.get("covers", [])
-    if not (isinstance(covers, (list, tuple))
-            and all(isinstance(c, (list, tuple)) and len(c) == 2
-                    and all(_is_id(e) for e in c) for c in covers)):
-        raise PosetError("poset 'covers' must be a list of [lower, upper] id pairs")
-    elements = obj.get("elements")
-    if elements is not None and not (isinstance(elements, (list, tuple))
-                                     and all(_is_id(e) for e in elements)):
-        raise PosetError("poset 'elements' must be a list of string or integer ids")
-    return build_poset([tuple(c) for c in covers], elements=elements)
+        poset, read = product_of_chains(*chains), ("chains",)
+    else:
+        covers = obj.get("covers", [])
+        if not (isinstance(covers, (list, tuple))
+                and all(isinstance(c, (list, tuple)) and len(c) == 2
+                        and all(_is_id(e) for e in c) for c in covers)):
+            raise PosetError("poset 'covers' must be a list of [lower, upper] id pairs")
+        elements = obj.get("elements")
+        if elements is not None and not (isinstance(elements, (list, tuple))
+                                         and all(_is_id(e) for e in elements)):
+            raise PosetError("poset 'elements' must be a list of string or integer ids")
+        poset = build_poset([tuple(c) for c in covers], elements=elements)
+        read = ("elements", "covers")
+        names = obj.get("names")
+        if names is not None:
+            if not (isinstance(names, list) and all(_is_id(e) for e in names)
+                    and len(set(names)) == len(names)):
+                raise PosetError("poset 'names' must be a list of distinct string or "
+                                 "integer ids")
+            poset, read = FinitePoset(poset.n, poset.covers, names), ("names",)
+    echo = poset_to_json(poset)
+    for key in obj:
+        if key not in read and (key not in echo or json.dumps(obj[key]) != json.dumps(echo[key])):
+            raise PosetError(f"poset {key!r} disagrees with the poset read, for which "
+                             f"`rowmotion poset` writes {'another' if key in echo else 'no'} "
+                             f"{key!r}")
+    return poset
 
 
 def _is_int(x):

@@ -11,7 +11,6 @@ import hashlib
 import random
 from fractions import Fraction
 
-from .dynamics import antichain_rowmotion
 from .errors import SamplingExhausted, SingularValue
 from .labeling import Labeling
 from .realms import RationalFunctionRealm, realm_from_config, symbolic_variable_names
@@ -38,31 +37,37 @@ def symbolic_labeling(poset):
     return Labeling(realm, values)
 
 
-def sample_generic_labeling(poset, realm_config, seed):
-    """Sample a labeling per the realm config block.
+def sample_generic_labeling(poset, realm_config, seed, walk):
+    """``walk(g)`` for a labeling g of ``poset`` sampled per the realm config
+    block and ``seed``: the one sampler behind every sampled labeling.
 
-    Symbolic realms are deterministic (fresh variables).  Tropical realms
-    draw rationals in [0, 1] with bounded denominators.  Matrix realms draw
-    as ``sample_matrix`` does, and keep the first draw on which one
-    transfer-mode antichain-rowmotion step meets no singular value.  That
-    one-step probe serves callers of this function; a command redraws on
-    its own work instead (``cli._load_labeling``).
+    Symbolic realms are deterministic (fresh variables), and tropical realms
+    draw rationals in [0, 1] with bounded denominators; each is walked once.
+    A matrix labeling (matp, matq) is the first draw that ``redraw`` accepts
+    under (seed, "matrix"): one whose walk, the caller's own work on it,
+    meets no singular value.  A draw takes the central constant first
+    (``draw_fp_labels`` for matp, a small rational for matq), then the
+    entries; a config ``c`` replaces the drawn one.
     """
-    kind = realm_config["realm"]
-    if kind == "ratfun":
-        return symbolic_labeling(poset)
-    if kind == "tropical":
+    if realm_config["realm"] == "ratfun":
+        return walk(symbolic_labeling(poset))
+    shape = realm_from_config(realm_config)
+    if shape.name == "tropical":
         rng = random.Random(derive_seed(seed, "tropical"))
-        realm = realm_from_config(realm_config)
-        values = [_bounded_rational(rng) for _ in range(poset.n)]
-        return Labeling(realm, values)
-    if kind in ("matp", "matq"):
-        def probe(g):
-            antichain_rowmotion(poset, g, mode="transfer")
-            return g
+        return walk(Labeling(shape, [_bounded_rational(rng) for _ in range(poset.n)]))
+    n, d = poset.n, shape.d
 
-        return sample_matrix(poset, realm_config, seed, probe)
-    raise ValueError(f"unknown realm {kind!r}")
+    def draw(rng):
+        if shape.name == "matp":
+            labels, drawn = draw_fp_labels(rng, n, d, shape.p)
+        else:
+            drawn = Fraction(rng.randrange(1, 64), rng.randrange(1, 64))
+            labels = [tuple(Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
+                            for _ in range(d * d)) for _ in range(n)]
+        realm = shape if "c" in realm_config else realm_from_config({**realm_config, "c": drawn})
+        return Labeling(realm, labels)
+
+    return redraw(draw, walk, seed, "matrix")[0]
 
 
 def sample_chain_polytope_point(poset, rng, denominator=60):
@@ -101,28 +106,6 @@ def redraw(draw, walk, *context):
             continue
     raise SamplingExhausted(f"no nonsingular labeling after {RESAMPLE_LIMIT} attempts",
                             seed=context[0])
-
-
-def sample_matrix(poset, realm_config, seed, walk):
-    """``walk(g)`` on the first matrix labeling g that ``redraw`` accepts
-    under (seed, "matrix").  A draw takes the central constant first
-    (``draw_fp_labels`` for matp, a small rational for matq), then the
-    entries; a config ``c`` replaces the drawn one.  The config's realm is
-    checked once per call, not per draw."""
-    shape = realm_from_config(realm_config)
-    n, d = poset.n, shape.d
-
-    def draw(rng):
-        if shape.name == "matp":
-            labels, drawn = draw_fp_labels(rng, n, d, shape.p)
-        else:
-            drawn = Fraction(rng.randrange(1, 64), rng.randrange(1, 64))
-            labels = [tuple(Fraction(rng.randrange(-32, 33), rng.randrange(1, 17))
-                            for _ in range(d * d)) for _ in range(n)]
-        realm = shape if "c" in realm_config else realm_from_config({**realm_config, "c": drawn})
-        return Labeling(realm, labels)
-
-    return redraw(draw, walk, seed, "matrix")[0]
 
 
 def draw_fp_labels(rng, n, d, p):

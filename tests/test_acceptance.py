@@ -166,12 +166,17 @@ def test_criterion_07_scalar_properties_at_scale():
                 period = a + b
                 for idx in range(100):
                     sub = derive_seed(SEED, "scalar", a, b, idx)
-                    g = sample_generic_labeling(
-                        p, {"realm": "matp", "p": FUZZ_PRIME, "d": 1}, sub)
+
+                    def walk(g):
+                        orbit = [g]
+                        for _ in range(period):
+                            orbit.append(antichain_rowmotion(p, orbit[-1]))
+                        return orbit
+
+                    orbit = sample_generic_labeling(
+                        p, {"realm": "matp", "p": FUZZ_PRIME, "d": 1}, sub, walk)
+                    g = orbit[0]
                     r = g.realm
-                    orbit = [g]
-                    for _ in range(period):
-                        orbit.append(antichain_rowmotion(p, orbit[-1]))
                     assert orbit[period].eq(g)
                     words = [st_word(p, lab).entries for lab in orbit]
                     for before, after in zip(words, words[1:]):
@@ -210,9 +215,9 @@ def test_criterion_09_identity_cross_checks():
                 for idx in range(100):
                     d = 1 + idx % 3
                     sub = derive_seed(SEED, "cross", a, b, idx)
-                    g = sample_generic_labeling(
-                        p, {"realm": "matp", "p": FUZZ_PRIME, "d": d}, sub)
-                    via_transfer = antichain_rowmotion(p, g, "transfer")
+                    g, via_transfer = sample_generic_labeling(
+                        p, {"realm": "matp", "p": FUZZ_PRIME, "d": d}, sub,
+                        lambda g: (g, antichain_rowmotion(p, g, "transfer")))
                     via_toggles = antichain_rowmotion(p, g, "toggles")
                     assert via_transfer.eq(via_toggles)
                     # the closed form computes both interior factorizations

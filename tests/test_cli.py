@@ -16,7 +16,7 @@ from rowmotion.polynomials import MAX_DEGREE, Polynomial
 from rowmotion.ratfun import RationalFunction
 from rowmotion.realms import (FUZZ_PRIME, FractionMatrixRealm, RationalFunctionRealm,
                               TropicalRealm)
-from rowmotion.sampling import sample_matrix
+from rowmotion.sampling import sample_generic_labeling
 
 
 def run(args, capsys):
@@ -306,8 +306,8 @@ def test_sampled_stword_is_redrawn_only_by_its_own_singular_values(capsys):
             "--seed", "10"]
     code, rep = run(args, capsys)
     assert code == 0
-    first = sample_matrix(product_of_chains(2, 2), {"realm": "matp", "p": 5, "d": 1}, 10,
-                          lambda g: g)
+    first = sample_generic_labeling(product_of_chains(2, 2), {"realm": "matp", "p": 5, "d": 1},
+                                    10, lambda g: g)
     assert {"realm": rep["realm"], "labels": rep["labels"]} == first.to_json()
     with pytest.raises(SingularValue):
         antichain_rowmotion(product_of_chains(2, 2), first)
@@ -371,8 +371,8 @@ def test_realm_flags_default_when_not_given(monkeypatch, capsys):
     code, rep = run(["stword", "--chains", "2", "2", "--realm", "matq"], capsys)
     assert code == 0 and rep["realm"]["d"] == 2
     configs = []
-    draw = cli.sample_matrix
-    monkeypatch.setattr(cli, "sample_matrix",
+    draw = cli.sample_generic_labeling
+    monkeypatch.setattr(cli, "sample_generic_labeling",
                         lambda poset, cfg, *a: configs.append(cfg) or draw(poset, cfg, *a))
     assert main(["homomesy", "--realm", "matp", "--a", "2", "--b", "2", "--samples", "2"]) == 0
     assert [c["p"] for c in configs] == [FUZZ_PRIME, FUZZ_PRIME]
@@ -763,6 +763,35 @@ def test_fuzz_accepts_prime_modulus(p, capsys):
     pytest.param({"chains": [2, 2], "realm": "tropical"},
                  "poset key 'realm' is not one of chains, coords, elements, covers, names",
                  id="key-realm"),
+    pytest.param({"chains": [2, 3], "covers": [[0, 1]], "coords": [[9, 9]]},
+                 "poset 'covers' disagrees with the poset read, for which `rowmotion poset` "
+                 "writes another 'covers'", id="chains-covers"),
+    pytest.param({"chains": [2, 2], "coords": [[1, 1], [1, 2], [2, 1], [2, 2]]},
+                 "poset 'coords' disagrees with the poset read, for which `rowmotion poset` "
+                 "writes another 'coords'", id="chains-coords"),
+    pytest.param({"chains": [1, 2], "elements": [0, True]},
+                 "poset 'elements' disagrees with the poset read, for which `rowmotion poset` "
+                 "writes another 'elements'", id="chains-elements"),
+    pytest.param({"chains": [1, 2], "names": [0, 1]},
+                 "poset 'names' disagrees with the poset read, for which `rowmotion poset` "
+                 "writes no 'names'", id="chains-names"),
+    pytest.param({"elements": [0, 1], "covers": [[0, 1]], "coords": [[1, 1], [1, 2]]},
+                 "poset 'coords' disagrees with the poset read, for which `rowmotion poset` "
+                 "writes no 'coords'", id="elements-coords"),
+    pytest.param({"elements": [0, 1, 2], "covers": [[0, 1]], "names": ["a"]},
+                 "expected 3 element names, got 1", id="names-short"),
+    pytest.param({"covers": [[0, 1]], "names": ["a", "a"]},
+                 "poset 'names' must be a list of distinct string or integer ids",
+                 id="names-repeated"),
+    pytest.param({"covers": [[0, 1]], "names": "ab"},
+                 "poset 'names' must be a list of distinct string or integer ids",
+                 id="names-text"),
+    pytest.param({"elements": ["p", "q"], "covers": [["p", "q"]], "names": ["a", "b"]},
+                 "poset 'elements' disagrees with the poset read, for which `rowmotion poset` "
+                 "writes another 'elements'", id="names-ids-not-dense"),
+    pytest.param({"covers": [[1, 0]], "names": ["a", "b"]},
+                 "poset 'covers' disagrees with the poset read, for which `rowmotion poset` "
+                 "writes another 'covers'", id="names-covers-not-canonical"),
 ])
 def test_malformed_poset_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "poset.json"
@@ -779,7 +808,8 @@ def test_malformed_poset_exits_2(payload, message, tmp_path, capsys):
 ], ids=["poset-chains", "rowmotion-report", "poset-names"])
 def test_canonical_poset_reads_back(args, tmp_path, capsys):
     """The poset block that ``poset`` and ``rowmotion`` write, every key of
-    it ("names" too, for named elements), reads back through --poset."""
+    it ("names" too, for named elements), reads back through --poset to the
+    same block."""
     named = tmp_path / "named.json"
     named.write_text(json.dumps({"covers": [["u", "v"], ["v", "w"]]}))
     code, rep = run([str(named) if a == "NAMED" else a for a in args], capsys)
@@ -787,7 +817,7 @@ def test_canonical_poset_reads_back(args, tmp_path, capsys):
     src = tmp_path / "poset.json"
     src.write_text(json.dumps(rep["poset"]))
     code, echo = run(["poset", "--poset", str(src)], capsys)
-    assert code == 0 and echo["poset"]["covers"] == rep["poset"]["covers"]
+    assert code == 0 and echo["poset"] == rep["poset"]
 
 
 @pytest.mark.parametrize("args,text,key", [

@@ -37,11 +37,15 @@ PRIME = 10007
 
 
 def matrix_labeling(poset, d, seed, p=PRIME):
-    return sample_generic_labeling(poset, {"realm": "matp", "p": p, "d": d}, seed)
+    """A sampled matp labeling on which one rowmotion step meets no singular value."""
+    def one_step(g):
+        antichain_rowmotion(poset, g)
+        return g
+    return sample_generic_labeling(poset, {"realm": "matp", "p": p, "d": d}, seed, one_step)
 
 
 def tropical_labeling(poset, seed):
-    return sample_generic_labeling(poset, {"realm": "tropical"}, seed)
+    return sample_generic_labeling(poset, {"realm": "tropical"}, seed, lambda g: g)
 
 
 def all_sample_labelings(poset, seed):

@@ -8,12 +8,15 @@ fiber products.  Primes run from 2 (singular draws are common) to
 labelings take arbitrary rationals and an arbitrary constant.  Single
 matrices, for the realm's own products and inverses, run up to d = 4.
 Packed polynomials in 1 to 10 variables, with exponents up to just below
-the field limit, are checked against the tuple-keyed oracle.
+the field limit, are checked against the tuple-keyed oracle.  Symbolic
+orbits on rectangles up to [2]x[4] and [3]x[3] tropicalize, at rational
+points, to the tropical orbit.
 """
 
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 import pytest
@@ -29,6 +32,7 @@ from rowmotion import (
     build_poset,
     check_rotation,
     fiber_product_checks,
+    iterate,
     kernel,
     labeling_from_json,
     orbit_window,
@@ -38,7 +42,7 @@ from rowmotion import (
 )
 from rowmotion.polynomials import MAX_DEGREE, Polynomial, monomial_gcd
 from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, Realm, _MatrixRealm
-from rowmotion.sampling import sample_chain_polytope_point
+from rowmotion.sampling import sample_chain_polytope_point, symbolic_labeling
 
 from poly_oracle import OraclePolynomial
 from toggle_fold import random_linear_extension, toggle_fold, values_or_singular
@@ -451,6 +455,42 @@ def test_tropical_rowmotion_is_homogeneous(case, scale):
     assert image.values == tuple(scale * v for v in antichain_rowmotion(poset, g).values)
     assert (polytope_membership("chain", poset, scaled, scale)
             == polytope_membership("chain", poset, g))
+
+
+# Symbolic orbits for the tropicalization property: whole orbits, and 4 steps
+# of [3]x[3], whose whole orbit is too slow here.
+SYMBOLIC_ORBITS = [(2, 3, None), (3, 2, None), (2, 4, None), (4, 2, None), (3, 3, 4)]
+
+
+@lru_cache(maxsize=None)
+def _symbolic_orbit(a, b, steps):
+    """[a]x[b] and its symbolic orbit's labelings, computed once per shape."""
+    p = product_of_chains(a, b)
+    return p, iterate(p, symbolic_labeling(p), steps=steps).labelings
+
+
+def _tropicalize(f, point):
+    """max <e, point> over the exponents e of f's numerator, minus the same
+    over its denominator; ``point`` gives C, then the variables in order."""
+    def top(poly):
+        return max(sum(k * v for k, v in zip(e, point)) for e in poly.exponents())
+    return top(f.num) - top(f.den)
+
+
+@pytest.mark.parametrize("a,b,steps", SYMBOLIC_ORBITS)
+@settings(PROPERTY, max_examples=5)
+@given(st.lists(TROPICAL_NUMBERS, min_size=10, max_size=10))
+def test_birational_orbit_tropicalizes_to_the_tropical_orbit(a, b, steps, point):
+    """Every coefficient of every symbolic label is positive, so each label
+    tropicalizes: at a rational point, with C = c, it is the label of the
+    tropical orbit of the tropicalized start at every element and step."""
+    p, labelings = _symbolic_orbit(a, b, steps)
+    assert all(coeff > 0 for g in labelings for f in g.values
+               for coeff in chain(f.num.terms.values(), f.den.terms.values()))
+    cur = Labeling(TropicalRealm(point[0]), [_tropicalize(f, point) for f in labelings[0].values])
+    for k, g in enumerate(labelings):
+        assert [_tropicalize(f, point) for f in g.values] == list(cur.values), f"step {k}"
+        cur = antichain_rowmotion(p, cur)
 
 
 def _bounded_exponents(n, cap):

@@ -13,6 +13,7 @@ from rowmotion import (
     SamplingExhausted,
     SingularValue,
     TropicalRealm,
+    antichain_rowmotion,
     product_of_chains,
     realm_from_config,
     sample_generic_labeling,
@@ -274,30 +275,40 @@ def test_symbolic_labeling_names():
                         (2, 2): "x", (1, 3): "y", (2, 3): "z"}
 
 
+def _one_step(poset):
+    """A walk that takes one rowmotion step and returns the labeling."""
+    def walk(g):
+        antichain_rowmotion(poset, g)
+        return g
+    return walk
+
+
 def test_sample_matrix_labeling():
     p = product_of_chains(1, 1)
-    g = sample_generic_labeling(p, {"realm": "matp", "p": 101, "d": 1}, seed=9)
+    g = sample_generic_labeling(p, {"realm": "matp", "p": 101, "d": 1}, 9, _one_step(p))
     assert g[0][0] != 0  # a zero scalar would have failed the full pass
-    g2 = sample_generic_labeling(p, {"realm": "matp", "p": 101, "d": 1}, seed=9)
+    g2 = sample_generic_labeling(p, {"realm": "matp", "p": 101, "d": 1}, 9, _one_step(p))
     assert g.values == g2.values and g.realm.c == g2.realm.c  # deterministic
 
     big = sample_generic_labeling(
-        product_of_chains(2, 3), {"realm": "matp", "p": FUZZ_PRIME, "d": 2}, seed=4)
+        product_of_chains(2, 3), {"realm": "matp", "p": FUZZ_PRIME, "d": 2}, 4, lambda g: g)
     assert len(big.values) == 6 and big.realm.d == 2
 
-    q = sample_generic_labeling(product_of_chains(2, 2), {"realm": "matq", "d": 2}, seed=1)
+    q = sample_generic_labeling(product_of_chains(2, 2), {"realm": "matq", "d": 2}, 1,
+                                lambda g: g)
     assert q.realm.c != 0
 
-    trop = sample_generic_labeling(product_of_chains(2, 2), {"realm": "tropical"}, seed=1)
+    trop = sample_generic_labeling(product_of_chains(2, 2), {"realm": "tropical"}, 1,
+                                   lambda g: g)
     assert all(0 <= v <= 1 for v in trop.values)
 
 
 def test_sampling_exhausted():
     # p = 2 with d = 1 on a 2x2 rectangle: a full pass nearly always hits a
     # zero sum, so the retry bound trips.
+    p = product_of_chains(2, 2)
     with pytest.raises(SamplingExhausted):
-        sample_generic_labeling(
-            product_of_chains(2, 2), {"realm": "matp", "p": 2, "d": 1}, seed=0)
+        sample_generic_labeling(p, {"realm": "matp", "p": 2, "d": 1}, 0, _one_step(p))
 
 
 def test_redraw_returns_the_first_nonsingular_attempt():
