@@ -33,7 +33,6 @@ from .poset import (
     build_poset,
     enumerate_antichains,
     fibers,
-    linear_extension,
     poset_from_json,
     poset_to_json,
     product_of_chains,

@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .combinatorial import orbit_report
 from .dynamics import iterate
-from .errors import PosetError, SamplingExhausted, SingularValue
+from .errors import SamplingExhausted, SingularValue
 from .fixtures import fixture_table, run_figure_fixtures
 from .fuzz import fuzz_grid
 from .labeling import labeling_from_json
@@ -34,8 +34,7 @@ def main(argv=None):
         report, ok = args.handler(args)
         if report is not None:
             _emit(report, args)
-    except (OSError, OverflowError, PosetError, SingularValue, SamplingExhausted,
-            ValueError, _Refused) as exc:
+    except (OSError, OverflowError, SingularValue, SamplingExhausted, ValueError, _Refused) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

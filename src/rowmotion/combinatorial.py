@@ -22,7 +22,7 @@ def downward_saturation(poset, antichain):
         raise ValueError(f"not an antichain: {sorted(a)}")
     mask = 0
     for x in a:
-        mask |= poset.down_mask(x)
+        mask |= poset.down_mask[x]
     return _mask_to_set(mask)
 
 
@@ -35,11 +35,14 @@ def complement(poset, ideal):
 
 
 def minimal_elements(poset, filt):
-    """Minimal members of an order filter; the result is an antichain."""
+    """Minimal members of an order filter; the result is an antichain.
+
+    A member is minimal when no lower cover of it is a member: a filter that
+    holds some y < x also holds the lower cover of x above y."""
     f = frozenset(filt)
     if not poset.is_filter(f):
         raise ValueError(f"not an order filter: {sorted(f)}")
-    return frozenset(x for x in f if not any(y in f for y in range(poset.n) if poset.lt(y, x)))
+    return frozenset(x for x in f if not any(y in f for y in poset.down_covers[x]))
 
 
 def rowmotion_antichain(poset, antichain):

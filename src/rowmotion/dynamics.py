@@ -55,24 +55,24 @@ def transfer(kind, poset, g):
     if kind is TransferKind.DOWN:
         out = []
         for x in range(n):
-            s = r.sum(g[y] for y in poset.down_covers(x))
+            s = r.sum(g[y] for y in poset.down_covers[x])
             out.append(r.mul(g[x], r.inv_at(s, x)))
         return Labeling(r, out)
     if kind is TransferKind.UP:
         out = []
         for x in range(n):
-            s = r.sum(g[y] for y in poset.up_covers(x))
+            s = r.sum(g[y] for y in poset.up_covers[x])
             out.append(r.mul(r.inv_at(s, x), g[x]))
         return Labeling(r, out)
     if kind is TransferKind.DOWN_INV:
         val = [None] * n
-        for x in poset.topo_order():
-            val[x] = r.mul(g[x], r.sum(val[y] for y in poset.down_covers(x)))
+        for x in poset.topo_order:
+            val[x] = r.mul(g[x], r.sum(val[y] for y in poset.down_covers[x]))
         return Labeling(r, val)
     if kind is TransferKind.UP_INV:
         val = [None] * n
-        for x in reversed(poset.topo_order()):
-            val[x] = r.mul(r.sum(val[y] for y in poset.up_covers(x)), g[x])
+        for x in reversed(poset.topo_order):
+            val[x] = r.mul(r.sum(val[y] for y in poset.up_covers[x]), g[x])
         return Labeling(r, val)
     raise ValueError(f"unknown transfer kind {kind!r}")
 
@@ -109,10 +109,9 @@ def rowmotion_pass(poset, values, mul, add, inv_all):
     when some D(v), g(v) or lower-cover sum is singular; a singular g(v)
     makes D(v) singular, so the batches agree.
     """
-    # The poset's own tables: a method call per element costs ~2% of a fuzz cell.
-    up, down, nonminimal = poset._up_covers, poset._down_covers, poset._nonminimal
+    up, down, nonminimal = poset.up_covers, poset.down_covers, poset.nonminimal
     D = list(values)  # kept at the maximal elements
-    for x in reversed(poset.topo_order()):
+    for x in reversed(poset.topo_order):
         covers = up[x]
         if covers:
             s = D[covers[0]]
@@ -154,16 +153,16 @@ def antichain_rowmotion(poset, g, mode="transfer", extension=None):
         r = g.realm
         return Labeling(r, rowmotion_pass(poset, g.values, r.mul, r.add, r.inv_all))
     if mode == "toggles":
-        order = poset.topo_order() if extension is None else _checked_extension(poset, extension)
+        order = poset.topo_order if extension is None else _checked_extension(poset, extension)
         r = g.realm
         D = transfer(TransferKind.UP_INV, poset, g)
         W = [None] * poset.n  # set as each element is toggled
         for v in order:
-            s = r.sum(W[y] for y in poset.down_covers(v))
+            s = r.sum(W[y] for y in poset.down_covers[v])
             g = toggle(poset, g, v, up=D[v], down=r.mul(g[v], s))
             # No upper cover reads W at a maximal v; on symbolic labels that
             # unread product would be the largest of the step.
-            if poset.up_covers(v):
+            if poset.up_covers[v]:
                 W[v] = r.mul(g[v], s)
         return g
     raise ValueError(f"unknown rowmotion mode {mode!r}")
@@ -185,7 +184,7 @@ def _checked_extension(poset, extension):
         missing = min(set(range(poset.n)) - set(position))
         raise ValueError(f"extension misses element {missing}")
     for v in order:
-        for y in poset.down_covers(v):
+        for y in poset.down_covers[v]:
             if position[y] > position[v]:
                 raise ValueError(f"extension puts element {v} before element {y}, "
                                  f"which it covers")
@@ -254,8 +253,7 @@ def polytope_membership(kind, poset, values, scale=1):
     kind "order": values in [0, scale], weakly increasing along covers.
     kind "order-reversing": values in [0, scale], weakly decreasing along covers.
     kind "chain": values in [0, scale] and every maximal chain sums to at most
-    scale, read off one longest-chain pass (``FinitePoset.max_chain_sum``)
-    capped at scale, which the nonnegative values allow.
+    scale, read off one longest-chain pass (``FinitePoset.max_chain_sum``).
     Values are ints or Fractions and are compared as given.
     """
     if isinstance(values, Labeling):
@@ -267,7 +265,7 @@ def polytope_membership(kind, poset, values, scale=1):
     if kind == "order-reversing":
         return all(values[lo] >= values[hi] for lo, hi in poset.covers)
     if kind == "chain":
-        return poset.max_chain_sum(values, cap=scale) <= scale
+        return poset.max_chain_sum(values) <= scale
     raise ValueError(f"unknown polytope kind {kind!r}")
 
 

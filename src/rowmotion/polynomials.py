@@ -184,10 +184,6 @@ class Polynomial:
                 return 1
         return g
 
-    def monomial_floor(self):
-        """Exponentwise min over terms: the largest monomial dividing every term."""
-        return monomial_gcd(self.nvars, self.terms) if self.terms else 0
-
     def shift_down(self, mono):
         """Divide every term by ``mono`` (caller guarantees exactness)."""
         if not mono:

@@ -21,6 +21,11 @@ from .errors import PosetError
 class FinitePoset:
     """A finite poset given by its (transitively reduced) cover relation.
 
+    Its tables are tuples indexed by element id, read directly:
+    ``up_covers[x]`` and ``down_covers[x]`` (sorted), the bitmasks
+    ``up_mask[x]`` of {y : x <= y} and ``down_mask[x]`` of {y : y <= x},
+    ``topo_order`` (the deterministic linear extension, ties broken by
+    smallest id), and the ids ``maximal`` and ``nonminimal`` in id order.
     Immutable after construction; safe to share between threads.
     """
 
@@ -28,13 +33,13 @@ class FinitePoset:
         "n",
         "names",
         "covers",
-        "_up_mask",
-        "_down_mask",
-        "_up_covers",
-        "_down_covers",
-        "_topo",
-        "_maximal",
-        "_nonminimal",
+        "up_mask",
+        "down_mask",
+        "up_covers",
+        "down_covers",
+        "topo_order",
+        "maximal",
+        "nonminimal",
     )
 
     def __init__(self, n, covers, names=None):
@@ -61,6 +66,7 @@ class FinitePoset:
         up_adj = [[] for _ in range(n)]
         for lo, hi in seen:
             up_adj[lo].append(hi)
+        # Min-id Kahn depends only on reachability, which the reduction keeps.
         topo = _topological_order(n, up_adj)
 
         # Strict up-set masks via the closure of the raw covers.
@@ -72,103 +78,52 @@ class FinitePoset:
             strict_up[x] = m
 
         # A cover (x, y) is redundant when some z sits strictly between.
-        reduced = set()
-        for lo, hi in seen:
-            implied = False
-            for z in up_adj[lo]:
-                if z != hi and (strict_up[z] >> hi) & 1:
-                    implied = True
-                    break
-            if not implied:
-                reduced.add((lo, hi))
-        if reduced != seen:
-            # Reachability is unchanged by the reduction; only adjacency shrinks.
-            up_adj = [[] for _ in range(n)]
-            for lo, hi in reduced:
-                up_adj[lo].append(hi)
-
-        self.covers = frozenset(reduced)
-        self._up_mask = tuple(strict_up[x] | (1 << x) for x in range(n))
-        down = [1 << x for x in range(n)]
-        for x in range(n):
-            m = strict_up[x]
-            while m:
-                y = (m & -m).bit_length() - 1
-                down[y] |= 1 << x
-                m &= m - 1
-        self._down_mask = tuple(down)
-        self._up_covers = tuple(tuple(sorted(up_adj[x])) for x in range(n))
-        dn_adj = [[] for _ in range(n)]
+        self.covers = frozenset(
+            (lo, hi) for lo, hi in seen
+            if not any(z != hi and (strict_up[z] >> hi) & 1 for z in up_adj[lo]))
+        ups = [[] for _ in range(n)]
+        downs = [[] for _ in range(n)]
         for lo, hi in self.covers:
-            dn_adj[hi].append(lo)
-        self._down_covers = tuple(tuple(sorted(dn_adj[x])) for x in range(n))
-        # Same order as on the reduced covers: min-id Kahn depends only on
-        # reachability, which the reduction keeps.
-        self._topo = topo
-        self._maximal = tuple(x for x in range(n) if not self._up_covers[x])
-        self._nonminimal = tuple(x for x in range(n) if self._down_covers[x])
-
-    # -- order queries -------------------------------------------------
+            ups[lo].append(hi)
+            downs[hi].append(lo)
+        self.up_covers = tuple(tuple(sorted(c)) for c in ups)
+        self.down_covers = tuple(tuple(sorted(c)) for c in downs)
+        down_mask = [0] * n
+        for x in topo:
+            m = 1 << x
+            for y in self.down_covers[x]:
+                m |= down_mask[y]
+            down_mask[x] = m
+        self.up_mask = tuple(strict_up[x] | (1 << x) for x in range(n))
+        self.down_mask = tuple(down_mask)
+        self.topo_order = topo
+        self.maximal = tuple(x for x in range(n) if not self.up_covers[x])
+        self.nonminimal = tuple(x for x in range(n) if self.down_covers[x])
 
     def leq(self, x, y):
         """True when x <= y."""
-        return bool((self._up_mask[x] >> y) & 1)
-
-    def lt(self, x, y):
-        return x != y and self.leq(x, y)
-
-    def comparable(self, x, y):
-        return self.leq(x, y) or self.leq(y, x)
-
-    def up_mask(self, x):
-        """Bitmask of {y : x <= y}."""
-        return self._up_mask[x]
-
-    def down_mask(self, x):
-        """Bitmask of {y : y <= x}."""
-        return self._down_mask[x]
-
-    def up_covers(self, x):
-        """Elements covering x."""
-        return self._up_covers[x]
-
-    def down_covers(self, x):
-        """Elements covered by x."""
-        return self._down_covers[x]
-
-    def elements(self):
-        return range(self.n)
-
-    def minimal_elements(self):
-        return tuple(x for x in range(self.n) if not self._down_covers[x])
-
-    def maximal_elements(self):
-        return self._maximal
-
-    def topo_order(self):
-        """Deterministic linear extension: ties broken by smallest id."""
-        return self._topo
-
-    # -- subset predicates ----------------------------------------------
+        return bool((self.up_mask[x] >> y) & 1)
 
     def is_antichain(self, subset):
-        return all(not self.comparable(x, y) for x, y in combinations(subset, 2))
+        return all(not (self.leq(x, y) or self.leq(y, x)) for x, y in combinations(subset, 2))
 
     def is_ideal(self, subset):
         s = frozenset(subset)
-        return all(_mask_subset(self._down_mask[x], s, self.n) for x in s)
+        mask = sum(1 << x for x in s)
+        return all(not self.down_mask[x] & ~mask for x in s)
 
     def is_filter(self, subset):
         s = frozenset(subset)
-        return all(_mask_subset(self._up_mask[x], s, self.n) for x in s)
+        mask = sum(1 << x for x in s)
+        return all(not self.up_mask[x] & ~mask for x in s)
 
     def maximal_chains(self):
         """All maximal chains, each as a tuple from a minimal to a maximal element."""
         out = []
-        stack = [(x, (x,)) for x in self.minimal_elements()]
+        stack = [(x, (x,)) for x in range(self.n) if not self.down_covers[x]]
         while stack:
             x, chain = stack.pop()
-            ups = self._up_covers[x]
+            ups = self.up_covers[x]
             if not ups:
                 out.append(chain)
             else:
@@ -176,18 +131,12 @@ class FinitePoset:
                     stack.append((y, chain + (y,)))
         return sorted(out)
 
-    def max_chain_sum(self, values, cap=None):
+    def max_chain_sum(self, values):
         """Largest sum of ``values`` over a maximal chain (0 on the empty poset).
 
         A longest-path DP in topological order over the lower covers, so it
         costs O(n + |covers|) where the chains themselves can be exponentially
         many.  Works on any ordered numbers, ints and Fractions alike.
-
-        With ``cap`` given and every value nonnegative, the pass stops at the
-        first partial chain sum above ``cap`` and returns it: a chain only
-        grows, so ``max_chain_sum(v, cap=c) <= c`` answers exactly as
-        ``max_chain_sum(v) <= c`` does, and the result is the exact one
-        whenever it is at most ``cap``.  Negative values void that guarantee.
 
         Each element's best chain below is read with ``map`` over the lower
         covers, with no list built per element: tropical homomesy runs this
@@ -196,14 +145,11 @@ class FinitePoset:
         """
         best = [None] * self.n
         best_at = best.__getitem__
-        down = self._down_covers
-        for x in self._topo:
+        down = self.down_covers
+        for x in self.topo_order:
             below = down[x]
-            b = values[x] + max(map(best_at, below)) if below else values[x]
-            if cap is not None and b > cap:
-                return b
-            best[x] = b
-        return max((best[x] for x in self._maximal), default=0)
+            best[x] = values[x] + max(map(best_at, below)) if below else values[x]
+        return max((best[x] for x in self.maximal), default=0)
 
     def __repr__(self):
         return f"FinitePoset(n={self.n}, covers={sorted(self.covers)})"
@@ -282,11 +228,6 @@ def build_poset(covers, elements=None):
     return FinitePoset(len(ids), dense, names=ids)
 
 
-def linear_extension(poset):
-    """Deterministic linear extension of ``poset`` (topological, min-id ties)."""
-    return poset.topo_order()
-
-
 def enumerate_antichains(poset):
     """Every antichain of ``poset`` exactly once.
 
@@ -294,7 +235,7 @@ def enumerate_antichains(poset):
     O(#antichains * n); intended for desk-scale posets.
     """
     n = poset.n
-    comp = [poset.up_mask(x) | poset.down_mask(x) for x in range(n)]
+    comp = [poset.up_mask[x] | poset.down_mask[x] for x in range(n)]
     out = [()]
     stack = [((x,), comp[x]) for x in reversed(range(n))]
     while stack:
@@ -411,11 +352,3 @@ def _topological_order(n, up_adj):
         raise PosetError("cycle detected in cover relation")
     return tuple(order)
 
-
-def _mask_subset(mask, subset, n):
-    while mask:
-        y = (mask & -mask).bit_length() - 1
-        if y not in subset:
-            return False
-        mask &= mask - 1
-    return True

@@ -489,8 +489,6 @@ class FractionMatrixRealm(_MatrixRealm):
         super().__init__(d, c)
 
     def _scalar_inv(self, v):
-        if v == 0:
-            raise SingularValue("inverse of zero")
         return 1 / v
 
     def config(self):

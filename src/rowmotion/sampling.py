@@ -30,7 +30,7 @@ def symbolic_labeling(poset):
     A four-element rectangle gets w, x, y, z; six elements get u..z."""
     names = symbolic_variable_names(poset.n)
     realm = RationalFunctionRealm(names)
-    order = poset.topo_order()
+    order = poset.topo_order
     values = [None] * poset.n
     for name, x in zip(names, order):
         values[x] = realm.variable(name)

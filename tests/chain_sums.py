@@ -68,7 +68,7 @@ def _paths(poset, v, upward):
     stack = [(v, (v,))]
     while stack:
         x, path = stack.pop()
-        nxt = step(x)
+        nxt = step[x]
         if not nxt:
             out.append(path)
         else:

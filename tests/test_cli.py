@@ -9,8 +9,9 @@ import pytest
 
 from rowmotion import cli, fixtures, stword
 from rowmotion.cli import _read_json, main
-from rowmotion.dynamics import antichain_rowmotion
+from rowmotion.dynamics import antichain_rowmotion, iterate
 from rowmotion.errors import SingularValue
+from rowmotion.labeling import Labeling
 from rowmotion.poset import product_of_chains
 from rowmotion.polynomials import MAX_DEGREE, Polynomial
 from rowmotion.ratfun import RationalFunction
@@ -207,7 +208,8 @@ def test_homomesy_reports_pinned(args, digest, capsys):
     (["homomesy", "--realm", "tropical", "--a", "8", "--b", "8", "--samples", "5",
       "--seed", "3"],
      "fdacce0092a0c67dfcffb9b77967bb083375af7e7b9213144397a42e6d990f10"),
-    # on [1]x[3] the rejection rounds accept, so no sample is scaled down
+    # [1]x[3] is one chain: 16 of the 20 samples sum past 60 and are divided by
+    # that sum, the other 4 by 60
     (["homomesy", "--realm", "tropical", "--a", "1", "--b", "3", "--samples", "20",
       "--seed", "2"],
      "5195f652db3cc0cdf1dba29a915411f2ea14fa0d93587965bc9b4fe6522197b6"),
@@ -991,6 +993,19 @@ def test_noncommutative_fixture_failure_is_reported(attr, value, name, detail, m
     failed = [f for f in rep["fixtures"] if not f["passed"]]
     assert [f["name"] for f in failed] == [name]
     assert failed[0]["detail"].startswith(detail)
+
+
+def test_orbit_check_refuses_a_table_longer_than_the_period():
+    """An orbit that returns before the expected table ends fails on its
+    period: on [1]x[1] (period 2) a 4-step table built from the orbit itself
+    would otherwise be read past the orbit's last step."""
+    p = product_of_chains(1, 1)
+    g = Labeling(TropicalRealm(1), [Fraction(1, 3)])
+    orbit = iterate(p, g, steps=2)
+    steps = [lab.values for lab in orbit.labelings[:2]]
+    st0 = orbit.st_words[0].entries
+    assert fixtures._orbit_mismatch(p, g, steps, st0, "transfer", "") is None
+    assert fixtures._orbit_mismatch(p, g, steps * 2, st0, "transfer", "") == "period 2, expected 4"
 
 
 @pytest.mark.parametrize("args", [

@@ -243,7 +243,7 @@ def test_mode_equivalence_sampled(a, b):
 def test_linear_extension_independence():
     p = product_of_chains(3, 3)
     rng = random.Random(13)
-    base_order = list(p.topo_order())
+    base_order = list(p.topo_order)
     for s in range(6):
         g = matrix_labeling(p, 2, seed=300 + s)
         reference = antichain_rowmotion(p, g, mode="toggles")
@@ -445,7 +445,7 @@ def test_pass_names_the_first_singular_sum_in_id_order():
     the composition all name element 0, which a linear extension visits
     after element 1."""
     poset = build_poset([(2, 1), (3, 1), (1, 0), (4, 0)], elements=range(5))
-    assert poset.topo_order().index(1) < poset.topo_order().index(0)
+    assert poset.topo_order.index(1) < poset.topo_order.index(0)
     for realm in (FractionMatrixRealm(1), FractionMatrixRealm(2), FpMatrixRealm(PRIME, 1),
                   FpMatrixRealm(PRIME, 2), FpMatrixRealm(PRIME, 4)):
         one, minus = realm.identity(1), realm.identity(-1)
@@ -597,13 +597,13 @@ def test_tropical_matches_independent_max_plus_oracle():
     def oracle_step(poset, values):
         n = poset.n
         up = [None] * n
-        for x in reversed(poset.topo_order()):
-            above = [up[y] for y in poset.up_covers(x)]
+        for x in reversed(poset.topo_order):
+            above = [up[y] for y in poset.up_covers[x]]
             up[x] = values[x] + (max(above) if above else 0)
         comp = [1 - v for v in up]
         out = [None] * n
         for x in range(n):
-            below = [comp[y] for y in poset.down_covers(x)]
+            below = [comp[y] for y in poset.down_covers[x]]
             out[x] = comp[x] - (max(below) if below else 0)
         return out
 

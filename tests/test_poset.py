@@ -11,7 +11,6 @@ from rowmotion import (
     build_poset,
     enumerate_antichains,
     fibers,
-    linear_extension,
     poset_from_json,
     poset_to_json,
     product_of_chains,
@@ -45,8 +44,8 @@ def test_product_of_chains_2x2():
     p = product_of_chains(2, 2)
     assert p.n == 4
     assert len(p.covers) == 4
-    assert p.minimal_elements() == (p.id(1, 1),)
-    assert p.maximal_elements() == (p.id(2, 2),)
+    assert [x for x in range(p.n) if x not in p.nonminimal] == [p.id(1, 1)]
+    assert p.maximal == (p.id(2, 2),)
 
 
 def test_product_of_chains_1x1():
@@ -58,7 +57,7 @@ def test_product_of_chains_1x1():
 def test_product_of_chains_3x5_covers():
     p = product_of_chains(3, 5)
     assert p.n == 15
-    above_24 = {p.coord(y) for y in p.up_covers(p.id(2, 4))}
+    above_24 = {p.coord(y) for y in p.up_covers[p.id(2, 4)]}
     assert above_24 == {(3, 4), (2, 5)}
     # coordinatewise order
     for x in range(p.n):
@@ -140,6 +139,17 @@ def test_random_posets_match_closure_oracle():
             between = [z for z in range(n) if z not in (lo, hi)
                        and p.leq(lo, z) and p.leq(z, hi)]
             assert not between
+        # every table agrees with the closure and the reduced covers
+        for x in range(n):
+            assert p.up_mask[x] == sum(1 << y for y in range(n) if (x, y) in closure)
+            assert p.down_mask[x] == sum(1 << y for y in range(n) if (y, x) in closure)
+            assert p.up_covers[x] == tuple(sorted(y for lo, y in p.covers if lo == x))
+            assert p.down_covers[x] == tuple(sorted(y for y, hi in p.covers if hi == x))
+        assert p.maximal == tuple(x for x in range(n) if not p.up_covers[x])
+        assert p.nonminimal == tuple(x for x in range(n) if p.down_covers[x])
+        pos = {x: k for k, x in enumerate(p.topo_order)}
+        assert sorted(pos) == list(range(n))
+        assert all(pos[lo] < pos[hi] for lo, hi in p.covers)
 
 
 def test_enumerate_antichains_2x2():
@@ -188,14 +198,14 @@ def test_fibers():
 
 def test_linear_extension():
     chain = build_poset([(0, 1), (1, 2)], elements=[0, 1, 2])
-    assert linear_extension(chain) == (0, 1, 2)
+    assert chain.topo_order == (0, 1, 2)
     p = product_of_chains(2, 2)
-    assert linear_extension(p) == (p.id(1, 1), p.id(2, 1), p.id(1, 2), p.id(2, 2))
+    assert p.topo_order == (p.id(1, 1), p.id(2, 1), p.id(1, 2), p.id(2, 2))
     loose = build_poset([], elements=["b", "a", "c"])
-    assert linear_extension(loose) == (0, 1, 2)
+    assert loose.topo_order == (0, 1, 2)
     for a, b in [(2, 3), (3, 3)]:
         rect = product_of_chains(a, b)
-        order = linear_extension(rect)
+        order = rect.topo_order
         pos = {x: k for k, x in enumerate(order)}
         for lo, hi in rect.covers:
             assert pos[lo] < pos[hi]

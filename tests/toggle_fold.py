@@ -13,7 +13,7 @@ from rowmotion.errors import SingularValue
 def toggle_fold(poset, g, extension=None):
     """Toggle once at each element of ``extension`` (default: the canonical
     linear extension), bottom to top, each toggle on its own."""
-    for v in poset.topo_order() if extension is None else extension:
+    for v in poset.topo_order if extension is None else extension:
         g = toggle(poset, g, v)
     return g
 
@@ -24,7 +24,7 @@ def random_linear_extension(poset, rng):
     placed = []
     while remaining:
         ready = sorted(x for x in remaining
-                       if all(y not in remaining for y in poset.down_covers(x)))
+                       if all(y not in remaining for y in poset.down_covers[x]))
         pick = rng.choice(ready)
         placed.append(pick)
         remaining.remove(pick)
