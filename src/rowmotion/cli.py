@@ -11,6 +11,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,9 +29,8 @@ from .stword import fiber_product_checks, orbit_window, pl_homomesy_report, st_w
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         report, ok = args.handler(args)
         if report is not None:
             _emit(report, args)
@@ -101,7 +101,10 @@ def _int_option(p, flag, least=None, **kwargs):
     p.add_argument(flag, type=read, **kwargs)
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process, built at the first ``main`` call.
+    Parsing leaves it as it was: each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="rowmotion",
         description="Exact antichain rowmotion: orbits, words, homomesy, fuzzing.",
@@ -323,12 +326,42 @@ def _cmd_fixtures(args):
 
 
 def _emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _dump(report)
     if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps's own, in C
+
+
+def _dump(obj, prefix="\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, at a
+    nesting whose newline and indent are ``prefix``.  With ``indent`` set,
+    CPython encodes in pure Python; here the lists of ints (matrix rows)
+    and of strs (labels, words) that make up most of a report are joined
+    at C speed.  Anything else (bool, None, float, a subclass of int, str,
+    list or dict, a dict with a key that is not a str, an empty list or
+    dict) is left to ``json.dumps``, re-indented: JSON text never holds a
+    raw newline."""
+    inner = prefix + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        brackets = "{}"
+        items = (f"{_encode_str(key)}: {_dump(obj[key], inner)}" for key in sorted(obj))
+    elif (type(obj) is list or type(obj) is tuple) and obj:
+        brackets = "[]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {str}:
+            items = map(_encode_str, obj)
+        else:
+            items = (_dump(item, inner) for item in obj)
+    else:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", prefix)
+    return brackets[0] + inner + ("," + inner).join(items) + prefix + brackets[1]
 
 
 if __name__ == "__main__":

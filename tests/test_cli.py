@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import rowmotion
 from rowmotion import cli, fixtures, stword
 from rowmotion.cli import _read_json, main
 from rowmotion.dynamics import antichain_rowmotion, iterate
@@ -730,6 +734,61 @@ def test_output_stable_across_runs(tmp_path):
         assert main(["orbits", "--chains", "2", "3", "--realm", "comb",
                      "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["poset", "--chains", "2", "3"],
+    ["orbits", "--chains", "2", "3"],
+    ["rowmotion", "--chains", "2", "3", "--realm", "matp", "--d", "2", "--seed", "3"],
+    ["rowmotion", "--chains", "2", "3", "--realm", "matq", "--d", "2", "--seed", "1"],
+    ["rowmotion", "--chains", "2", "3", "--realm", "tropical", "--c", "3/2"],
+    ["rowmotion", "--chains", "2", "2", "--realm", "ratfun"],
+    ["stword", "--chains", "2", "3", "--realm", "tropical", "--seed", "4"],
+    ["homomesy", "--realm", "ratfun", "--a", "2", "--b", "2"],
+    ["homomesy", "--realm", "matp", "--a", "2", "--b", "3", "--samples", "5"],
+    ["homomesy", "--realm", "tropical", "--a", "2", "--b", "3", "--samples", "5"],
+    ["fuzz-nar", "--amax", "2", "--bmax", "2", "--dmax", "2", "--trials", "3"],
+    ["fixtures", "--samples", "3"],
+], ids=" ".join)
+def test_report_is_indented_json_with_sorted_keys(args, tmp_path, capsys):
+    """Every report, on stdout and through --out, is the text of
+    ``json.dumps(indent=2, sort_keys=True)`` and a newline."""
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "report.json"
+    assert main(args + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    for text in (out, path.read_text()):
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_parser_reuse_carries_nothing_between_calls(tmp_path, capsys):
+    """``main`` parses every call with one parser: after a run with --c,
+    --steps and --out, an argparse refusal and a refused integer, a plain
+    run prints what a fresh process prints.  --help and --version exit 0
+    and print the same text each time."""
+    args = ["rowmotion", "--chains", "2", "3", "--realm", "matq", "--d", "2", "--seed", "1"]
+    path = tmp_path / "first.json"
+    assert main(args + ["--c", "5", "--steps", "3", "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["realm"]["c"] == "5"
+    with pytest.raises(SystemExit) as exc:
+        main(["rowmotion", "--chains", "2", "x"])
+    assert exc.value.code == 2
+    assert main(args + ["--steps", "0"]) == 2
+    capsys.readouterr()
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rowmotion.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "rowmotion"] + args, capture_output=True,
+                           text=True, env=env, check=True)
+    assert out == fresh.stdout
+    texts = []
+    for flag in ("--help", "--version", "--help", "--version"):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[:2] == texts[2:] and all(texts)
 
 
 def test_fuzz_refuses_composite_modulus(capsys):

@@ -10,7 +10,8 @@ matrices, for the realm's own products and inverses, run up to d = 4.
 Packed polynomials in 1 to 10 variables, with exponents up to just below
 the field limit, are checked against the tuple-keyed oracle.  Symbolic
 orbits on rectangles up to [2]x[4] and [3]x[3] tropicalize, at rational
-points, to the tropical orbit.
+points, to the tropical orbit.  The CLI's report writer is checked against
+``json.dumps`` on JSON values of every kind.
 """
 
 import json
@@ -40,6 +41,7 @@ from rowmotion import (
     product_of_chains,
     transfer,
 )
+from rowmotion import cli
 from rowmotion.polynomials import MAX_DEGREE, Polynomial, monomial_gcd
 from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, Realm, _MatrixRealm
 from rowmotion.sampling import sample_chain_polytope_point, symbolic_labeling
@@ -561,3 +563,26 @@ def test_products_past_the_field_limit_raise(n, data):
     y[k] += 1
     with pytest.raises(ValueError):
         f * Polynomial(n, {tuple(y): 1})
+
+
+# keys and strings with non-ASCII (past the BMP too, and a lone surrogate),
+# control, quote and backslash characters
+JSON_TEXT = st.text(st.sampled_from('a"\\/\n\x00\x1f\x7fé€\U0001f600\ud800'))
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=10**40)
+                | st.integers(max_value=-10**40) | st.floats() | JSON_TEXT)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers()) | st.lists(JSON_TEXT)
+    | st.lists(st.integers() | st.booleans()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner) | st.dictionaries(st.integers(), inner)),
+    max_leaves=12)
+
+
+@PROPERTY
+@given(JSON_VALUES)
+def test_report_writer_is_json_dumps(value):
+    """The CLI writes a report as ``json.dumps(indent=2, sort_keys=True)``
+    would, byte for byte: lists of ints or strs, which it joins itself, and
+    everything it leaves to ``json.dumps`` (bools beside ints, floats with
+    inf and nan, None, tuples, empty and nested containers, int keys)."""
+    assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True)
