@@ -108,25 +108,28 @@ def rowmotion_pass(poset, values, mul, add, inv_all):
     though toggle mode forms it by other products.  So it refuses exactly
     when some D(v), g(v) or lower-cover sum is singular; a singular g(v)
     makes D(v) singular, so the batches agree.
+
+    The covers are read from the poset's sweeps (``up_sweep`` in
+    ``reversed(topo_order)``, ``down_sweep`` over ``nonminimal``), built
+    once per poset, so no element's covers are looked up, tested or sliced
+    per step; the realm calls and both batches are those of walking
+    ``up_covers`` and ``down_covers`` in the same orders.
     """
-    up, down, nonminimal = poset.up_covers, poset.down_covers, poset.nonminimal
     D = list(values)  # kept at the maximal elements
-    for x in reversed(poset.topo_order):
-        covers = up[x]
-        if covers:
-            s = D[covers[0]]
-            for y in covers[1:]:
-                s = add(s, D[y])
-            D[x] = mul(s, values[x])
+    for x, first, rest in poset.up_sweep:
+        s = D[first]
+        for y in rest:
+            s = add(s, D[y])
+        D[x] = mul(s, values[x])
     E = inv_all(D, range(poset.n), scaled=True)
     sums = []
-    for x in nonminimal:
-        covers = down[x]
-        s = E[covers[0]]
-        for y in covers[1:]:
+    for x, first, rest in poset.down_sweep:
+        s = E[first]
+        for y in rest:
             s = add(s, E[y])
         sums.append(s)
     out = list(E)
+    nonminimal = poset.nonminimal
     for x, s in zip(nonminimal, inv_all(sums, nonminimal)):
         out[x] = mul(E[x], s)
     return out

@@ -195,16 +195,21 @@ class Polynomial:
 
         Standard leading-term division under graded lex; fails (None) as soon
         as a leading monomial or coefficient does not divide.  The quotient
-        monomials come out strictly decreasing, one per step.
+        monomials come out strictly decreasing, one per step.  The leading
+        terms are tried before the remainder is copied, since most failed
+        probes fail there.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return _poly(self.nvars, {})
         guards = _layout(self.nvars)[1]
-        dterms = list(divisor.terms.items())
         dlm = max(divisor.terms)
         dlc = divisor.terms[dlm]
+        lead = max(self.terms)
+        if (lead - dlm) & guards or self.terms[lead] % dlc:
+            return None
+        dterms = list(divisor.terms.items())
         rem = dict(self.terms)
         get = rem.get
         quo = {}

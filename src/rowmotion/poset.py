@@ -25,8 +25,13 @@ class FinitePoset:
     ``up_covers[x]`` and ``down_covers[x]`` (sorted), the bitmasks
     ``up_mask[x]`` of {y : x <= y} and ``down_mask[x]`` of {y : y <= x},
     ``topo_order`` (the deterministic linear extension, ties broken by
-    smallest id), and the ids ``maximal`` and ``nonminimal`` in id order.
-    Immutable after construction; safe to share between threads.
+    smallest id), and the ids ``minimal`` and ``nonminimal`` in id order.
+    The two cover sweeps are the hot passes' view of the covers: ``up_sweep``
+    holds one ``(x, first, rest)`` triple per non-maximal x, in
+    ``reversed(topo_order)``, with ``(first,) + rest == up_covers[x]``;
+    ``down_sweep`` holds the same triple from ``down_covers[x]`` for each x
+    in ``nonminimal``.  Immutable after construction; safe to share between
+    threads.
     """
 
     __slots__ = (
@@ -38,8 +43,10 @@ class FinitePoset:
         "up_covers",
         "down_covers",
         "topo_order",
-        "maximal",
+        "minimal",
         "nonminimal",
+        "up_sweep",
+        "down_sweep",
     )
 
     def __init__(self, n, covers, names=None):
@@ -97,8 +104,12 @@ class FinitePoset:
         self.up_mask = tuple(strict_up[x] | (1 << x) for x in range(n))
         self.down_mask = tuple(down_mask)
         self.topo_order = topo
-        self.maximal = tuple(x for x in range(n) if not self.up_covers[x])
+        self.minimal = tuple(x for x in range(n) if not self.down_covers[x])
         self.nonminimal = tuple(x for x in range(n) if self.down_covers[x])
+        self.up_sweep = tuple((x, self.up_covers[x][0], self.up_covers[x][1:])
+                              for x in reversed(topo) if self.up_covers[x])
+        self.down_sweep = tuple((x, self.down_covers[x][0], self.down_covers[x][1:])
+                                for x in self.nonminimal)
 
     def leq(self, x, y):
         """True when x <= y."""
@@ -120,7 +131,7 @@ class FinitePoset:
     def maximal_chains(self):
         """All maximal chains, each as a tuple from a minimal to a maximal element."""
         out = []
-        stack = [(x, (x,)) for x in range(self.n) if not self.down_covers[x]]
+        stack = [(x, (x,)) for x in self.minimal]
         while stack:
             x, chain = stack.pop()
             ups = self.up_covers[x]
@@ -134,22 +145,25 @@ class FinitePoset:
     def max_chain_sum(self, values):
         """Largest sum of ``values`` over a maximal chain (0 on the empty poset).
 
-        A longest-path DP in topological order over the lower covers, so it
-        costs O(n + |covers|) where the chains themselves can be exponentially
-        many.  Works on any ordered numbers, ints and Fractions alike.
+        A longest-path DP over ``up_sweep``: the best chain from each element
+        up to a maximal one, then the largest of those from a minimal
+        element.  It costs O(n + |covers|) where the chains themselves can be
+        exponentially many.  Works on any ordered numbers, ints and Fractions
+        alike.
 
-        Each element's best chain below is read with ``map`` over the lower
-        covers, with no list built per element: tropical homomesy runs this
-        pass a+b times per sample on [a]x[b], once in the sampler and once
-        per membership check of the orbit window.
+        The sweep hands each element its first upper cover and the rest, so
+        the pass makes no per-element lookup, test or call: tropical
+        homomesy runs it a+b times per sample on [a]x[b], once in the
+        sampler and once per membership check of the orbit window.
         """
-        best = [None] * self.n
-        best_at = best.__getitem__
-        down = self.down_covers
-        for x in self.topo_order:
-            below = down[x]
-            best[x] = values[x] + max(map(best_at, below)) if below else values[x]
-        return max((best[x] for x in self.maximal), default=0)
+        best = list(values)
+        for x, first, rest in self.up_sweep:
+            m = best[first]
+            for y in rest:
+                if best[y] > m:
+                    m = best[y]
+            best[x] += m
+        return max((best[x] for x in self.minimal), default=0)
 
     def __repr__(self):
         return f"FinitePoset(n={self.n}, covers={sorted(self.covers)})"

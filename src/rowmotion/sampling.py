@@ -71,20 +71,22 @@ def sample_generic_labeling(poset, realm_config, seed, walk):
 
 
 def sample_chain_polytope_point(poset, rng, denominator=60):
-    """Random rational point of the chain polytope; its entries share one
-    denominator, max(``denominator``, W) for the W below.
+    """One random rational point of the chain polytope, as ``(numerators,
+    scale)``: the point is k / scale for each numerator k, in id order, and
+    scale = max(``denominator``, W) for the W below.
 
-    Draws integer numerators k in [0, denominator], one per element, and
-    scales them by max(denominator, W), where W is their largest chain sum
-    (``FinitePoset.max_chain_sum``, one longest-chain pass over the covers).
-    The point's largest chain sum is min(1, W/denominator), so it is in the
-    chain polytope, and on the facet of its longest chain exactly when
-    W >= denominator.  One draw serves every poset; the law is not uniform
-    on the polytope.
+    Draws integer numerators k in [0, denominator], one per element, where W
+    is their largest chain sum (``FinitePoset.max_chain_sum``, one
+    longest-chain pass over the covers).  The point's largest chain sum is
+    min(1, W/denominator), so it is in the chain polytope, and on the facet
+    of its longest chain exactly when W >= denominator.  One draw serves
+    every poset; the law is not uniform on the polytope.  The point is
+    returned over its one denominator, not as ``Fraction``s, so a caller
+    that works on integers (``stword.pl_homomesy_report``) never forms or
+    reduces a fraction.
     """
     numerators = [rng.randrange(denominator + 1) for _ in range(poset.n)]
-    scale = max(denominator, poset.max_chain_sum(numerators))
-    return [Fraction(k, scale) for k in numerators]
+    return numerators, max(denominator, poset.max_chain_sum(numerators))
 
 
 def _bounded_rational(rng):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .dynamics import antichain_rowmotion, polytope_membership
@@ -187,22 +186,21 @@ def pl_homomesy_report(a, b, samples, seed):
     products C^b and C^a, read tropically), and the label-sum mean is
     ab/(a+b).  Failures record the sample seed.
 
-    The window runs on integers.  The sampled point's entries have one
-    common denominator L (their lcm, which divides the sampler's max(60, W)),
-    and tropical rowmotion is homogeneous: max, + and negation commute with
-    scaling the labels and c by L > 0.  So the numerators are iterated with
-    c = L, and every check is scaled to match: labels in [0, L] with chain
-    sums at most L, fiber products b*L and a*L, and a label sum of a*b*L
-    over the window.
+    The window runs on integers.  The sampler gives each point as integer
+    numerators over one scale S = max(60, W), and tropical rowmotion is
+    homogeneous: max, + and negation commute with scaling the labels and c
+    by S > 0.  So the numerators are iterated with c = S, and every check is
+    scaled to match: labels in [0, S] with chain sums at most S, fiber
+    products b*S and a*S, and a label sum of a*b*S over the window.  Each
+    check gives the boolean it gives on the point itself with c = 1, and
+    the same as over any other common denominator of the point.
     """
     poset = product_of_chains(a, b)
     failures = []
     membership_failures = []
     for idx in range(samples):
         sub = derive_seed(seed, "pl-sample", idx)
-        point = sample_chain_polytope_point(poset, random.Random(sub))
-        scale = lcm(*(v.denominator for v in point))
-        numerators = [v.numerator * (scale // v.denominator) for v in point]
+        numerators, scale = sample_chain_polytope_point(poset, random.Random(sub))
         window = orbit_window(poset, Labeling(TropicalRealm(scale), numerators))
         if not all(polytope_membership("chain", poset, lab, scale) for lab in window[1:]):
             membership_failures.append(sub)

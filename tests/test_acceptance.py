@@ -129,7 +129,8 @@ def test_criterion_05_pl_properties_at_scale():
             neg_target = Fraction(a, period)
             for idx in range(1000):
                 rng = random.Random(derive_seed(SEED, "pl", a, b, idx))
-                g = Labeling(realm, sample_chain_polytope_point(p, rng))
+                numerators, scale = sample_chain_polytope_point(p, rng)
+                g = Labeling(realm, [Fraction(k, scale) for k in numerators])
                 orbit = [g]
                 for _ in range(period):
                     nxt = antichain_rowmotion(p, orbit[-1])

@@ -567,7 +567,9 @@ def test_chain_polytope_sampler_matches_chain_enumeration():
                      (product_of_chains(2, 3), 200), (product_of_chains(4, 5), 20),
                      (branchy, 200)):
         for s in range(seeds):
-            point = sample_chain_polytope_point(p, random.Random(derive_seed(41, p.n, s)))
+            numerators, scale = sample_chain_polytope_point(
+                p, random.Random(derive_seed(41, p.n, s)))
+            point = [Fraction(k, scale) for k in numerators]
             assert point == chain_polytope_point_by_chains(
                 p, random.Random(derive_seed(41, p.n, s)))
             assert polytope_membership("chain", p, point)
@@ -585,7 +587,8 @@ def test_pl_rowmotion_preserves_chain_polytope():
             p = product_of_chains(a, b)
             for s in range(1000):
                 rng = random.Random(derive_seed(700, a, b, s))
-                g = Labeling(realm, sample_chain_polytope_point(p, rng))
+                numerators, scale = sample_chain_polytope_point(p, rng)
+                g = Labeling(realm, [Fraction(k, scale) for k in numerators])
                 img = antichain_rowmotion(p, g)
                 assert polytope_membership("chain", p, img)
 

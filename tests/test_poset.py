@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,8 +45,9 @@ def test_product_of_chains_2x2():
     p = product_of_chains(2, 2)
     assert p.n == 4
     assert len(p.covers) == 4
-    assert [x for x in range(p.n) if x not in p.nonminimal] == [p.id(1, 1)]
-    assert p.maximal == (p.id(2, 2),)
+    assert p.minimal == (p.id(1, 1),)
+    assert p.nonminimal == (p.id(2, 1), p.id(1, 2), p.id(2, 2))
+    assert [x for x, _, _ in p.up_sweep] == [p.id(1, 2), p.id(2, 1), p.id(1, 1)]
 
 
 def test_product_of_chains_1x1():
@@ -145,11 +147,27 @@ def test_random_posets_match_closure_oracle():
             assert p.down_mask[x] == sum(1 << y for y in range(n) if (y, x) in closure)
             assert p.up_covers[x] == tuple(sorted(y for lo, y in p.covers if lo == x))
             assert p.down_covers[x] == tuple(sorted(y for y, hi in p.covers if hi == x))
-        assert p.maximal == tuple(x for x in range(n) if not p.up_covers[x])
+        assert p.minimal == tuple(x for x in range(n) if not p.down_covers[x])
         assert p.nonminimal == tuple(x for x in range(n) if p.down_covers[x])
         pos = {x: k for k, x in enumerate(p.topo_order)}
         assert sorted(pos) == list(range(n))
         assert all(pos[lo] < pos[hi] for lo, hi in p.covers)
+        # the sweeps: every non-maximal element top down, every nonminimal
+        # element in id order, each with its covers split as (first, rest)
+        assert [x for x, _, _ in p.up_sweep] == [x for x in reversed(p.topo_order)
+                                                  if p.up_covers[x]]
+        assert [x for x, _, _ in p.down_sweep] == list(p.nonminimal)
+        for sweep, covers in ((p.up_sweep, p.up_covers), (p.down_sweep, p.down_covers)):
+            for x, first, rest in sweep:
+                assert (first,) + rest == covers[x]
+                assert type(rest) is tuple
+
+
+def test_max_chain_sum_on_the_empty_and_one_element_posets():
+    assert build_poset([]).max_chain_sum([]) == 0
+    one = build_poset([], elements=["a"])
+    for value in (0, -3, 7, Fraction(-5, 2)):
+        assert one.max_chain_sum([value]) == value
 
 
 def test_enumerate_antichains_2x2():

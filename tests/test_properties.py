@@ -402,14 +402,16 @@ def _randrange_chain_polytope_point(poset, rng, denominator):
 @PROPERTY
 @given(posets(), st.integers(0, 2**64), DENOMINATORS)
 def test_chain_polytope_sampler_draws_like_randrange(poset, seed, denominator):
-    """The sampler's point (or its refusal of denominator 0) and final
-    generator state are those of one ``randrange`` draw per element scaled
-    by max(denominator, W), W the draw's largest chain sum.  The point is in
-    the chain polytope, its entries share that one denominator, and its
-    largest chain sum is 1 exactly when W >= denominator."""
+    """The sampler's point (or, at denominator 0, the point's division by
+    zero) and final generator state are those of one ``randrange`` draw per
+    element scaled by max(denominator, W), W the draw's largest chain sum.
+    The point is in the chain polytope, its entries share that one
+    denominator, and its largest chain sum is 1 exactly when W >=
+    denominator."""
     ours, theirs = random.Random(seed), random.Random(seed)
+    numerators, scale = sample_chain_polytope_point(poset, ours, denominator)
     try:
-        point = sample_chain_polytope_point(poset, ours, denominator)
+        point = [Fraction(k, scale) for k in numerators]
     except ZeroDivisionError:
         point = ZeroDivisionError
     try:
@@ -421,7 +423,7 @@ def test_chain_polytope_sampler_draws_like_randrange(poset, seed, denominator):
     if point is ZeroDivisionError:
         assert denominator == 0
         return
-    scale = max(denominator, worst)
+    assert scale == max(denominator, worst)
     assert polytope_membership("chain", poset, point)
     assert all((scale * v).denominator == 1 for v in point)
     assert (poset.max_chain_sum(point) == 1) == (worst >= denominator)

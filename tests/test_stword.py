@@ -18,9 +18,10 @@ from rowmotion import (
     st_word,
 )
 from rowmotion import stword
-from rowmotion.sampling import symbolic_labeling
+from rowmotion.sampling import derive_seed, symbolic_labeling
 from rowmotion.stword import constant_power, fiber_product_checks
 
+from chain_sums import pl_homomesy_report_by_fractions
 from fiber_fold import fiber_fold, fiber_fold_checks
 
 PRIME = 10007
@@ -395,6 +396,55 @@ def test_pl_homomesy_enumerates_no_chains(monkeypatch):
     assert rep["all_exact"]
     assert rep["label_sum_mean"] == "4"
     assert pl_homomesy_report(4, 5, 3, seed=9)["all_exact"]
+
+
+@pytest.mark.parametrize("a, b, samples", [(1, 1, 20), (1, 3, 20), (3, 1, 20),
+                                           (4, 5, 20), (8, 8, 5)])
+def test_pl_homomesy_report_equals_the_fraction_route(a, b, samples):
+    """Iterating each point's numerators over the sampler's scale gives the
+    report that clearing the point's reduced fractions over their lcm gives,
+    though the two windows differ by a factor wherever that lcm is smaller."""
+    for seed in range(4):
+        assert (pl_homomesy_report(a, b, samples, seed)
+                == pl_homomesy_report_by_fractions(a, b, samples, seed))
+
+
+def test_pl_homomesy_report_records_the_failing_samples(monkeypatch):
+    """A sample with a numerator above the scale fails membership alone (its
+    point is outside the chain polytope, but the fiber identities hold at
+    every point), and a sample whose window has one label lowered fails the
+    fiber and label-sum checks alone; each is recorded by its own seed.
+    Four of the eight points have reduced fractions over a common
+    denominator below the sampler's scale (56 of 112, 30 of 60, ...), so
+    checks scaled by that denominator in place of the scale would record
+    more seeds."""
+    a, b, seed, samples = 1, 3, 11, 8
+    outside, broken = 2, 5
+    real_sample, real_window = stword.sample_chain_polytope_point, stword.orbit_window
+    drawn = []
+
+    def sample(poset, rng):
+        numerators, scale = real_sample(poset, rng)
+        if len(drawn) == outside:
+            numerators[1] = scale + 1
+        drawn.append(scale)
+        return numerators, scale
+
+    def window(poset, g):
+        labelings = real_window(poset, g)
+        if len(drawn) - 1 == broken:
+            last = labelings[-1]
+            x = next(x for x in range(poset.n) if last[x] > 0)
+            labelings[-1] = last.replace(x, last[x] - 1)
+        return labelings
+
+    monkeypatch.setattr(stword, "sample_chain_polytope_point", sample)
+    monkeypatch.setattr(stword, "orbit_window", window)
+    rep = pl_homomesy_report(a, b, samples, seed)
+    assert len(drawn) == samples
+    assert rep["membership_failing_sample_seeds"] == [derive_seed(seed, "pl-sample", outside)]
+    assert rep["failing_sample_seeds"] == [derive_seed(seed, "pl-sample", broken)]
+    assert rep["all_exact"] is False
 
 
 def test_pl_homomesy_fixture_orbit():
