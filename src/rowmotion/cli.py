@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 from . import __version__
 from .combinatorial import orbit_report
@@ -340,12 +341,13 @@ _encode_str = json.encoder.encode_basestring_ascii  # json.dumps's own, in C
 def _dump(obj, prefix="\n"):
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, at a
     nesting whose newline and indent are ``prefix``.  With ``indent`` set,
-    CPython encodes in pure Python; here the lists of ints (matrix rows)
-    and of strs (labels, words) that make up most of a report are joined
-    at C speed.  Anything else (bool, None, float, a subclass of int, str,
-    list or dict, a dict with a key that is not a str, an empty list or
-    dict) is left to ``json.dumps``, re-indented: JSON text never holds a
-    raw newline."""
+    CPython encodes in pure Python; here the lists of ints and of strs
+    (labels, words) and the matrix labels (non-empty lists of non-empty
+    lists of ints, each written in one piece) that make up most of a report
+    are joined at C speed.  Anything else (bool, None, float, a subclass of
+    int, str, list or dict, a dict with a key that is not a str, an empty
+    list or dict) is left to ``json.dumps``, re-indented: JSON text never
+    holds a raw newline."""
     inner = prefix + "  "
     if type(obj) is dict and obj and all(type(key) is str for key in obj):
         brackets = "{}"
@@ -357,6 +359,12 @@ def _dump(obj, prefix="\n"):
             items = map(int.__repr__, obj)
         elif kinds == {str}:
             items = map(_encode_str, obj)
+        elif kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+            deeper = inner + "  "
+            sep = "," + deeper
+            rows = f"{inner}],{inner}[{deeper}".join([sep.join(map(int.__repr__, row))
+                                                      for row in obj])
+            return f"[{inner}[{deeper}{rows}{inner}]{prefix}]"
         else:
             items = (_dump(item, inner) for item in obj)
     else:

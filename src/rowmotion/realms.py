@@ -331,7 +331,7 @@ class _MatrixRealm(Realm):
 
     def value_to_json(self, x):
         d = self.d
-        return [[self._entry_to_json(v) for v in x[r:r + d]] for r in range(0, d * d, d)]
+        return [list(map(self._entry_to_json, x[r:r + d])) for r in range(0, d * d, d)]
 
     def value_from_json(self, obj):
         d = self.d

@@ -5,9 +5,11 @@ l is column l.  The word of a labeling g has a+b entries.  Entry k <= a
 multiplies positive fiber k with the column index descending:
 g(k,b) * ... * g(k,1).  Entry a+l is the constant times inverses up
 negative fiber l with the row index ascending: C * inv(g(1,l)) * ... *
-inv(g(a,l)).  In the tropical realm with constant 1 these specialize to the
-row sums and to 1 minus the column sums, and on 0/1 indicator labelings to
-the binary fiber word of an antichain.
+inv(g(a,l)).  Inversion reverses products, so that is C * inv(g(a,l) *
+... * g(1,l)) in every realm, the noncommutative ones included, and the
+word inverts one product per column.  In the tropical realm with constant
+1 these specialize to the row sums and to 1 minus the column sums, and on
+0/1 indicator labelings to the binary fiber word of an antichain.
 
 One rowmotion step rotates the word one place to the right; hence fiber
 statistics are homomesic: over the window g, rho(g), ..., rho^(a+b-1)(g)
@@ -56,21 +58,27 @@ class STWord:
 
 
 def st_word(poset, g):
-    """The fiber word of a labeling on a rectangle poset."""
+    """The fiber word of a labeling on a rectangle poset.
+
+    Each negative entry is C * inv(g(a,l) * ... * g(1,l)), which is the
+    paper's C * inv(g(1,l)) * ... * inv(g(a,l)) because inversion reverses
+    products; the b column products are inverted and scaled by C in one
+    ``inv_all`` (one modular inverse per word for matp with d <= 3).  A
+    column product is singular exactly when one of its labels is (the
+    determinant is multiplicative, and rational functions have no zero
+    divisors), so a word is refused exactly when a single inverse would be.
+    """
     if not isinstance(poset, RectanglePoset):
         raise ValueError("fiber words are defined on rectangle posets")
     r = g.realm
     positive, negative = fibers(poset.a, poset.b)
     entries = [r.product(g[x] for x in reversed(row)) for row in positive]
-    for column in negative:
-        # Fold right to left; the factor order C, inv(g(1,l)), .., inv(g(a,l))
-        # is unchanged, and the constant joins last, which cancels better in
-        # the symbolic realm.
-        val = None
-        for x in reversed(column):
-            term = r.inv(g[x])
-            val = term if val is None else r.mul(term, val)
-        entries.append(r.mul(r.constant(), val))
+    # Row index descending: inversion reverses the product, so its inverse
+    # has the word's factor order inv(g(1,l)), ..., inv(g(a,l)).  No element
+    # is named, so a refusal reads "singular dxd matrix", as a single
+    # inverse's does.
+    columns = [r.product(g[x] for x in reversed(column)) for column in negative]
+    entries += r.inv_all(columns, [None] * len(columns), scaled=True)
     return STWord(tuple(entries), r)
 
 

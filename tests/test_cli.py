@@ -431,6 +431,31 @@ MATQ2 = {"realm": "matq", "d": 2}
 MATP1 = {"realm": "matp", "p": 101, "d": 1}
 
 
+S2 = [[1, 2], [2, 4]]  # singular: row 2 is twice row 1
+I4 = [[int(i == j) for j in range(4)] for i in range(4)]
+S4 = [["1", "2", "3", "4"], ["2", "4", "6", "8"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+
+
+@pytest.mark.parametrize("command", ["rowmotion", "stword"])
+@pytest.mark.parametrize("realm,singular,invertible", [
+    ({"realm": "matp", "p": 5, "d": 2}, S2, I2),
+    (MATQ2 | {"d": 4}, S4, I4),
+], ids=["matp-d2", "matq-d4"])
+@pytest.mark.parametrize("at", [0, 3])
+def test_singular_label_in_the_input_exits_2(command, realm, singular, invertible, at,
+                                             tmp_path, capsys):
+    """One singular label in a given labeling makes its fiber word
+    singular: the run exits 2 with the single inverse's message, naming no
+    element, wherever the label sits."""
+    src = tmp_path / "g.json"
+    labels = {str(x): singular if x == at else invertible for x in range(4)}
+    src.write_text(json.dumps({"realm": realm, "labels": labels}))
+    code, err = _refused([command, "--chains", "2", "2", "--in", str(src)], capsys)
+    assert code == 2
+    d = realm["d"]
+    assert err == f"error: singular {d}x{d} matrix\n"
+
+
 class RawFile(str):
     """Input file text written as is, not JSON-encoded, and the option
     that reads it."""

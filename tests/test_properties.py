@@ -572,9 +572,28 @@ def test_products_past_the_field_limit_raise(n, data):
 JSON_TEXT = st.text(st.sampled_from('a"\\/\n\x00\x1f\x7fé€\U0001f600\ud800'))
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=10**40)
                 | st.integers(max_value=-10**40) | st.floats() | JSON_TEXT)
+
+
+class _Int(int):
+    """An int subclass: ``json.dumps`` writes it as an int, and the writer
+    leaves any list holding one to ``json.dumps``."""
+
+
+# matrix labels (non-empty lists of non-empty int rows), which the writer
+# joins in one piece, and near misses it must leave to the other paths:
+# one item that is a row holding a bool or an int subclass, an empty row,
+# a str or a row of strs, a tuple row, or a bare int
+INT_ROWS = st.lists(st.lists(st.integers(), min_size=1, max_size=4), max_size=3)
+NEAR_MISS = (st.lists(st.integers() | st.booleans() | st.integers().map(_Int), min_size=1)
+             .filter(lambda row: any(type(v) is not int for v in row))
+             | st.just([]) | JSON_TEXT | st.lists(JSON_TEXT, min_size=1)
+             | st.lists(st.integers(), min_size=1).map(tuple) | st.integers())
+MATRICES = st.lists(st.lists(st.integers(), min_size=1, max_size=4), min_size=1, max_size=4)
+MATRIX_NEAR_MISSES = st.tuples(INT_ROWS, NEAR_MISS, INT_ROWS).map(
+    lambda t: t[0] + [t[1]] + t[2])
 JSON_VALUES = st.recursive(
     JSON_SCALARS | st.lists(st.integers()) | st.lists(JSON_TEXT)
-    | st.lists(st.integers() | st.booleans()),
+    | st.lists(st.integers() | st.booleans()) | MATRICES | MATRIX_NEAR_MISSES,
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.dictionaries(JSON_TEXT, inner) | st.dictionaries(st.integers(), inner)),
     max_leaves=12)
@@ -584,7 +603,8 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_report_writer_is_json_dumps(value):
     """The CLI writes a report as ``json.dumps(indent=2, sort_keys=True)``
-    would, byte for byte: lists of ints or strs, which it joins itself, and
-    everything it leaves to ``json.dumps`` (bools beside ints, floats with
-    inf and nan, None, tuples, empty and nested containers, int keys)."""
+    would, byte for byte: lists of ints or strs and matrix labels, which it
+    joins itself, and everything it leaves to ``json.dumps`` (bools beside
+    ints, floats with inf and nan, None, tuples, empty and nested
+    containers, int keys, rows that are not lists of ints)."""
     assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True)

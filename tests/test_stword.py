@@ -1,4 +1,5 @@
 """Fiber words, rotation, and homomesy in every realm."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,13 @@ from rowmotion import (
     st_word,
 )
 from rowmotion import stword
+from rowmotion.errors import SingularValue
+from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm
 from rowmotion.sampling import derive_seed, symbolic_labeling
 from rowmotion.stword import constant_power, fiber_product_checks
 
 from chain_sums import pl_homomesy_report_by_fractions
-from fiber_fold import fiber_fold, fiber_fold_checks
+from fiber_fold import fiber_fold, fiber_fold_checks, st_word_by_inverses
 
 PRIME = 10007
 
@@ -73,6 +76,97 @@ def test_nc_word_2x2():
         assert r.eq(word.entries[1], r.mul(z, x))
         assert r.eq(word.entries[2], r.mul(r.mul(cc, r.inv(w)), r.inv(x)))
         assert r.eq(word.entries[3], r.mul(r.mul(cc, r.inv(y)), r.inv(z)))
+
+
+WORD_SHAPES = [(1, 4), (4, 1), (2, 3), (3, 4)]
+
+
+def _random_labeling(realm, n, rng):
+    """Labels with independent entries: residues mod p for matp, rationals
+    for matq and tropical."""
+    if realm.name == "matp":
+        return Labeling(realm, [tuple(rng.randrange(realm.p) for _ in range(realm.d ** 2))
+                                for _ in range(n)])
+    if realm.name == "matq":
+        return Labeling(realm, [tuple(Fraction(rng.randrange(-99, 100), rng.randrange(1, 17))
+                                      for _ in range(realm.d ** 2)) for _ in range(n)])
+    if isinstance(realm.c, int):
+        return Labeling(realm, [rng.randrange(-20, 21) for _ in range(n)])
+    return Labeling(realm, [Fraction(rng.randrange(-20, 21), rng.randrange(1, 7))
+                            for _ in range(n)])
+
+
+def _mostly_invertible_labeling(realm, n, rng):
+    """A matp labeling whose labels are each, with chance 1/4, a matrix of
+    random residues (singular with chance up to 0.7 at p = 2), and
+    otherwise upper triangular with a nonzero diagonal, so invertible."""
+    d, p = realm.d, realm.p
+    labels = []
+    for _ in range(n):
+        if rng.random() < 0.25:
+            labels.append(tuple(rng.randrange(p) for _ in range(d * d)))
+        else:
+            labels.append(tuple(rng.randrange(1, p) if i == j else
+                                rng.randrange(p) if i < j else 0
+                                for i in range(d) for j in range(d)))
+    return Labeling(realm, labels)
+
+
+def _word_outcome(word_of, poset, g):
+    """The entries of ``word_of(poset, g)``, or the message it refused with."""
+    try:
+        return word_of(poset, g).entries
+    except SingularValue as exc:
+        return str(exc)
+
+
+def _same_entries(r, got, want):
+    """Entry by entry: equal under the realm, and the same value
+    (``_same_value``: for ratfun, rendered identically)."""
+    assert len(got) == len(want)
+    assert all(r.eq(x, y) and _same_value(r, x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("a, b", WORD_SHAPES)
+def test_word_equals_the_fold_of_single_inverses(a, b):
+    """``st_word`` inverts each column's product once, C * inv(g(a,l) ...
+    g(1,l)); that is the paper's C * inv(g(1,l)) * ... * inv(g(a,l)),
+    entry by entry, in every realm: matp for d = 1..4 (d = 4 inverts one
+    matrix at a time), matq, tropical with an int and a Fraction constant,
+    and symbolic ratfun."""
+    p = product_of_chains(a, b)
+    realms = [FpMatrixRealm(PRIME, d, c=3) for d in (1, 2, 3, 4)]
+    realms += [FractionMatrixRealm(2, Fraction(5, 3)), TropicalRealm(7),
+               TropicalRealm(Fraction(3, 2))]
+    for realm in realms:
+        for seed in range(4):
+            g = _random_labeling(realm, p.n, random.Random(seed))
+            _same_entries(realm, st_word(p, g).entries, st_word_by_inverses(p, g).entries)
+    g = symbolic_labeling(p)
+    _same_entries(g.realm, st_word(p, g).entries, st_word_by_inverses(p, g).entries)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_word_refuses_exactly_when_a_single_inverse_does(prime):
+    """At small p many labels are singular.  ``st_word`` raises
+    ``SingularValue`` with the oracle's message (no element named) exactly
+    when one of the oracle's single inverses raises, and otherwise gives
+    the oracle's entries."""
+    outcomes = set()
+    for d in (1, 2, 3, 4):
+        realm = FpMatrixRealm(prime, d, c=1)
+        for a, b in WORD_SHAPES:
+            p = product_of_chains(a, b)
+            for seed in range(6):
+                g = _mostly_invertible_labeling(realm, p.n, random.Random(seed))
+                got = _word_outcome(st_word, p, g)
+                want = _word_outcome(st_word_by_inverses, p, g)
+                if isinstance(want, str):
+                    assert got == want == f"singular {d}x{d} matrix"
+                else:
+                    _same_entries(realm, got, want)
+                outcomes.add(isinstance(want, str))
+    assert outcomes == {True, False}
 
 
 def test_cyclic_indexing():
