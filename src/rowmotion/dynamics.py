@@ -84,14 +84,19 @@ def toggle(poset, g, v, *, up=None, down=None):
     ``down`` are the inverse-up and inverse-down transfers of g at v.  Left
     out, each is read off the whole transfer; a caller that already holds
     them, as toggle-mode rowmotion does, passes them in.
+
+    C * inv(up) * inv(down) is the realm's ``scaled_inv_pair``: a matrix
+    realm forms it as C * inv(down * up), one inverse per toggle, since
+    inversion reverses products; the others invert up and down one at a
+    time.  Either way a toggle refuses exactly when up or down is singular,
+    naming v.
     """
     r = g.realm
     if up is None:
         up = transfer(TransferKind.UP_INV, poset, g)[v]
     if down is None:
         down = transfer(TransferKind.DOWN_INV, poset, g)[v]
-    new = r.mul(r.mul(r.mul(r.constant(), r.inv_at(up, v)), r.inv_at(down, v)), g[v])
-    return g.replace(v, new)
+    return g.replace(v, r.mul(r.scaled_inv_pair(up, down, v), g[v]))
 
 
 def rowmotion_pass(poset, values, mul, add, inv_all):
@@ -102,12 +107,13 @@ def rowmotion_pass(poset, values, mul, add, inv_all):
     ``mul`` and ``add`` agree with the realm's, and sums fold left to right.
 
     The second batch is in id order, so a refusal names the element, with the
-    message, of the ``transfer`` composition.  Toggle mode inverts D(v) as the
-    up-value at v and g(v) * (sum of W over lower covers) as the down-value,
-    with W its own inverse-down values of the toggled labels; W equals E,
-    though toggle mode forms it by other products.  So it refuses exactly
-    when some D(v), g(v) or lower-cover sum is singular; a singular g(v)
-    makes D(v) singular, so the batches agree.
+    message, of the ``transfer`` composition.  Toggle mode inverts, at each
+    v, the up-value D(v) and the down-value g(v) * (sum of W over lower
+    covers), as one product down * up in a matrix realm, with W its own
+    inverse-down values of the toggled labels; W equals E, though toggle
+    mode forms it by other products.  So it refuses exactly when some D(v),
+    g(v) or lower-cover sum is singular; a singular g(v) makes D(v)
+    singular, so the batches agree.
 
     The covers are read from the poset's sweeps (``up_sweep`` in
     ``reversed(topo_order)``, ``down_sweep`` over ``nonminimal``), built

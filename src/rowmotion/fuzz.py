@@ -132,9 +132,9 @@ def _reverify(poset, d, p, attempt_seed, steps):
     (``draw_fp_labels``) and the realm's closed-form products and adjugates
     (``realms.fp_ops``) with the engine.  It does not share the pass or its
     Montgomery batch: it inverts one value at a time (``inv_at``) inside the
-    toggle formula C * inv(up) * inv(down) * g(v), and forms the down-values
-    from the toggled labels, not from C * inv(D).  Returns True when the
-    failure stands.
+    toggle formula, C * inv(down * up) * g(v) in a matrix realm, and forms
+    the down-values from the toggled labels, not from C * inv(D).  Returns
+    True when the failure stands.
     """
     from .dynamics import antichain_rowmotion
 

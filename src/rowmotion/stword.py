@@ -16,7 +16,10 @@ statistics are homomesic: over the window g, rho(g), ..., rho^(a+b-1)(g)
 (``orbit_window``, a+b-1 steps), positive fibers multiply to C^b and
 negative fibers to C^a in a commutative realm (``fiber_product_checks``).
 Read tropically (product is sum, C^k is k*c) that is the piecewise-linear
-fiber-mean homomesy ``pl_homomesy_report`` checks.
+fiber-mean homomesy ``pl_homomesy_report`` checks.  It runs on integer
+labels, where the realm's product is ``+``, so it sums each element's label
+across the window once and checks each fiber as the integer sum of those
+window totals: the same boolean as the realm fold, without its products.
 """
 
 from __future__ import annotations
@@ -202,8 +205,15 @@ def pl_homomesy_report(a, b, samples, seed):
     products b*S and a*S, and a label sum of a*b*S over the window.  Each
     check gives the boolean it gives on the point itself with c = 1, and
     the same as over any other common denominator of the point.
+
+    The fibers are listed once per report.  Each window's labels are summed
+    per element once, and every fiber product is the integer sum of its
+    members' window totals: tropical ``mul`` on ints is ``+`` and ``eq`` is
+    ``==``, so each row (positive fiber) and each column (negative fiber)
+    passes exactly when ``fiber_product_checks`` says it does.
     """
     poset = product_of_chains(a, b)
+    positive, negative = fibers(a, b)
     failures = []
     membership_failures = []
     for idx in range(samples):
@@ -212,8 +222,11 @@ def pl_homomesy_report(a, b, samples, seed):
         window = orbit_window(poset, Labeling(TropicalRealm(scale), numerators))
         if not all(polytope_membership("chain", poset, lab, scale) for lab in window[1:]):
             membership_failures.append(sub)
-        if not (all(f["pass"] for f in fiber_product_checks(poset, window))
-                and sum(sum(lab.values) for lab in window) == a * b * scale):
+        totals = list(map(sum, zip(*(lab.values for lab in window))))
+        at = totals.__getitem__
+        if not (all(sum(map(at, row)) == b * scale for row in positive)
+                and all(sum(map(at, column)) == a * scale for column in negative)
+                and sum(totals) == a * b * scale):
             failures.append(sub)
     return {
         "chains": [a, b],

@@ -26,12 +26,14 @@ from rowmotion import (
     transfer,
 )
 from rowmotion import realms
+from rowmotion.ratfun import RationalFunction
 from rowmotion.realms import FUZZ_PRIME
 from rowmotion.sampling import derive_seed, symbolic_labeling
 
 from chain_sums import (chain_expansion_check, chain_polytope_point_by_chains,
                         toggle_chain_form)
-from toggle_fold import random_linear_extension, toggle_fold, values_or_singular
+from toggle_fold import (random_linear_extension, toggle_by_two_inverses, toggle_fold,
+                         values_or_singular)
 
 PRIME = 10007
 
@@ -329,6 +331,92 @@ def test_toggle_sweep_refuses_as_the_literal_fold(p):
                 assert got == want
                 refused.add(got[1] if isinstance(got[1], int) else None)
     assert len(refused - {None}) > 1
+
+
+def _rendered_or_refusal(realm, step):
+    """The repr and the rendered JSON of each label of the labeling
+    ``step()`` returns, or the message and element of its refusal."""
+    try:
+        values = step().values
+    except SingularValue as exc:
+        return str(exc), exc.element
+    return [(repr(v), realm.value_to_json(v)) for v in values]
+
+
+def _two_inverse_cases(poset, rng):
+    """Labelings whose toggles meet singular values often (matp d = 1-4 at
+    p = 2, 3, 5; matq), seldom (matp at a large prime) or never (tropical
+    with int and ``Fraction`` labels)."""
+    cases = []
+    for p in (2, 3, 5):
+        for d in (1, 2, 3, 4):
+            cases.append(Labeling(FpMatrixRealm(p, d, c=rng.randrange(1, p)),
+                                  [tuple(rng.randrange(p) for _ in range(d * d))
+                                   for _ in range(poset.n)]))
+    cases += [matrix_labeling(poset, d, seed=rng.randrange(10**6)) for d in (1, 2, 3, 4)]
+    for d in (1, 2):
+        cases.append(Labeling(FractionMatrixRealm(d, c=Fraction(3, 2)), [
+            tuple(Fraction(rng.choice((-1, 0, 1, 2))) for _ in range(d * d))
+            for _ in range(poset.n)]))
+    cases.append(Labeling(TropicalRealm(Fraction(rng.randrange(1, 9), 4)),
+                          [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                           for _ in range(poset.n)]))
+    cases.append(Labeling(TropicalRealm(7), [rng.randrange(8) for _ in range(poset.n)]))
+    return cases
+
+
+def test_toggle_equals_the_two_inverse_formula():
+    """A matrix-realm toggle inverts down * up once.  Each toggle, and each
+    toggles step along a random linear extension, gives the labels of the
+    formula with two single inverses, with the same repr and rendering (so
+    the same types), or refuses with its message at its element."""
+    rng = random.Random(29)
+    refused, kept = set(), 0
+    for poset in (product_of_chains(2, 3), product_of_chains(3, 3), SHUFFLED):
+        for g in _two_inverse_cases(poset, rng):
+            r = g.realm
+            for v in range(poset.n):
+                got = _rendered_or_refusal(r, lambda: toggle(poset, g, v))
+                assert got == _rendered_or_refusal(r, lambda: toggle_by_two_inverses(poset, g, v))
+                if isinstance(got, tuple):
+                    refused.add((r.name, got[1]))
+                else:
+                    kept += 1
+            ext = random_linear_extension(poset, rng)
+            got = _rendered_or_refusal(
+                r, lambda: antichain_rowmotion(poset, g, "toggles", extension=ext))
+            assert got == _rendered_or_refusal(
+                r, lambda: toggle_fold(poset, g, ext, step=toggle_by_two_inverses))
+    assert {name for name, _ in refused} == {"matp", "matq"}
+    assert len({element for _, element in refused}) > 1 and kept > 0
+
+
+def test_symbolic_toggle_equals_the_two_inverse_formula():
+    """In ratfun, where a product cancels a factor only when one side
+    divides the other, each toggle and each toggles step render as the
+    two-inverse formula does, from the symbolic labeling and from its image
+    (a one-inverse product down * up kept a 123-term form at the centre of
+    the [3]x[3] image where this gives 46), and a zero label refuses at the
+    same element with the same message."""
+    rng = random.Random(41)
+    for poset in (product_of_chains(2, 3), product_of_chains(3, 3), SHUFFLED):
+        g = symbolic_labeling(poset)
+        r = g.realm
+        image = antichain_rowmotion(poset, g, "toggles")
+        zero = g.replace(rng.randrange(poset.n), RationalFunction.constant(r.nvars, 0))
+        for start in (g, image, zero):
+            for v in range(poset.n):
+                assert (_rendered_or_refusal(r, lambda: toggle(poset, start, v))
+                        == _rendered_or_refusal(r, lambda: toggle_by_two_inverses(poset, start, v)))
+        # The fold recomputes both transfers per toggle: minutes on the
+        # [3]x[3] image.
+        for start in (g, image, zero) if poset.n < 9 else (g, zero):
+            for ext in (None, random_linear_extension(poset, rng)):
+                got = _rendered_or_refusal(
+                    r, lambda: antichain_rowmotion(poset, start, "toggles", extension=ext))
+                assert got == _rendered_or_refusal(
+                    r, lambda: toggle_fold(poset, start, ext, step=toggle_by_two_inverses))
+                assert isinstance(got, tuple) == (start is zero)
 
 
 def test_toggle_step_on_4x5_makes_119_products(monkeypatch):

@@ -1,4 +1,5 @@
 """Fiber words, rotation, and homomesy in every realm."""
+import json
 import random
 from fractions import Fraction
 
@@ -407,9 +408,8 @@ def test_fiber_checks_multiply_in_the_fold_order():
     assert logs[0] == logs[1] and len(logs[0]) > 0
 
 
-def test_fiber_checks_list_the_fibers_once_per_window(monkeypatch):
-    """One ``fibers`` call per ``fiber_product_checks``: 20 for a 20-sample
-    [4]x[5] tropical job, where each fiber once listed them again (180)."""
+def _count_fibers_calls(monkeypatch):
+    """Record the (a, b) of every ``fibers`` call ``stword`` makes."""
     calls = []
     real = stword.fibers
 
@@ -418,8 +418,38 @@ def test_fiber_checks_list_the_fibers_once_per_window(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(stword, "fibers", counted)
-    assert pl_homomesy_report(4, 5, 20, seed=23)["all_exact"]
+    return calls
+
+
+def test_fiber_checks_list_the_fibers_once_per_window(monkeypatch, capsys):
+    """One ``fibers`` call per ``fiber_product_checks``: 20 for a 20-sample
+    [4]x[5] matp homomesy job, where each fiber once listed them again
+    (180), and one per direct call on tropical and ratfun windows."""
+    from rowmotion.cli import main
+
+    calls = _count_fibers_calls(monkeypatch)
+    assert main(["homomesy", "--realm", "matp", "--a", "4", "--b", "5",
+                 "--samples", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"]
     assert calls == [(4, 5)] * 20
+    del calls[:]
+    p = product_of_chains(2, 3)
+    windows = [orbit_window(p, Labeling(TropicalRealm(5), [k % 3 for k in range(p.n)])),
+               orbit_window(p, symbolic_labeling(p))]
+    for window in windows:
+        assert all(f["pass"] for f in fiber_product_checks(p, window))
+    assert calls == [(2, 3)] * 2
+
+
+def test_pl_homomesy_report_lists_the_fibers_once_per_report(monkeypatch):
+    """The tropical job lists the fibers once for all its samples (it made
+    one ``fiber_product_checks`` call, and so one listing, per sample)."""
+    calls = _count_fibers_calls(monkeypatch)
+    assert pl_homomesy_report(4, 5, 20, seed=23)["all_exact"]
+    assert calls == [(4, 5)]
+    del calls[:]
+    assert pl_homomesy_report(1, 3, 7, seed=2)["all_exact"]
+    assert calls == [(1, 3)]
 
 
 def test_fiber_checks_refuse_as_the_single_product():
@@ -538,6 +568,41 @@ def test_pl_homomesy_report_records_the_failing_samples(monkeypatch):
     assert len(drawn) == samples
     assert rep["membership_failing_sample_seeds"] == [derive_seed(seed, "pl-sample", outside)]
     assert rep["failing_sample_seeds"] == [derive_seed(seed, "pl-sample", broken)]
+    assert rep["all_exact"] is False
+
+
+def test_pl_homomesy_report_checks_rows_and_columns_each(monkeypatch):
+    """In one sample a unit moves along a row of the window's first labeling
+    (between two columns), in another along a column (between two rows).
+    Each move keeps the label sum and every sum of the other fiber kind, and
+    breaks two sums of its own kind; both samples are recorded, and only by
+    the fiber checks (membership is not checked on the sampled point)."""
+    a, b, seed, samples = 3, 4, 17, 6
+    along_row, along_column = 1, 4
+    real_window = stword.orbit_window
+    drawn = []
+
+    def window(poset, g):
+        labelings = real_window(poset, g)
+        first = labelings[0]
+        if len(drawn) == along_row:
+            src, dst = poset.id(2, 1), poset.id(2, 3)
+        elif len(drawn) == along_column:
+            src, dst = poset.id(1, 2), poset.id(3, 2)
+        else:
+            src = dst = None
+        if src is not None:
+            first = first.replace(src, first[src] - 1)
+            labelings[0] = first.replace(dst, first[dst] + 1)
+        drawn.append(poset)
+        return labelings
+
+    monkeypatch.setattr(stword, "orbit_window", window)
+    rep = pl_homomesy_report(a, b, samples, seed)
+    assert len(drawn) == samples
+    assert rep["failing_sample_seeds"] == [derive_seed(seed, "pl-sample", along_row),
+                                           derive_seed(seed, "pl-sample", along_column)]
+    assert rep["membership_failing_sample_seeds"] == []
     assert rep["all_exact"] is False
 
 
