@@ -47,7 +47,6 @@ from .realms import (
 )
 from .sampling import derive_seed, sample_generic_labeling, symbolic_labeling
 from .stword import (
-    STWord,
     check_rotation,
     fiber_orbit_product,
     fiber_product_checks,

@@ -277,7 +277,7 @@ def _cmd_stword(args):
     poset = product_of_chains(*args.chains)
     g, word = _load_labeling(args, poset, lambda g: (g, st_word(poset, g)))
     report = {"command": "stword", "seed": args.seed, "chains": list(args.chains),
-              "st_word": word.to_json(), **g.to_json()}
+              "st_word": [g.realm.value_to_json(v) for v in word], **g.to_json()}
     return report, True
 
 

@@ -23,9 +23,9 @@ Antichain rowmotion is (down-transfer o complementation o inverse-up), fused
 into one pass by ``rowmotion_pass`` with ``transfer`` as its test oracle;
 order rowmotion is (complementation o inverse-up o down-transfer).  Both are
 also toggle products along any linear extension, bottom to top; toggle-mode
-antichain rowmotion is that product, run as one sweep that computes each
-dynamic-program value a toggle needs once, with the literal fold of single
-toggles as its test oracle.
+antichain rowmotion is that product along ``poset.topo_order``, run as one
+sweep that computes each dynamic-program value a toggle needs once, with the
+literal fold of single toggles as its test oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import SingularValue
 from .labeling import Labeling
-from .poset import RectanglePoset, _is_int
+from .poset import RectanglePoset
 
 
 class TransferKind(Enum):
@@ -141,32 +141,29 @@ def rowmotion_pass(poset, values, mul, add, inv_all):
     return out
 
 
-def antichain_rowmotion(poset, g, mode="transfer", extension=None):
+def antichain_rowmotion(poset, g, mode="transfer"):
     """One step of antichain rowmotion on a labeling.
 
     mode="transfer" runs ``rowmotion_pass`` on the realm's operations.
-    mode="toggles" toggles once at each element along ``extension`` (default:
-    the canonical linear extension), bottom to top, in one sweep that reuses
-    both values each toggle needs.  Elements above v come after v, so the
-    up-value at v is D(v), the inverse-up transfer of the untoggled g,
-    computed once.  Elements below v come before it, so the inverse-down
-    transfer of the toggled labels, W(x) = g'(x) * (sum of W over lower
-    covers), is final once x is toggled and is stored where an upper cover
-    will read it.  Each value is the product the single ``toggle`` would
-    form, so the labels and each ``SingularValue`` are those of toggling one
-    element at a time (the test suite's oracle).  An ``extension`` that does
-    not list every element once, each after its lower covers, raises
-    ValueError.  The modes always agree.
+    mode="toggles" toggles once at each element along ``poset.topo_order``,
+    bottom to top, in one sweep that reuses both values each toggle needs.
+    Elements above v come after v, so the up-value at v is D(v), the
+    inverse-up transfer of the untoggled g, computed once.  Elements below v
+    come before it, so the inverse-down transfer of the toggled labels,
+    W(x) = g'(x) * (sum of W over lower covers), is final once x is toggled
+    and is stored where an upper cover will read it.  Each value is the
+    product the single ``toggle`` would form, so the labels and each
+    ``SingularValue`` are those of toggling one element at a time (the test
+    suite's oracle).  Folding ``toggle`` along any other linear extension
+    gives the same image.  The modes always agree.
     """
+    r = g.realm
     if mode == "transfer":
-        r = g.realm
         return Labeling(r, rowmotion_pass(poset, g.values, r.mul, r.add, r.inv_all))
     if mode == "toggles":
-        order = poset.topo_order if extension is None else _checked_extension(poset, extension)
-        r = g.realm
         D = transfer(TransferKind.UP_INV, poset, g)
         W = [None] * poset.n  # set as each element is toggled
-        for v in order:
+        for v in poset.topo_order:
             s = r.sum(W[y] for y in poset.down_covers[v])
             g = toggle(poset, g, v, up=D[v], down=r.mul(g[v], s))
             # No upper cover reads W at a maximal v; on symbolic labels that
@@ -175,29 +172,6 @@ def antichain_rowmotion(poset, g, mode="transfer", extension=None):
                 W[v] = r.mul(g[v], s)
         return g
     raise ValueError(f"unknown rowmotion mode {mode!r}")
-
-
-def _checked_extension(poset, extension):
-    """``extension`` as a tuple, or ValueError naming why it is not a linear
-    extension of ``poset``."""
-    order = tuple(extension)
-    position = {}
-    for k, v in enumerate(order):
-        if not (_is_int(v) and 0 <= v < poset.n):
-            raise ValueError(f"extension entry {v!r} is not an element id of a "
-                             f"{poset.n}-element poset")
-        if v in position:
-            raise ValueError(f"extension lists element {v} twice")
-        position[v] = k
-    if len(order) != poset.n:
-        missing = min(set(range(poset.n)) - set(position))
-        raise ValueError(f"extension misses element {missing}")
-    for v in order:
-        for y in poset.down_covers[v]:
-            if position[y] > position[v]:
-                raise ValueError(f"extension puts element {v} before element {y}, "
-                                 f"which it covers")
-    return order
 
 
 def order_rowmotion(poset, g):
@@ -293,8 +267,9 @@ class Orbit(NamedTuple):
         steps = []
         for k, (lab, word) in enumerate(zip(self.labelings, self.st_words)):
             try:
-                steps.append({"labels": lab.to_json()["labels"],
-                              "st_word": None if word is None else word.to_json()})
+                labels = lab.to_json()["labels"]
+                word = None if word is None else [realm.value_to_json(v) for v in word]
+                steps.append({"labels": labels, "st_word": word})
             except ValueError as exc:
                 raise ValueError(f"rowmotion step {k}: {exc}") from None
         return {"period": self.period, "mode": self.mode, "realm": realm.config(), "steps": steps}

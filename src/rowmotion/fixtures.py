@@ -146,7 +146,7 @@ def _fx_plar_orbit(samples, seed):
         for k in range(4)
     )
     words_ok = all(
-        orbit.st_words[k].entries == tuple(Fraction(v) for v in _PLAR_WORDS[k])
+        orbit.st_words[k] == tuple(Fraction(v) for v in _PLAR_WORDS[k])
         for k in range(4)
     )
     sums = [sum(orbit.labelings[k].values) for k in range(4)]
@@ -162,8 +162,8 @@ def _fx_pl_shared_word(samples, seed):
     first = Labeling(realm, [Fraction(v) for v in ("1/10", "1/5", "1/2", "3/10")])
     second = Labeling(realm, [Fraction(v) for v in ("1/5", "1/10", "2/5", "2/5")])
     target = tuple(Fraction(v) for v in ("3/5", "1/2", "7/10", "1/5"))
-    w1 = st_word(p, first).entries
-    w2 = st_word(p, second).entries
+    w1 = st_word(p, first)
+    w2 = st_word(p, second)
     distinct = not first.eq(second)
     return (w1 == target and w2 == target and distinct), f"{w1} vs {w2}"
 
@@ -230,7 +230,7 @@ def _orbit_mismatch(p, g, expected_steps, st0, mode, at):
             if not r.eq(orbit.labelings[k][x], want):
                 return f"label mismatch at {at}step {k}, element {x}"
         for i, want in enumerate(_rot(st0, k)):
-            if not r.eq(orbit.st_words[k].entries[i], want):
+            if not r.eq(orbit.st_words[k][i], want):
                 return f"word mismatch at {at}step {k}, entry {i + 1}"
     return None
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 
 class Labeling:
     """Immutable map from dense element ids to values of one realm."""
@@ -51,9 +53,9 @@ def labeling_from_json(obj, poset):
 
     The realm is built from the config block (``realm_from_config``) and
     reads each label itself (``value_from_json``).  Label keys are element
-    ids, or "i,j" coordinates when ``poset`` is a rectangle.  A missing key,
-    a malformed key, a second key for an already labeled element or a label
-    its realm cannot read raises ValueError naming the label.
+    ids, or "i,j" coordinates when ``poset`` is a rectangle.  A malformed or
+    out-of-range key, a second key for an element, a label its realm cannot
+    read or an unlabeled element raises ValueError naming it.
     """
     from .realms import json_field, realm_from_config
 
@@ -65,19 +67,24 @@ def labeling_from_json(obj, poset):
     keys = {}
     for key, val in raw.items():
         try:
-            if "," in key:
-                if not hasattr(poset, "id"):
-                    raise ValueError("coordinate label keys need a rectangle poset")
-                i, j = (int(t) for t in key.split(","))
-                x = poset.id(i, j)
-            else:
+            m = re.fullmatch(r"(-?[0-9]+)(?:,(-?[0-9]+))?", key)  # an id, or "i,j"
+            if m is None:
+                raise ValueError('the key is neither an element id nor "i,j" coordinates')
+            if m[2] is None:
                 x = int(key)
+                if not 0 <= x < poset.n:
+                    raise ValueError(f"no element {x} in a {poset.n}-element poset")
+            elif hasattr(poset, "id"):
+                x = poset.id(int(m[1]), int(m[2]))
+            else:
+                raise ValueError("coordinate label keys need a rectangle poset")
             if x in keys:
                 raise ValueError(f"element {x} is already labeled by key {keys[x]}")
             keys[x] = key
             values[x] = realm.value_from_json(val)
         except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"label {key}: {exc}") from None
-    if sorted(values) != list(range(poset.n)):
-        raise ValueError("labeling must cover every poset element exactly once")
+    missing = next((x for x in range(poset.n) if x not in values), None)
+    if missing is not None:
+        raise ValueError(f"labeling has no label for element {missing}")
     return Labeling(realm, [values[x] for x in range(poset.n)])

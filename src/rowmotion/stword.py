@@ -1,15 +1,16 @@
 """Fiber words of labelings on [a]x[b] and the homomesy checks they drive.
 
 Fibers come from ``poset.fibers``: positive fiber k is row k, negative fiber
-l is column l.  The word of a labeling g has a+b entries.  Entry k <= a
-multiplies positive fiber k with the column index descending:
-g(k,b) * ... * g(k,1).  Entry a+l is the constant times inverses up
-negative fiber l with the row index ascending: C * inv(g(1,l)) * ... *
-inv(g(a,l)).  Inversion reverses products, so that is C * inv(g(a,l) *
-... * g(1,l)) in every realm, the noncommutative ones included, and the
-word inverts one product per column.  In the tropical realm with constant
-1 these specialize to the row sums and to 1 minus the column sums, and on
-0/1 indicator labelings to the binary fiber word of an antichain.
+l is column l.  The word of a labeling g is a tuple of a+b values of its
+realm.  Entry k <= a multiplies positive fiber k with the column index
+descending: g(k,b) * ... * g(k,1).  Entry a+l is the constant times
+inverses up negative fiber l with the row index ascending:
+C * inv(g(1,l)) * ... * inv(g(a,l)).  Inversion reverses products, so that
+is C * inv(g(a,l) * ... * g(1,l)) in every realm, the noncommutative ones
+included, and the word inverts one product per column.  In the tropical
+realm with constant 1 these specialize to the row sums and to 1 minus the
+column sums, and on 0/1 indicator labelings to the binary fiber word of an
+antichain.
 
 One rowmotion step rotates the word one place to the right; hence fiber
 statistics are homomesic: over the window g, rho(g), ..., rho^(a+b-1)(g)
@@ -35,33 +36,8 @@ from .realms import TropicalRealm
 from .sampling import derive_seed, sample_chain_polytope_point
 
 
-class STWord:
-    """A length-(a+b) word of realm values with cyclic 1-based indexing."""
-
-    __slots__ = ("entries", "realm")
-
-    def __init__(self, entries, realm):
-        self.entries = entries
-        self.realm = realm
-
-    def entry(self, i):
-        """Entry at cyclic index i: entry(i) == entry(i + len)."""
-        return self.entries[(i - 1) % len(self.entries)]
-
-    def eq(self, other):
-        if len(self.entries) != len(other.entries):
-            return False
-        return all(self.realm.eq(a, b) for a, b in zip(self.entries, other.entries))
-
-    def to_json(self):
-        return [self.realm.value_to_json(v) for v in self.entries]
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def st_word(poset, g):
-    """The fiber word of a labeling on a rectangle poset.
+    """The fiber word of g on a rectangle poset: a tuple of a+b realm values.
 
     Each negative entry is C * inv(g(a,l) * ... * g(1,l)), which is the
     paper's C * inv(g(1,l)) * ... * inv(g(a,l)) because inversion reverses
@@ -82,7 +58,7 @@ def st_word(poset, g):
     # inverse's does.
     columns = [r.product(g[x] for x in reversed(column)) for column in negative]
     entries += r.inv_all(columns, [None] * len(columns), scaled=True)
-    return STWord(tuple(entries), r)
+    return tuple(entries)
 
 
 class RotationReport(NamedTuple):
@@ -90,20 +66,17 @@ class RotationReport(NamedTuple):
     per_index: tuple  # (index, matched) pairs, index 1..a+b
 
 
-def check_rotation(poset, g, mode="transfer", image=None):
-    """Verify the word of the rowmotion image is the rightward cyclic shift.
-
-    Compares entry i of the image word with entry i-1 of the original word,
-    index by index, under exact realm equality.
-    """
+def check_rotation(poset, g, image=None):
+    """Verify the word of the rowmotion image (default: the transfer-mode
+    image of g) is the rightward cyclic shift of g's word: entry i of the
+    image's against entry i-1 of g's (entry 1 against entry a+b), index by
+    index, under exact realm equality."""
     if image is None:
-        image = antichain_rowmotion(poset, g, mode=mode)
+        image = antichain_rowmotion(poset, g)
     before = st_word(poset, g)
     after = st_word(poset, image)
-    per_index = tuple(
-        (i, g.realm.eq(after.entry(i), before.entry(i - 1)))
-        for i in range(1, len(before) + 1)
-    )
+    per_index = tuple((i, g.realm.eq(after[i - 1], before[i - 2]))
+                      for i in range(1, len(before) + 1))
     return RotationReport(all(m for _, m in per_index), per_index)
 
 
@@ -154,12 +127,7 @@ def _window_product(r, window, members):
     """The product over ``window`` of each labeling's product along
     ``members``: labels along the fiber left to right, then across the
     window left to right."""
-    total = None
-    for lab in window:
-        values = lab.values
-        step = r.product([values[x] for x in members])
-        total = step if total is None else r.mul(total, step)
-    return total
+    return r.product(r.product([lab.values[x] for x in members]) for lab in window)
 
 
 def constant_power(realm, k):

@@ -12,7 +12,7 @@ inv(g(a,l)).
 """
 
 from rowmotion.poset import fibers
-from rowmotion.stword import STWord, constant_power
+from rowmotion.stword import constant_power
 
 
 def st_word_by_inverses(poset, g):
@@ -27,7 +27,7 @@ def st_word_by_inverses(poset, g):
             term = r.inv(g[x])
             val = term if val is None else r.mul(term, val)
         entries.append(r.mul(r.constant(), val))
-    return STWord(tuple(entries), r)
+    return tuple(entries)
 
 
 def fiber_fold(poset, window, kind, k):

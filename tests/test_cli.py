@@ -5,8 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from rowmotion.polynomials import MAX_DEGREE, Polynomial
 from rowmotion.ratfun import RationalFunction
 from rowmotion.realms import (FUZZ_PRIME, FractionMatrixRealm, RationalFunctionRealm,
                               TropicalRealm)
-from rowmotion.sampling import sample_generic_labeling
+from rowmotion.sampling import derive_seed, sample_generic_labeling
 
 
 def run(args, capsys):
@@ -137,6 +139,28 @@ def test_homomesy_matp_resamples_singular_windows(capsys):
                      "--samples", "100", "--p", "101", "--seed", "2"], capsys)
     assert code == 0
     assert rep["all_pass"] and rep["failures"] == []
+
+
+def test_homomesy_matp_records_a_failing_sample(monkeypatch, capsys):
+    """A fiber that fails in one sample fails the job with exit 1, and the
+    failure is recorded once, with the seed of the sample it failed in."""
+    checks = cli.fiber_product_checks
+    calls = []
+
+    def one_fails(poset, window):
+        out = checks(poset, window)
+        calls.append(window)
+        if len(calls) == 2:
+            out[0]["pass"] = False
+        return out
+
+    monkeypatch.setattr(cli, "fiber_product_checks", one_fails)
+    code, rep = run(["homomesy", "--realm", "matp", "--a", "2", "--b", "3",
+                     "--samples", "3", "--seed", "11"], capsys)
+    assert code == 1 and len(calls) == 3
+    assert rep["all_pass"] is False
+    assert rep["failures"] == [{"fiber": "positive 1", "expected": "C^3", "pass": False,
+                                "sample_seed": derive_seed(11, "homomesy", 1)}]
 
 
 def test_homomesy_tropical(capsys):
@@ -425,6 +449,11 @@ def _labels(realm, first, rest):
     return {"realm": realm, "labels": {"0": first, "1": rest, "2": rest, "3": rest}}
 
 
+def _keyed(key):
+    """A tropical [2]x[2] labeling whose key for element 0 is ``key``."""
+    return {"realm": {"realm": "tropical"}, "labels": {key: "1", "1": "1", "2": "1", "3": "1"}}
+
+
 I2 = [[1, 0], [0, 1]]
 MATP2 = {"realm": "matp", "p": 101, "d": 2}
 MATQ2 = {"realm": "matq", "d": 2}
@@ -556,6 +585,16 @@ NESTED = "[" * 100_000
     pytest.param(RawFile('{"elements": [0, 1, 2], "cover": [[0, 1], [1, 2]]}', "--poset"),
                  "poset key 'cover' is not one of chains, coords, elements, covers, names",
                  id="poset-key-cover"),
+    pytest.param(_labels({"realm": "foo"}, "1", "1"), "unknown realm 'foo'", id="realm-foo"),
+    pytest.param(_keyed("9,9"), "label 9,9: coordinate (9, 9) outside [2]x[2]",
+                 id="key-coordinate-outside"),
+    *(pytest.param(_keyed(key), f'label {key}: the key is neither an element id nor "i,j" '
+                   "coordinates", id=f"key-{key}")
+      for key in ("x", "1,2,3", "3_", "1,a", "1_0", "+1", " 1")),
+    pytest.param(_keyed("5"), "label 5: no element 5 in a 4-element poset", id="key-5"),
+    pytest.param(_keyed("-1"), "label -1: no element -1 in a 4-element poset", id="key--1"),
+    pytest.param({"realm": {"realm": "tropical"}, "labels": {"0": "1", "2": "1"}},
+                 "labeling has no label for element 1", id="key-missing"),
 ])
 def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "g.json"
@@ -878,6 +917,10 @@ def test_fuzz_accepts_prime_modulus(p, capsys):
     pytest.param({"covers": [[1, 0]], "names": ["a", "b"]},
                  "poset 'covers' disagrees with the poset read, for which `rowmotion poset` "
                  "writes another 'covers'", id="names-covers-not-canonical"),
+    pytest.param({"elements": [0, 1], "covers": [[0, 0]]},
+                 "cycle detected: cover (0, 0) is a self-loop", id="self-loop"),
+    pytest.param({"elements": [0, 0], "covers": []}, "duplicate element 0",
+                 id="duplicate-element"),
 ])
 def test_malformed_poset_exits_2(payload, message, tmp_path, capsys):
     src = tmp_path / "poset.json"
@@ -938,6 +981,18 @@ def test_count_below_one_exits_2(args, capsys):
     flag, value = args[-2:]
     assert code == 2
     assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--realm", "matp", "--d", "0"], "matrix dimension must be at least 1"),
+    (["--realm", "matp", "--c", "0"], "the central constant must be nonzero"),
+    (["--realm", "matq", "--c", "0"], "the central constant must be nonzero"),
+], ids=["matp-d0", "matp-c0", "matq-c0"])
+def test_degenerate_realm_flag_exits_2(flags, message, capsys):
+    """A matrix dimension of 0 and a zero central constant are refused."""
+    code, err = _refused(["rowmotion", "--chains", "2", "2", *flags], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 # The flags each labeling source of rowmotion and stword reads (a sampled
@@ -1087,7 +1142,7 @@ def test_orbit_check_refuses_a_table_longer_than_the_period():
     g = Labeling(TropicalRealm(1), [Fraction(1, 3)])
     orbit = iterate(p, g, steps=2)
     steps = [lab.values for lab in orbit.labelings[:2]]
-    st0 = orbit.st_words[0].entries
+    st0 = orbit.st_words[0]
     assert fixtures._orbit_mismatch(p, g, steps, st0, "transfer", "") is None
     assert fixtures._orbit_mismatch(p, g, steps * 2, st0, "transfer", "") == "period 2, expected 4"
 
@@ -1105,3 +1160,27 @@ def test_empty_path_is_refused_not_ignored(args, capsys):
     code, err = _refused(args, capsys)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "''" in err
+
+
+def _readme_cli_block():
+    """The ``rowmotion`` command lines of the ``sh`` block under ``## CLI``
+    in README.md, each as its arguments after ``rowmotion``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("rowmotion ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every command of the README's CLI block exits 0, run in a directory
+    that holds the two input files it names."""
+    commands = _readme_cli_block()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_poset.json").write_text(json.dumps({"chains": [2, 3]}))
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"realm": {"realm": "tropical"}, "labels": {"0": "1/5", "1": "1/10", "2": "2/5",
+                                                    "3": "3/10"}}))
+    for args in commands:
+        assert main(args) == 0, args
+    capsys.readouterr()
+    assert json.loads((tmp_path / "orbit.json").read_text())["period"] == 4

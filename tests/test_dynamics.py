@@ -32,8 +32,8 @@ from rowmotion.sampling import derive_seed, symbolic_labeling
 
 from chain_sums import (chain_expansion_check, chain_polytope_point_by_chains,
                         toggle_chain_form)
-from toggle_fold import (random_linear_extension, toggle_by_two_inverses, toggle_fold,
-                         values_or_singular)
+from toggle_fold import (check_sweep_against_folds, random_linear_extension,
+                         rendered_or_refusal, toggle_by_two_inverses, toggle_fold)
 
 PRIME = 10007
 
@@ -243,47 +243,27 @@ def test_mode_equivalence_sampled(a, b):
 
 
 def test_linear_extension_independence():
+    """Rowmotion is the toggle product along any linear extension: folding
+    single toggles along random ones gives the toggles step's image."""
     p = product_of_chains(3, 3)
     rng = random.Random(13)
-    base_order = list(p.topo_order)
     for s in range(6):
         g = matrix_labeling(p, 2, seed=300 + s)
         reference = antichain_rowmotion(p, g, mode="toggles")
         for _ in range(5):
             order = random_linear_extension(p, rng)
-            assert order != base_order or True
-            assert antichain_rowmotion(p, g, "toggles", extension=order).eq(reference)
-
-
-@pytest.mark.parametrize("extension,message", [
-    ([0, 0, 0, 0], "extension lists element 0 twice"),
-    ([3, 2, 1, 0], "extension puts element 3 before element 1, which it covers"),
-    ([0, 1, 2], "extension misses element 3"),
-    ([0, 1, 2, 3, 3], "extension lists element 3 twice"),
-    ([0, 1, 2, 4], "extension entry 4 is not an element id of a 4-element poset"),
-])
-def test_toggles_refuse_an_extension_that_is_not_linear(extension, message):
-    """Each of these once returned a labeling that is not rowmotion."""
-    p = product_of_chains(2, 2)
-    g = matrix_labeling(p, 2, seed=1)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        antichain_rowmotion(p, g, "toggles", extension=extension)
+            assert toggle_fold(p, g, order).eq(reference)
 
 
 # -- toggle mode against the literal fold -----------------------------------
 
 
-def _sweep_and_fold(poset, g, ext):
-    """Toggle mode and the literal fold on ``g``, each as values or refusal."""
-    return (values_or_singular(lambda: antichain_rowmotion(poset, g, "toggles", extension=ext)),
-            values_or_singular(lambda: toggle_fold(poset, g, ext)))
-
-
 def test_toggle_sweep_equals_the_literal_fold_in_every_realm():
-    """Along random linear extensions one toggles step equals toggling one
-    element at a time, value for value: matp and tropical on every poset,
-    matq with singular values common (equal refusals too), and symbolic
-    ratfun compared by repr."""
+    """One toggles step equals toggling one element at a time along
+    ``topo_order``, with the same repr and rendering, and equals it under
+    the realm along random linear extensions: matp and tropical on every
+    poset, matq with singular values common (refusing exactly when the
+    folds do), and symbolic ratfun."""
     rng = random.Random(31)
 
     def fraction():
@@ -304,21 +284,19 @@ def test_toggle_sweep_equals_the_literal_fold_in_every_realm():
                                       [fraction() for _ in range(poset.n)]))
             labelings += [matq_labeling(poset, d) for d in (1, 2)]
             for g in labelings:
-                got, want = _sweep_and_fold(poset, g, ext)
-                assert got == want
-                refusals += isinstance(got[1], int)
+                refusals += check_sweep_against_folds(poset, g, ext) is not None
     assert refusals > 0
     for poset in (product_of_chains(2, 3), SHUFFLED):
         g = symbolic_labeling(poset)
-        ext = random_linear_extension(poset, rng)
-        got = antichain_rowmotion(poset, g, "toggles", extension=ext).values
-        assert [repr(v) for v in got] == [repr(v) for v in toggle_fold(poset, g, ext).values]
+        assert check_sweep_against_folds(poset, g, random_linear_extension(poset, rng)) is None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_toggle_sweep_refuses_as_the_literal_fold(p):
     """At small primes most draws hit a singular value; the sweep refuses
-    with the fold's message, naming the same element, at several elements."""
+    with the ``topo_order`` fold's message, naming the same element, at
+    several elements, and exactly when a fold along a random linear
+    extension refuses."""
     rng = random.Random(p)
     refused = set()
     for poset in (product_of_chains(2, 3), product_of_chains(3, 3), SHUFFLED):
@@ -327,20 +305,9 @@ def test_toggle_sweep_refuses_as_the_literal_fold(p):
                 g = Labeling(FpMatrixRealm(p, d, c=rng.randrange(1, p)),
                              [tuple(rng.randrange(p) for _ in range(d * d))
                               for _ in range(poset.n)])
-                got, want = _sweep_and_fold(poset, g, random_linear_extension(poset, rng))
-                assert got == want
-                refused.add(got[1] if isinstance(got[1], int) else None)
+                refused.add(check_sweep_against_folds(poset, g,
+                                                      random_linear_extension(poset, rng)))
     assert len(refused - {None}) > 1
-
-
-def _rendered_or_refusal(realm, step):
-    """The repr and the rendered JSON of each label of the labeling
-    ``step()`` returns, or the message and element of its refusal."""
-    try:
-        values = step().values
-    except SingularValue as exc:
-        return str(exc), exc.element
-    return [(repr(v), realm.value_to_json(v)) for v in values]
 
 
 def _two_inverse_cases(poset, rng):
@@ -367,26 +334,24 @@ def _two_inverse_cases(poset, rng):
 
 def test_toggle_equals_the_two_inverse_formula():
     """A matrix-realm toggle inverts down * up once.  Each toggle, and each
-    toggles step along a random linear extension, gives the labels of the
-    formula with two single inverses, with the same repr and rendering (so
-    the same types), or refuses with its message at its element."""
+    toggles step, gives the labels of the formula with two single inverses,
+    with the same repr and rendering (so the same types), or refuses with
+    its message at its element; folded along a random linear extension the
+    formula gives the same image under the realm, or refuses too."""
     rng = random.Random(29)
     refused, kept = set(), 0
     for poset in (product_of_chains(2, 3), product_of_chains(3, 3), SHUFFLED):
         for g in _two_inverse_cases(poset, rng):
             r = g.realm
             for v in range(poset.n):
-                got = _rendered_or_refusal(r, lambda: toggle(poset, g, v))
-                assert got == _rendered_or_refusal(r, lambda: toggle_by_two_inverses(poset, g, v))
+                got = rendered_or_refusal(r, lambda: toggle(poset, g, v))
+                assert got == rendered_or_refusal(r, lambda: toggle_by_two_inverses(poset, g, v))
                 if isinstance(got, tuple):
                     refused.add((r.name, got[1]))
                 else:
                     kept += 1
             ext = random_linear_extension(poset, rng)
-            got = _rendered_or_refusal(
-                r, lambda: antichain_rowmotion(poset, g, "toggles", extension=ext))
-            assert got == _rendered_or_refusal(
-                r, lambda: toggle_fold(poset, g, ext, step=toggle_by_two_inverses))
+            check_sweep_against_folds(poset, g, ext, step=toggle_by_two_inverses)
     assert {name for name, _ in refused} == {"matp", "matq"}
     assert len({element for _, element in refused}) > 1 and kept > 0
 
@@ -394,7 +359,9 @@ def test_toggle_equals_the_two_inverse_formula():
 def test_symbolic_toggle_equals_the_two_inverse_formula():
     """In ratfun, where a product cancels a factor only when one side
     divides the other, each toggle and each toggles step render as the
-    two-inverse formula does, from the symbolic labeling and from its image
+    two-inverse formula does (folded along ``topo_order``; along a random
+    linear extension the fold is equal under the realm), from the symbolic
+    labeling and from its image
     (a one-inverse product down * up kept a 123-term form at the centre of
     the [3]x[3] image where this gives 46), and a zero label refuses at the
     same element with the same message."""
@@ -406,17 +373,14 @@ def test_symbolic_toggle_equals_the_two_inverse_formula():
         zero = g.replace(rng.randrange(poset.n), RationalFunction.constant(r.nvars, 0))
         for start in (g, image, zero):
             for v in range(poset.n):
-                assert (_rendered_or_refusal(r, lambda: toggle(poset, start, v))
-                        == _rendered_or_refusal(r, lambda: toggle_by_two_inverses(poset, start, v)))
+                assert (rendered_or_refusal(r, lambda: toggle(poset, start, v))
+                        == rendered_or_refusal(r, lambda: toggle_by_two_inverses(poset, start, v)))
         # The fold recomputes both transfers per toggle: minutes on the
         # [3]x[3] image.
         for start in (g, image, zero) if poset.n < 9 else (g, zero):
-            for ext in (None, random_linear_extension(poset, rng)):
-                got = _rendered_or_refusal(
-                    r, lambda: antichain_rowmotion(poset, start, "toggles", extension=ext))
-                assert got == _rendered_or_refusal(
-                    r, lambda: toggle_fold(poset, start, ext, step=toggle_by_two_inverses))
-                assert isinstance(got, tuple) == (start is zero)
+            refused = check_sweep_against_folds(poset, start, random_linear_extension(poset, rng),
+                                                step=toggle_by_two_inverses)
+            assert (refused is not None) == (start is zero)
 
 
 def test_toggle_step_on_4x5_makes_119_products(monkeypatch):

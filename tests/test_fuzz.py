@@ -8,10 +8,12 @@ import random
 import pytest
 
 from rowmotion import kernel
-from rowmotion.errors import SamplingExhausted
-from rowmotion.fuzz import CONJECTURE_NOTES, fuzz_grid, fuzz_nar_periodicity
+from rowmotion.dynamics import antichain_rowmotion
+from rowmotion.errors import SamplingExhausted, SingularValue
+from rowmotion.fuzz import CONJECTURE_NOTES, _reverify, fuzz_grid, fuzz_nar_periodicity
+from rowmotion.labeling import Labeling
 from rowmotion.poset import product_of_chains
-from rowmotion.realms import FUZZ_PRIME
+from rowmotion.realms import FUZZ_PRIME, FpMatrixRealm
 from rowmotion.sampling import derive_seed, draw_fp_labels, redraw
 
 
@@ -109,3 +111,22 @@ def test_counterexample_records_its_accepted_attempt(monkeypatch):
         "trial": t, "seed": derive_seed(trial_seeds[t], k), "first_return": 0,
         "confirmed": False}]
     assert derive_seed(trial_seeds[t], k) != derive_seed(trial_seeds[t], 0)
+
+
+def test_replay_that_meets_a_singular_value_does_not_confirm():
+    """A toggle replay that meets a singular value cannot confirm a
+    counterexample: ``_reverify`` returns False.  At p = 2 most draws have a
+    zero label, so the first attempt seed whose draw is singular at the
+    first toggles step is taken."""
+    poset, d, p = product_of_chains(2, 2), 1, 2
+
+    def singular(seed):
+        labels, c = draw_fp_labels(random.Random(seed), poset.n, d, p)
+        try:
+            antichain_rowmotion(poset, Labeling(FpMatrixRealm(p, d, c=c), labels), "toggles")
+        except SingularValue:
+            return True
+        return False
+
+    seed = next(s for s in range(100) if singular(s))
+    assert _reverify(poset, d, p, seed, poset.a + poset.b) is False

@@ -47,7 +47,7 @@ from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, Realm, _MatrixR
 from rowmotion.sampling import sample_chain_polytope_point, symbolic_labeling
 
 from poly_oracle import OraclePolynomial
-from toggle_fold import random_linear_extension, toggle_fold, values_or_singular
+from toggle_fold import check_sweep_against_folds, random_linear_extension
 
 PRIMES = (2, 3, 5, 101, 2**61 - 1, 2**64 - 59)
 # a prime where sums of residues often pass p, and the fuzzing prime
@@ -184,14 +184,14 @@ def test_kernel_step_equals_both_generic_modes(case):
 @given(matrix_labelings(dims=st.integers(1, 4)), st.fractions(),
        st.lists(st.fractions(), min_size=6, max_size=6), st.randoms(use_true_random=False))
 def test_toggle_sweep_equals_the_literal_fold(case, c, fractions, rng):
-    """On shuffled-id posets, along a random linear extension, toggle mode
-    equals toggling one element at a time: the same matp values or the same
-    refusal, naming the same element, and the same tropical values."""
+    """On shuffled-id posets toggle mode equals toggling one element at a
+    time along ``topo_order``: the same matp values or the same refusal,
+    naming the same element, and the same tropical values.  Along a random
+    linear extension the fold is equal under the realm, or refuses too."""
     poset, _, _, _, _, g = case
     ext = random_linear_extension(poset, rng)
     for lab in (g, Labeling(TropicalRealm(c), fractions[:poset.n])):
-        got = values_or_singular(lambda: antichain_rowmotion(poset, lab, "toggles", extension=ext))
-        assert got == values_or_singular(lambda: toggle_fold(poset, lab, ext))
+        check_sweep_against_folds(poset, lab, ext)
 
 
 @PROPERTY

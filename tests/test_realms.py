@@ -18,7 +18,7 @@ from rowmotion import (
     realm_from_config,
     sample_generic_labeling,
 )
-from rowmotion.realms import FUZZ_PRIME
+from rowmotion.realms import FUZZ_PRIME, symbolic_variable_names
 from rowmotion.sampling import RESAMPLE_LIMIT, derive_seed, redraw, symbolic_labeling
 
 PRIME = 10007
@@ -275,6 +275,16 @@ def test_symbolic_labeling_names():
                         (2, 2): "x", (1, 3): "y", (2, 3): "z"}
 
 
+def test_symbolic_labeling_names_past_26_elements():
+    """Up to 26 elements the names are the last letters of the alphabet;
+    past that they are x1..xn, as on [1]x[27]."""
+    assert symbolic_variable_names(26) == list("abcdefghijklmnopqrstuvwxyz")
+    assert symbolic_variable_names(27) == [f"x{k}" for k in range(1, 28)]
+    p = product_of_chains(1, 27)
+    g = symbolic_labeling(p)
+    assert [g.realm.value_to_json(v) for v in g.values] == [f"x{k}" for k in range(1, 28)]
+
+
 def _one_step(poset):
     """A walk that takes one rowmotion step and returns the labeling."""
     def walk(g):
@@ -351,5 +361,5 @@ def test_nc_scalar_matches_commutative():
     sym = symbolic_labeling(p)
     sym_word = st_word(p, sym)
     vals = [realm.c] + scalars  # variable 0 is the constant
-    for got, expr in zip(word.entries, sym_word.entries):
+    for got, expr in zip(word, sym_word):
         assert got[0] == expr.evaluate_mod(vals, PRIME)

@@ -10,7 +10,6 @@ from rowmotion import (
     TropicalRealm,
     antichain_rowmotion,
     check_rotation,
-    STWord,
     fiber_orbit_product,
     iterate,
     orbit_window,
@@ -46,7 +45,7 @@ def test_symbolic_word_2x3():
     cc, u, v, w, x, y, z = (r.variable(n) for n in ("C", "u", "v", "w", "x", "y", "z"))
     word = st_word(p, g)
     expected = (u * w * y, v * x * z, cc / (u * v), cc / (w * x), cc / (y * z))
-    assert all(r.eq(a, b) for a, b in zip(word.entries, expected))
+    assert all(r.eq(a, b) for a, b in zip(word, expected))
 
 
 def test_tropical_word_shared():
@@ -55,14 +54,14 @@ def test_tropical_word_shared():
     target = tuple(Fraction(v) for v in ("3/5", "1/2", "7/10", "1/5"))
     for vals in [("1/10", "1/5", "1/2", "3/10"), ("1/5", "1/10", "2/5", "2/5")]:
         g = Labeling(realm, [Fraction(v) for v in vals])
-        assert st_word(p, g).entries == target
+        assert st_word(p, g) == target
 
 
 def test_plar_step_words():
     p = product_of_chains(2, 2)
     realm = TropicalRealm(Fraction(1))
     g = Labeling(realm, [Fraction(v) for v in ("1/5", "1/10", "2/5", "3/10")])
-    assert st_word(p, g).entries == tuple(Fraction(v) for v in ("3/5", "2/5", "7/10", "3/10"))
+    assert st_word(p, g) == tuple(Fraction(v) for v in ("3/5", "2/5", "7/10", "3/10"))
 
 
 def test_nc_word_2x2():
@@ -73,10 +72,10 @@ def test_nc_word_2x2():
         w, x, y, z = (g[p.id(i, j)] for (i, j) in [(1, 1), (2, 1), (1, 2), (2, 2)])
         word = st_word(p, g)
         cc = r.constant()
-        assert r.eq(word.entries[0], r.mul(y, w))
-        assert r.eq(word.entries[1], r.mul(z, x))
-        assert r.eq(word.entries[2], r.mul(r.mul(cc, r.inv(w)), r.inv(x)))
-        assert r.eq(word.entries[3], r.mul(r.mul(cc, r.inv(y)), r.inv(z)))
+        assert r.eq(word[0], r.mul(y, w))
+        assert r.eq(word[1], r.mul(z, x))
+        assert r.eq(word[2], r.mul(r.mul(cc, r.inv(w)), r.inv(x)))
+        assert r.eq(word[3], r.mul(r.mul(cc, r.inv(y)), r.inv(z)))
 
 
 WORD_SHAPES = [(1, 4), (4, 1), (2, 3), (3, 4)]
@@ -116,7 +115,7 @@ def _mostly_invertible_labeling(realm, n, rng):
 def _word_outcome(word_of, poset, g):
     """The entries of ``word_of(poset, g)``, or the message it refused with."""
     try:
-        return word_of(poset, g).entries
+        return word_of(poset, g)
     except SingularValue as exc:
         return str(exc)
 
@@ -142,9 +141,9 @@ def test_word_equals_the_fold_of_single_inverses(a, b):
     for realm in realms:
         for seed in range(4):
             g = _random_labeling(realm, p.n, random.Random(seed))
-            _same_entries(realm, st_word(p, g).entries, st_word_by_inverses(p, g).entries)
+            _same_entries(realm, st_word(p, g), st_word_by_inverses(p, g))
     g = symbolic_labeling(p)
-    _same_entries(g.realm, st_word(p, g).entries, st_word_by_inverses(p, g).entries)
+    _same_entries(g.realm, st_word(p, g), st_word_by_inverses(p, g))
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
@@ -171,12 +170,21 @@ def test_word_refuses_exactly_when_a_single_inverse_does(prime):
 
 
 def test_cyclic_indexing():
+    """A word is a tuple of a+b realm values.  ``check_rotation`` pairs entry
+    i of the image's word with entry i-1 of g's, cyclically: entry 1 with
+    entry a+b.  Given g as its own image, exactly the indices whose entry
+    differs from the one before it fail."""
     p = product_of_chains(2, 2)
     g = symbolic_labeling(p)
     word = st_word(p, g)
-    for i in range(1, 5):
-        assert word.entry(i) is word.entry(i + 4)
-        assert word.entry(i) is word.entry(i - 4)
+    assert type(word) is tuple and len(word) == 4
+    same = check_rotation(p, g, image=g)
+    assert same.per_index == tuple((i, g.realm.eq(word[i - 1], word[i - 2])) for i in range(1, 5))
+    assert not any(m for _, m in same.per_index)
+    tropical = Labeling(TropicalRealm(1), [1, 2, 0, 0])
+    assert st_word(p, tropical) == (1, 2, -2, 1)  # only the cyclic pair is equal
+    assert check_rotation(p, tropical, image=tropical).per_index == (
+        (1, True), (2, False), (3, False), (4, False))
 
 
 def test_rotation_symbolic_2x3_with_expected_word():
@@ -189,7 +197,7 @@ def test_rotation_symbolic_2x3_with_expected_word():
     image = antichain_rowmotion(p, g)
     got = st_word(p, image)
     expected = (cc / (y * z), u * w * y, v * x * z, cc / (u * v), cc / (w * x))
-    assert all(r.eq(a, b) for a, b in zip(got.entries, expected))
+    assert all(r.eq(a, b) for a, b in zip(got, expected))
 
 
 def test_rotation_matrix_samples():
@@ -197,7 +205,7 @@ def test_rotation_matrix_samples():
         p = product_of_chains(a, b)
         for s in range(34):
             g = matrix_labeling(p, 1 + s % 3, seed=s)
-            assert check_rotation(p, g, mode="toggles").ok
+            assert check_rotation(p, g, image=antichain_rowmotion(p, g, "toggles")).ok
 
 
 def test_rotation_tropical_samples():
@@ -218,7 +226,7 @@ def _word_with_orders(p, g, positive_descending, negative_ascending):
     for l in range(1, p.b + 1):
         rows = range(1, p.a + 1) if negative_ascending else range(p.a, 0, -1)
         entries.append(r.product([r.constant()] + [r.inv(g[p.id(i, l)]) for i in rows]))
-    return STWord(tuple(entries), r)
+    return tuple(entries)
 
 
 def test_wrong_factor_order_breaks_rotation():
@@ -231,17 +239,15 @@ def test_wrong_factor_order_breaks_rotation():
         g = matrix_labeling(p, 2, seed=150 + s)
         r = g.realm
         image = antichain_rowmotion(p, g, mode="toggles")
-        assert _word_with_orders(p, g, True, True).eq(st_word(p, g))
+        assert all(map(r.eq, _word_with_orders(p, g, True, True), st_word(p, g)))
         bad_pos_before = _word_with_orders(p, g, False, True)
         bad_pos_after = _word_with_orders(p, image, False, True)
         bad_neg_before = _word_with_orders(p, g, True, False)
         bad_neg_after = _word_with_orders(p, image, True, False)
-        ln = len(bad_pos_before.entries)
-        if any(not r.eq(bad_pos_after.entry(i), bad_pos_before.entry(i - 1))
-               for i in range(1, ln + 1)):
+        ln = len(bad_pos_before)
+        if any(not r.eq(bad_pos_after[i], bad_pos_before[i - 1]) for i in range(ln)):
             broken_pos += 1
-        if any(not r.eq(bad_neg_after.entry(i), bad_neg_before.entry(i - 1))
-               for i in range(1, ln + 1)):
+        if any(not r.eq(bad_neg_after[i], bad_neg_before[i - 1]) for i in range(ln)):
             broken_neg += 1
     assert broken_pos > 0 and broken_neg > 0
 
