@@ -24,7 +24,7 @@ from .fixtures import fixture_table, run_figure_fixtures
 from .fuzz import fuzz_grid
 from .labeling import labeling_from_json
 from .poset import poset_from_json, poset_to_json, product_of_chains
-from .realms import FUZZ_PRIME, FloatLiteral, refuse_huge_number
+from .realms import CONFIG_KEYS, FUZZ_PRIME, FloatLiteral, refuse_huge_number
 from .sampling import derive_seed, sample_generic_labeling
 from .stword import fiber_product_checks, orbit_window, pl_homomesy_report, st_word
 
@@ -42,12 +42,13 @@ def main(argv=None):
 
 
 # The flags each source reads: a labeling source of ``rowmotion`` and ``stword``
-# (a sampled realm, or ``--in``), or a ``homomesy`` realm.  A refusal names the
-# first flag in ``_FLAGS`` order that is given and not read.
+# (a sampled realm, or ``--in``), or a ``homomesy`` realm.  A sampled realm
+# reads the keys of its config block (``realms.CONFIG_KEYS``) that are flags.
+# A refusal names the first flag in ``_FLAGS`` order that is given and not read.
 _FLAGS = {"labeling": ("c", "realm", "p", "d"), "homomesy": ("p", "samples")}
 _READS = {
-    "labeling": {"tropical": ("realm", "c"), "ratfun": ("realm",),
-                 "matp": ("realm", "p", "d", "c"), "matq": ("realm", "d", "c"), "--in": ()},
+    "labeling": {**{realm: tuple(key for key in keys if key in _FLAGS["labeling"])
+                    for realm, keys in CONFIG_KEYS.items()}, "--in": ()},
     "homomesy": {"ratfun": (), "matp": ("samples", "p"), "tropical": ("samples",)},
 }
 _DEFAULTS = {"realm": "ratfun", "p": FUZZ_PRIME, "d": 2, "samples": 100}

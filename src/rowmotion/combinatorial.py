@@ -4,7 +4,8 @@ Rowmotion factors as: downward-saturate the antichain to an order ideal,
 complement the ideal to an order filter, take the filter's minimal elements.
 On [a]x[b] each antichain also has a binary word of length a+b (one entry per
 fiber) that rotates one place rightward under rowmotion, which is what makes
-the fiber counting statistics homomesic.
+the fiber counting statistics homomesic.  It is the piecewise-linear word
+(``stword.st_word``) at the antichain's 0/1 indicator labeling, with c = 1.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poset import enumerate_antichains, fibers, product_of_chains
+from .labeling import Labeling
+from .poset import enumerate_antichains, product_of_chains
+from .realms import TropicalRealm
+from .stword import st_word
 
 
 def downward_saturation(poset, antichain):
@@ -51,21 +55,19 @@ def rowmotion_antichain(poset, antichain):
 
 
 def st_word_combinatorial(a, b, antichain):
-    """Binary fiber word of an antichain of [a]x[b].
+    """Binary fiber word of an antichain of [a]x[b]: ``st_word`` at its 0/1
+    indicator labeling in the tropical realm with c = 1.
 
     Entry i <= a is 1 iff the antichain meets positive fiber i; entry a+l is
     1 iff it misses negative fiber l.  Fibers are chains, so an antichain
-    meets each at most once.
+    meets each at most once: a row sums to 0 or 1, and a column entry is
+    1 minus its sum.  The entries are ints.
     """
     poset = product_of_chains(a, b)
     s = frozenset(antichain)
     if not poset.is_antichain(s):
         raise ValueError(f"not an antichain: {sorted(s)}")
-    positive, negative = fibers(a, b)
-    return tuple(
-        [1 if any(x in s for x in fib) else 0 for fib in positive]
-        + [0 if any(x in s for x in fib) else 1 for fib in negative]
-    )
+    return st_word(poset, Labeling(TropicalRealm(1), [int(x in s) for x in range(poset.n)]))
 
 
 class CombinatorialOrbit(NamedTuple):

@@ -229,27 +229,16 @@ def closed_form_first_pass(poset, g):
     return Labeling(r, out)
 
 
-def polytope_membership(kind, poset, values, scale=1):
-    """Exact membership test for the three labeling polytopes, dilated by
-    ``scale`` (the tropical constant c that rowmotion preserves them under).
-
-    kind "order": values in [0, scale], weakly increasing along covers.
-    kind "order-reversing": values in [0, scale], weakly decreasing along covers.
-    kind "chain": values in [0, scale] and every maximal chain sums to at most
-    scale, read off one longest-chain pass (``FinitePoset.max_chain_sum``).
-    Values are ints or Fractions and are compared as given.
+def polytope_membership(poset, values, scale=1):
+    """Exact membership test for the chain polytope dilated by ``scale`` (the
+    tropical constant c that rowmotion preserves it under): values in
+    [0, scale] and every maximal chain summing to at most scale, read off
+    one longest-chain pass (``FinitePoset.max_chain_sum``).  ``values`` are
+    ints or Fractions, in element order, and are compared as given.
     """
-    if isinstance(values, Labeling):
-        values = values.values
     if values and (min(values) < 0 or max(values) > scale):
         return False
-    if kind == "order":
-        return all(values[lo] <= values[hi] for lo, hi in poset.covers)
-    if kind == "order-reversing":
-        return all(values[lo] >= values[hi] for lo, hi in poset.covers)
-    if kind == "chain":
-        return poset.max_chain_sum(values) <= scale
-    raise ValueError(f"unknown polytope kind {kind!r}")
+    return poset.max_chain_sum(values) <= scale
 
 
 class Orbit(NamedTuple):

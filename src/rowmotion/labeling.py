@@ -55,9 +55,10 @@ def labeling_from_json(obj, poset):
     reads each label itself (``value_from_json``).  Label keys are element
     ids, or "i,j" coordinates when ``poset`` is a rectangle.  A malformed or
     out-of-range key, a second key for an element, a label its realm cannot
-    read or an unlabeled element raises ValueError naming it.
+    read or an unlabeled element raises ValueError naming it, except a key
+    too long for ``int`` (``realms.refuse_huge_number``), which is not echoed.
     """
-    from .realms import json_field, realm_from_config
+    from .realms import json_field, realm_from_config, refuse_huge_number
 
     realm = realm_from_config(json_field(obj, "realm", "labeling"))
     raw = json_field(obj, "labels", "labeling")
@@ -66,8 +67,11 @@ def labeling_from_json(obj, poset):
     values = {}
     keys = {}
     for key, val in raw.items():
+        # An id, or "i,j"; one too long for ``int`` is refused here, unechoed.
+        m = re.fullmatch(r"(-?[0-9]+)(?:,(-?[0-9]+))?", key) if isinstance(key, str) else None
+        if m is not None:
+            refuse_huge_number(key, "a label key")
         try:
-            m = re.fullmatch(r"(-?[0-9]+)(?:,(-?[0-9]+))?", key)  # an id, or "i,j"
             if m is None:
                 raise ValueError('the key is neither an element id nor "i,j" coordinates')
             if m[2] is None:

@@ -427,10 +427,10 @@ def fp_ops(d, p):
 class FpMatrixRealm(_MatrixRealm):
     """d-by-d matrices over the prime field F_p; entries stored in 0..p-1.
 
-    For d <= 3, ``mul`` and ``inv`` hand the flat values straight to
-    ``fp_ops``: unrolled products, and the inverse as det(m)^-1 * adj(m),
-    singular exactly when det(m) = 0; for d >= 4 the general product and
-    the Gauss-Jordan inverse.
+    For d <= 3, ``mul`` is the unrolled product of ``fp_ops``, and ``inv``
+    is ``inv_all`` on a batch of one: det(m)^-1 * adj(m), singular exactly
+    when det(m) = 0; for d >= 4 the general product and the Gauss-Jordan
+    inverse.
     """
 
     name = "matp"
@@ -457,10 +457,7 @@ class FpMatrixRealm(_MatrixRealm):
     def inv(self, x):
         if self._det is None:
             return super().inv(x)
-        t = self._det(x)
-        if not t:
-            raise SingularValue(f"singular {self.d}x{self.d} matrix")
-        return self._adj(x, pow(t, -1, self.p))
+        return self.inv_all((x,), (None,))[0]
 
     def inv_all(self, values, elements, scaled=False):
         """``Realm.inv_all``.  For d <= 3, adj(m) * det(m)^-1 with every det
@@ -514,8 +511,9 @@ class FractionMatrixRealm(_MatrixRealm):
 
 
 # The keys each realm's config block may hold: those its ``config()`` writes.
-_CONFIG_KEYS = {"tropical": ("realm", "c"), "ratfun": ("realm", "variables"),
-                "matp": ("realm", "p", "d", "c"), "matq": ("realm", "d", "c")}
+# ``cli`` reads the flags of a sampled realm off the same rows.
+CONFIG_KEYS = {"tropical": ("realm", "c"), "ratfun": ("realm", "variables"),
+               "matp": ("realm", "p", "d", "c"), "matq": ("realm", "d", "c")}
 
 
 def realm_from_config(cfg):
@@ -529,7 +527,7 @@ def realm_from_config(cfg):
         return json_number(raw, kind, f"realm config {key!r}")
 
     kind = json_field(cfg, "realm", "realm config")
-    keys = _CONFIG_KEYS.get(kind) if isinstance(kind, str) else None
+    keys = CONFIG_KEYS.get(kind) if isinstance(kind, str) else None
     if keys is None:
         raise ValueError(f"unknown realm {kind!r}")
     for key in cfg:

@@ -188,7 +188,7 @@ def pl_homomesy_report(a, b, samples, seed):
         sub = derive_seed(seed, "pl-sample", idx)
         numerators, scale = sample_chain_polytope_point(poset, random.Random(sub))
         window = orbit_window(poset, Labeling(TropicalRealm(scale), numerators))
-        if not all(polytope_membership("chain", poset, lab, scale) for lab in window[1:]):
+        if not all(polytope_membership(poset, lab.values, scale) for lab in window[1:]):
             membership_failures.append(sub)
         totals = list(map(sum, zip(*(lab.values for lab in window))))
         at = totals.__getitem__

@@ -84,7 +84,7 @@ def pl_homomesy_report_by_fractions(a, b, samples, seed):
         common = lcm(*(v.denominator for v in point))
         cleared = [v.numerator * (common // v.denominator) for v in point]
         window = orbit_window(poset, Labeling(TropicalRealm(common), cleared))
-        if not all(polytope_membership("chain", poset, lab, common) for lab in window[1:]):
+        if not all(polytope_membership(poset, lab.values, common) for lab in window[1:]):
             membership_failures.append(sub)
         if not (all(f["pass"] for f in fiber_product_checks(poset, window))
                 and sum(sum(lab.values) for lab in window) == a * b * common):

@@ -134,7 +134,7 @@ def test_criterion_05_pl_properties_at_scale():
                 orbit = [g]
                 for _ in range(period):
                     nxt = antichain_rowmotion(p, orbit[-1])
-                    assert polytope_membership("chain", p, nxt)
+                    assert polytope_membership(p, nxt.values)
                     orbit.append(nxt)
                 words = [st_word(p, lab) for lab in orbit]
                 for before, after in zip(words, words[1:]):

@@ -251,6 +251,11 @@ def test_homomesy_reports_pinned(args, digest, capsys):
     # step 5 on [3]x[3] has labels of 2,316 terms
     (["rowmotion", "--chains", "3", "3", "--realm", "ratfun", "--steps", "5"],
      "4a76fccc400eb221ac462416ac8e309f0f1a49fdf2b0e19949b8f48b3ceb9fd0"),
+    # every antichain's binary word, orbit by orbit
+    (["orbits", "--chains", "3", "4"],
+     "a00bc407cfde5099773d42a6b6a882be7d171bb4cf4086d3f152a5c1252d3387"),
+    (["orbits", "--chains", "4", "4"],
+     "30b9f97edb455fb9d502c248eea291595f72971572ef8f4bb6e4084e1dffb21e"),
 ])
 def test_word_orbit_and_fixture_reports_pinned(args, digest, capsys):
     """The labeling and fiber-word JSON encoding, the fixture details and
@@ -592,6 +597,9 @@ NESTED = "[" * 100_000
                    "coordinates", id=f"key-{key}")
       for key in ("x", "1,2,3", "3_", "1,a", "1_0", "+1", " 1")),
     pytest.param(_keyed("5"), "label 5: no element 5 in a 4-element poset", id="key-5"),
+    *(pytest.param(_keyed(key), "a label key has more than 4300 digits, the most Python reads "
+                   "in an integer", id=f"key-{name}-past-the-digit-limit")
+      for name, key in (("id", "1" * 5000), ("coordinates", "1," + "2" * 5000))),
     pytest.param(_keyed("-1"), "label -1: no element -1 in a 4-element poset", id="key--1"),
     pytest.param({"realm": {"realm": "tropical"}, "labels": {"0": "1", "2": "1"}},
                  "labeling has no label for element 1", id="key-missing"),
@@ -604,6 +612,7 @@ def test_malformed_labeling_exits_2(payload, message, tmp_path, capsys):
     code, err = _refused(["rowmotion", "--chains", "2", "2", flag, str(src)], capsys)
     assert code == 2
     assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200  # one line, which echoes no long input
 
 
 @pytest.mark.parametrize("payload,flags,message", [
@@ -673,6 +682,16 @@ def test_number_past_the_digit_limit_exits_2(text, message, tmp_path, capsys):
     assert code == 2
     assert err == (f"error: {message} has more than 4300 digits, the most Python reads "
                    f"in an integer\n")
+
+
+def test_label_key_at_the_digit_limit_is_read_as_an_id(tmp_path, capsys):
+    """A key of exactly as many digits as Python reads into an integer is
+    read as an element id, and refused as out of range."""
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(_keyed("1" * 4300)))
+    code, err = _refused(["rowmotion", "--chains", "2", "2", "--in", str(src)], capsys)
+    assert code == 2
+    assert err.startswith("error: label 111") and err.endswith(" in a 4-element poset\n")
 
 
 @pytest.mark.parametrize("text,first", [
@@ -1107,6 +1126,12 @@ def _shifted(realm, *labels):
     return steps[1:] + steps[:1], st0
 
 
+def _rotated_word(realm, *labels):
+    """The worked example's orbit, with its step-0 word rotated one place."""
+    steps, st0 = NAR_EXPECTED_STEPS(realm, *labels)
+    return steps, st0[-1:] + st0[:-1]
+
+
 class _SingularRealm(fixtures.FpMatrixRealm):
     """A prime-field matrix realm in which no value has an inverse."""
 
@@ -1118,14 +1143,16 @@ class _SingularRealm(fixtures.FpMatrixRealm):
     ("_nar_expected_steps", _singular, "nar-2x2-orbit",
      "raised SamplingExhausted: no nonsingular labeling after 32 attempts"),
     ("_nar_expected_steps", _shifted, "nar-2x2-orbit", "label mismatch at d=1, step 1"),
+    ("_nar_expected_steps", _rotated_word, "nar-2x2-orbit",
+     "word mismatch at d=1, step 0, entry 1"),
     ("FpMatrixRealm", _SingularRealm, "skew-inverse-sum",
      "raised SamplingExhausted: no nonsingular labeling after 32 attempts"),
-], ids=["all-draws-singular", "wrong-orbit", "skew-all-singular"])
+], ids=["all-draws-singular", "wrong-orbit", "wrong-word", "skew-all-singular"])
 def test_noncommutative_fixture_failure_is_reported(attr, value, name, detail, monkeypatch,
                                                     capsys):
     """A noncommutative fixture fails in the table, and the run goes on to
     the other fixtures, when every draw is singular (the redraws run out)
-    and when the orbit leaves the worked example."""
+    and when the orbit or its step-0 word leaves the worked example."""
     monkeypatch.setattr(fixtures, attr, value)
     code, rep = run(["fixtures", "--samples", "1"], capsys)
     assert code == 1

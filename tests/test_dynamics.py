@@ -571,39 +571,28 @@ def test_polytope_membership_examples():
 
     for s in enumerate_antichains(p):
         indicator = [1 if x in s else 0 for x in range(p.n)]
-        assert polytope_membership("chain", p, indicator)
-    zero = [0] * p.n
-    for kind in ("order", "order-reversing", "chain"):
-        assert polytope_membership(kind, p, zero)
+        assert polytope_membership(p, indicator)
+    assert polytope_membership(p, [0] * p.n)
     for vals in [("1/5", "1/10", "2/5", "3/10"), ("1/10", "1/2", "1/5", "1/10"),
                  ("3/10", "1/10", "2/5", "1/5"), ("1/10", "3/5", "3/10", "1/10")]:
-        assert polytope_membership("chain", p, [Fraction(v) for v in vals])
-    assert polytope_membership("order", p, [Fraction(v) for v in ("0", "1/2", "1/2", "1")])
-    assert not polytope_membership("order", p, [Fraction(v) for v in ("1", "1/2", "1/2", "0")])
-    assert polytope_membership("order-reversing", p,
-                               [Fraction(v) for v in ("1", "1/2", "1/2", "0")])
-    assert not polytope_membership("chain", p, [Fraction(1, 2)] * 4)
-    assert not polytope_membership("chain", p, [Fraction(3, 2), 0, 0, 0])
-    with pytest.raises(ValueError):
-        polytope_membership("simplex", p, zero)
+        assert polytope_membership(p, [Fraction(v) for v in vals])
+    assert not polytope_membership(p, [Fraction(1, 2)] * 4)
+    assert not polytope_membership(p, [Fraction(3, 2), 0, 0, 0])
     # dilated by 10: integer numerators over the denominator 10
-    assert polytope_membership("chain", p, [2, 1, 4, 3], 10)
-    assert not polytope_membership("chain", p, [5, 5, 5, 5], 10)
+    assert polytope_membership(p, [2, 1, 4, 3], 10)
+    assert not polytope_membership(p, [5, 5, 5, 5], 10)
 
 
 def test_polytope_membership_bounds_every_value():
-    """Each value must lie in [0, scale], whatever the order conditions say;
-    the empty poset's one labeling is in every polytope."""
+    """Each value must lie in [0, scale], whatever the chain sums say; the
+    empty poset's one labeling is in the polytope."""
     p = product_of_chains(2, 2)
-    for kind, vals in [("order", [-1, 0, 0, 0]), ("order", [0, 0, 0, 11]),
-                       ("order-reversing", [11, 0, 0, 0]), ("order-reversing", [0, 0, 0, -1]),
-                       ("chain", [0, -1, 0, 0]), ("chain", [Fraction(-1, 3), 0, 0, 0])]:
-        assert not polytope_membership(kind, p, vals, 10)
-        assert polytope_membership(kind, p, [min(max(v, 0), 10) for v in vals], 10)
-    empty = build_poset([])
-    for kind in ("order", "order-reversing", "chain"):
-        assert polytope_membership(kind, empty, [])
-    assert not polytope_membership("order", p, [0, 5, 5, 11], 10)
+    for vals in [[-1, 0, 0, 0], [0, 0, 0, 11], [11, 0, 0, 0], [0, 0, 0, -1], [0, -1, 0, 0],
+                 [Fraction(-1, 3), 0, 0, 0]]:
+        assert not polytope_membership(p, vals, 10)
+        assert polytope_membership(p, [min(max(v, 0), 10) for v in vals], 10)
+    assert polytope_membership(build_poset([]), [])
+    assert not polytope_membership(p, [0, 5, 5, 11], 10)
 
 
 def test_chain_polytope_sampler_matches_chain_enumeration():
@@ -624,7 +613,7 @@ def test_chain_polytope_sampler_matches_chain_enumeration():
             point = [Fraction(k, scale) for k in numerators]
             assert point == chain_polytope_point_by_chains(
                 p, random.Random(derive_seed(41, p.n, s)))
-            assert polytope_membership("chain", p, point)
+            assert polytope_membership(p, point)
             on_boundary.setdefault(p.n, set()).add(p.max_chain_sum(point) == 1)
     assert on_boundary[4] == {True, False}
     assert on_boundary[20] == {True}
@@ -642,7 +631,7 @@ def test_pl_rowmotion_preserves_chain_polytope():
                 numerators, scale = sample_chain_polytope_point(p, rng)
                 g = Labeling(realm, [Fraction(k, scale) for k in numerators])
                 img = antichain_rowmotion(p, g)
-                assert polytope_membership("chain", p, img)
+                assert polytope_membership(p, img.values)
 
 
 def test_tropical_matches_independent_max_plus_oracle():
