@@ -19,9 +19,13 @@ expansion as sums over saturated chains (with factors ordered from the top
 of the chain down) lives in the test suite as an oracle, since chain counts
 grow fast.
 
-Antichain rowmotion is (down-transfer o complementation o inverse-up), fused
-into one pass by ``rowmotion_pass`` with ``transfer`` as its test oracle;
-order rowmotion is (complementation o inverse-up o down-transfer).  Both are
+Antichain rowmotion is (down-transfer o complementation o inverse-up): the
+inverse-up is the realm's batch ``up_transfer``, and the rest is fused into
+one pass by ``rowmotion_pass``, with ``transfer`` as the test oracle of
+both.  In the tropical realm the inverse-up transfer is the longest-chain
+table, so a caller that holds it also has the chain-polytope test
+(``in_chain_polytope``) for free; tropical homomesy reads each table twice.
+Order rowmotion is (complementation o inverse-up o down-transfer).  Both are
 also toggle products along any linear extension, bottom to top; toggle-mode
 antichain rowmotion is that product along ``poset.topo_order``, run as one
 sweep that computes each dynamic-program value a toggle needs once, with the
@@ -36,6 +40,7 @@ from typing import NamedTuple
 from .errors import SingularValue
 from .labeling import Labeling
 from .poset import RectanglePoset
+from .realms import TropicalRealm
 
 
 class TransferKind(Enum):
@@ -99,11 +104,11 @@ def toggle(poset, g, v, *, up=None, down=None):
     return g.replace(v, r.mul(r.scaled_inv_pair(up, down, v), g[v]))
 
 
-def rowmotion_pass(poset, values, mul, add, inv_all):
-    """One antichain-rowmotion step on per-element ``values``, as a list in id
-    order: D(x) = (sum of D over upper covers) * g(x), or g(x) at a maximal
-    x; E = C * inv(D); out(x) = E(x) * inv(sum of E over lower covers), or
-    E(x) at a minimal x.  ``inv_all`` (``Realm.inv_all``) inverts each batch;
+def rowmotion_pass(poset, D, mul, add, inv_all):
+    """One antichain-rowmotion step from the inverse-up transfer ``D`` of a
+    labeling g (``Realm.up_transfer`` of its values), as a list in id order:
+    E = C * inv(D); out(x) = E(x) * inv(sum of E over lower covers), or E(x)
+    at a minimal x.  ``inv_all`` (``Realm.inv_all``) inverts each batch;
     ``mul`` and ``add`` agree with the realm's, and sums fold left to right.
 
     The second batch is in id order, so a refusal names the element, with the
@@ -115,18 +120,11 @@ def rowmotion_pass(poset, values, mul, add, inv_all):
     g(v) or lower-cover sum is singular; a singular g(v) makes D(v)
     singular, so the batches agree.
 
-    The covers are read from the poset's sweeps (``up_sweep`` in
-    ``reversed(topo_order)``, ``down_sweep`` over ``nonminimal``), built
-    once per poset, so no element's covers are looked up, tested or sliced
-    per step; the realm calls and both batches are those of walking
-    ``up_covers`` and ``down_covers`` in the same orders.
+    The lower covers are read from ``poset.down_sweep`` over ``nonminimal``,
+    built once per poset, so no element's covers are looked up, tested or
+    sliced per step; the realm calls and the batch are those of walking
+    ``down_covers`` in the same order.
     """
-    D = list(values)  # kept at the maximal elements
-    for x, first, rest in poset.up_sweep:
-        s = D[first]
-        for y in rest:
-            s = add(s, D[y])
-        D[x] = mul(s, values[x])
     E = inv_all(D, range(poset.n), scaled=True)
     sums = []
     for x, first, rest in poset.down_sweep:
@@ -144,7 +142,8 @@ def rowmotion_pass(poset, values, mul, add, inv_all):
 def antichain_rowmotion(poset, g, mode="transfer"):
     """One step of antichain rowmotion on a labeling.
 
-    mode="transfer" runs ``rowmotion_pass`` on the realm's operations.
+    mode="transfer" runs ``rowmotion_pass`` on the realm's operations, from
+    the realm's ``up_transfer`` of g.
     mode="toggles" toggles once at each element along ``poset.topo_order``,
     bottom to top, in one sweep that reuses both values each toggle needs.
     Elements above v come after v, so the up-value at v is D(v), the
@@ -159,7 +158,8 @@ def antichain_rowmotion(poset, g, mode="transfer"):
     """
     r = g.realm
     if mode == "transfer":
-        return Labeling(r, rowmotion_pass(poset, g.values, r.mul, r.add, r.inv_all))
+        D = r.up_transfer(poset, g.values)
+        return Labeling(r, rowmotion_pass(poset, D, r.mul, r.add, r.inv_all))
     if mode == "toggles":
         D = transfer(TransferKind.UP_INV, poset, g)
         W = [None] * poset.n  # set as each element is toggled
@@ -231,14 +231,23 @@ def closed_form_first_pass(poset, g):
 
 def polytope_membership(poset, values, scale=1):
     """Exact membership test for the chain polytope dilated by ``scale`` (the
-    tropical constant c that rowmotion preserves it under): values in
-    [0, scale] and every maximal chain summing to at most scale, read off
-    one longest-chain pass (``FinitePoset.max_chain_sum``).  ``values`` are
-    ints or Fractions, in element order, and are compared as given.
+    tropical constant c that rowmotion preserves it under), by
+    ``in_chain_polytope`` on one longest-chain table of ``values``.
+    ``values`` are ints or Fractions, in element order, and are compared as
+    given.
     """
+    return in_chain_polytope(poset, values, TropicalRealm.up_transfer(poset, values), scale)
+
+
+def in_chain_polytope(poset, values, table, scale):
+    """The chain-polytope rule: ``values`` in [0, scale] and every maximal
+    chain summing to at most scale, that is, the largest entry of their
+    longest-chain table ``table`` (``TropicalRealm.up_transfer``) at a
+    minimal element at most scale.  Tropical homomesy passes the table its
+    rowmotion step reads."""
     if values and (min(values) < 0 or max(values) > scale):
         return False
-    return poset.max_chain_sum(values) <= scale
+    return max((table[x] for x in poset.minimal), default=0) <= scale
 
 
 class Orbit(NamedTuple):

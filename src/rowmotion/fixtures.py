@@ -5,7 +5,8 @@ check: the 3x5 fiber-word walkthrough, the 2x2 combinatorial census, the 2x2
 piecewise-linear orbit, the symbolic 2x2 and 2x3 orbits with their words and
 homomesy products, and the noncommutative 2x2 orbit evaluated on matrices.
 An orbit's words are checked at step 0 against the worked example and after
-that by ``stword.check_rotation``, the one rotation rule, step by step.
+that by ``stword.word_rotation``, the one rotation rule (``check_rotation``
+applies it too), step by step on the words the orbit recorded.
 The CLI ``fixtures`` command prints the pass/fail table.
 """
 
@@ -27,7 +28,7 @@ from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm, TropicalRealm
 from .sampling import derive_seed, redraw, sample_generic_labeling, symbolic_labeling
-from .stword import check_rotation, constant_power, fiber_product_checks, orbit_window, st_word
+from .stword import constant_power, fiber_product_checks, orbit_window, st_word, word_rotation
 
 
 class FixtureResult(NamedTuple):
@@ -224,14 +225,16 @@ def _orbit_mismatch(p, g, expected_steps, st0, mode, at):
 def _word_mismatch(p, orbit, st0, at):
     """Where the words of ``orbit`` leave the worked example, as a message
     with ``at`` before the step, or None: the step-0 word against st0 entry
-    by entry, then each later step's through ``check_rotation`` against the
-    step before, so step k's word is st0 rotated k places."""
+    by entry, then each later step's word through ``word_rotation`` (the
+    rule ``check_rotation`` applies) against the step before, so step k's
+    word is st0 rotated k places.  The words are the orbit's own."""
     r = orbit.labelings[0].realm
+    words = orbit.st_words
     for i, want in enumerate(st0, 1):
-        if not r.eq(orbit.st_words[0][i - 1], want):
+        if not r.eq(words[0][i - 1], want):
             return f"word mismatch at {at}step 0, entry {i}"
-    for k in range(1, len(orbit.labelings)):
-        rotation = check_rotation(p, orbit.labelings[k - 1], image=orbit.labelings[k])
+    for k in range(1, len(words)):
+        rotation = word_rotation(r, words[k - 1], words[k])
         i = next((i for i, matched in rotation.per_index if not matched), None)
         if i is not None:
             return f"word mismatch at {at}step {k}, entry {i}"

@@ -40,9 +40,10 @@ class FpToggleEngine:
     """Antichain rowmotion for one poset, d and certified prime p.
 
     Transfer-mode ``antichain_rowmotion`` on bare label lists: the pass runs
-    on the matp realm's product, ``add`` and ``inv_all``, so its labels are
-    reduced.  The product is ``_mul``, the function ``mul`` calls, one
-    Python frame fewer per product.
+    from the matp realm's ``up_transfer`` on its product, ``add`` and
+    ``inv_all``, so its labels are reduced.  The product is ``_mul``, the
+    function ``mul`` calls, one Python frame fewer per product; the realm's
+    ``up_transfer`` folds with ``_mul`` too.
     """
 
     def __init__(self, poset, d, p):
@@ -54,14 +55,16 @@ class FpToggleEngine:
     def step(self, labels, c):
         """One rowmotion step on n per-element tuples; returns the new list."""
         realm = FpMatrixRealm(self.p, self.d, c=c)
-        return rowmotion_pass(self.poset, labels, realm._mul, realm.add, realm.inv_all)
+        return rowmotion_pass(self.poset, realm.up_transfer(self.poset, labels), realm._mul,
+                              realm.add, realm.inv_all)
 
     def first_return(self, labels, c, max_steps):
         """Smallest m <= max_steps with step^m(labels) == labels, else 0."""
         realm = FpMatrixRealm(self.p, self.d, c=c)
         initial = cur = list(labels)
         for m in range(1, max_steps + 1):
-            cur = rowmotion_pass(self.poset, cur, realm._mul, realm.add, realm.inv_all)
+            cur = rowmotion_pass(self.poset, realm.up_transfer(self.poset, cur), realm._mul,
+                                 realm.add, realm.inv_all)
             if cur == initial:
                 return m
         return 0

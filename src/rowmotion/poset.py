@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import PosetError
+from .realms import TropicalRealm
 
 
 class FinitePoset:
@@ -145,24 +146,15 @@ class FinitePoset:
     def max_chain_sum(self, values):
         """Largest sum of ``values`` over a maximal chain (0 on the empty poset).
 
-        A longest-path DP over ``up_sweep``: the best chain from each element
-        up to a maximal one, then the largest of those from a minimal
-        element.  It costs O(n + |covers|) where the chains themselves can be
-        exponentially many.  Works on any ordered numbers, ints and Fractions
-        alike.
-
-        The sweep hands each element its first upper cover and the rest, so
-        the pass makes no per-element lookup, test or call: tropical
-        homomesy runs it a+b times per sample on [a]x[b], once in the
-        sampler and once per membership check of the orbit window.
+        The largest entry at a minimal element of the longest-chain table
+        (``TropicalRealm.up_transfer``, a DP over ``up_sweep``): it costs
+        O(n + |covers|) where the chains themselves can be exponentially
+        many.  Works on any ordered numbers, ints and Fractions alike.
+        Tropical homomesy calls it once per sample, in the sampler, and
+        reads its window's membership checks off the tables its rowmotion
+        steps build.
         """
-        best = list(values)
-        for x, first, rest in self.up_sweep:
-            m = best[first]
-            for y in rest:
-                if best[y] > m:
-                    m = best[y]
-            best[x] += m
+        best = TropicalRealm.up_transfer(self, values)
         return max((best[x] for x in self.minimal), default=0)
 
     def __repr__(self):

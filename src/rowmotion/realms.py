@@ -1,7 +1,9 @@
 """Value domains for poset labelings, behind one small contract.
 
 A realm supplies ``add``, ``mul``, ``inv``, ``one`` and a central constant,
-plus exact equality.  Four realms are provided:
+plus exact equality, and two batch operations with defaults built on those
+that a realm may replace: ``inv_all`` and ``up_transfer``.  Four realms are
+provided:
 
 * tropical rationals (max, +); the piecewise-linear realm,
 * multivariate rational functions over the integers, with the constant as a
@@ -118,6 +120,14 @@ class Realm:
         out = [self.inv_at(v, x) for x, v in zip(elements, values)]
         return [self.mul(self.constant(), w) for w in out] if scaled else out
 
+    def up_transfer(self, poset, values):
+        """The inverse-up transfer D of per-element ``values`` in id order,
+        as a list: D(x) = (sum of D over upper covers) * values[x], or
+        values[x] at a maximal x, with sums folded left to right.  It walks
+        ``poset.up_sweep``, so the realm calls are those of walking
+        ``up_covers`` in ``reversed(topo_order)``."""
+        return _up_fold(poset, values, self.mul, self.add)
+
     def scaled_inv_pair(self, up, down, element):
         """C * inv(up) * inv(down), the toggle's factor at ``element``; a
         singular up, then down, re-raises naming ``element``.  This default
@@ -156,6 +166,17 @@ class Realm:
         raise NotImplementedError
 
 
+def _up_fold(poset, values, mul, add):
+    """``Realm.up_transfer`` on the products ``mul`` and sums ``add``."""
+    D = list(values)  # kept at the maximal elements
+    for x, first, rest in poset.up_sweep:
+        s = D[first]
+        for y in rest:
+            s = add(s, D[y])
+        D[x] = mul(s, values[x])
+    return D
+
+
 class TropicalRealm(Realm):
     """Exact rationals under (max, +): add is max, mul is +, inv is negation.
 
@@ -168,7 +189,9 @@ class TropicalRealm(Realm):
 
     Negation cannot fail, so ``inv_all`` is one pass with no per-element
     refusal: c - v when scaled, else -v, the values and the int or
-    ``Fraction`` types of the default c + (-v) and -v.
+    ``Fraction`` types of the default c + (-v) and -v.  ``up_transfer`` is
+    the longest-chain table, so the table a rowmotion step starts from also
+    decides chain-polytope membership (``dynamics.in_chain_polytope``).
     """
 
     name = "tropical"
@@ -192,6 +215,26 @@ class TropicalRealm(Realm):
             c = self.c
             return [c - v for v in values]
         return [-v for v in values]
+
+    @staticmethod
+    def up_transfer(poset, values):
+        """``Realm.up_transfer`` as the longest-chain table: D(x) is the
+        largest sum of ``values`` over a chain from x up to a maximal
+        element.  The values and types are those of the default fold (a tie
+        keeps the first cover's value, as ``add`` does), and the table does
+        not depend on c.  ``FinitePoset.max_chain_sum`` reads it too.
+
+        The sweep hands each element its first upper cover and the rest, so
+        the pass makes no per-element lookup, test or call.
+        """
+        best = list(values)
+        for x, first, rest in poset.up_sweep:
+            m = best[first]
+            for y in rest:
+                if best[y] > m:
+                    m = best[y]
+            best[x] += m
+        return best
 
     def one(self):
         return 0
@@ -299,6 +342,11 @@ class _MatrixRealm(Realm):
 
     def mul(self, x, y):
         return self._mul(x, y)
+
+    def up_transfer(self, poset, values):
+        """``Realm.up_transfer`` on ``_mul``, the product ``mul`` calls: one
+        Python frame fewer per product."""
+        return _up_fold(poset, values, self._mul, self.add)
 
     def _mul(self, x, y):
         return tuple(map(self._norm, mat_product(self.d, x, y)))

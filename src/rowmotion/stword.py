@@ -21,6 +21,8 @@ fiber-mean homomesy ``pl_homomesy_report`` checks.  It runs on integer
 labels, where the realm's product is ``+``, so it sums each element's label
 across the window once and checks each fiber as the integer sum of those
 window totals: the same boolean as the realm fold, without its products.
+Its window builds each labeling's longest-chain table (the tropical
+``up_transfer``) once, for the rowmotion step and the chain-polytope check.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynamics import antichain_rowmotion, polytope_membership
-from .labeling import Labeling
+from .dynamics import antichain_rowmotion, in_chain_polytope, rowmotion_pass
 from .poset import RectanglePoset, fibers, product_of_chains
 from .realms import TropicalRealm
 from .sampling import derive_seed, sample_chain_polytope_point
@@ -68,14 +69,18 @@ class RotationReport(NamedTuple):
 
 def check_rotation(poset, g, image=None):
     """Verify the word of the rowmotion image (default: the transfer-mode
-    image of g) is the rightward cyclic shift of g's word: entry i of the
-    image's against entry i-1 of g's (entry 1 against entry a+b), index by
-    index, under exact realm equality."""
+    image of g) is the rightward cyclic shift of g's word
+    (``word_rotation``)."""
     if image is None:
         image = antichain_rowmotion(poset, g)
-    before = st_word(poset, g)
-    after = st_word(poset, image)
-    per_index = tuple((i, g.realm.eq(after[i - 1], before[i - 2]))
+    return word_rotation(g.realm, st_word(poset, g), st_word(poset, image))
+
+
+def word_rotation(realm, before, after):
+    """Whether the word ``after`` is the rightward cyclic shift of the word
+    ``before``: entry i of ``after`` against entry i-1 of ``before`` (entry 1
+    against entry a+b), index by index, under exact ``realm`` equality."""
+    per_index = tuple((i, realm.eq(after[i - 1], before[i - 2]))
                       for i in range(1, len(before) + 1))
     return RotationReport(all(m for _, m in per_index), per_index)
 
@@ -88,6 +93,21 @@ def orbit_window(poset, g):
     window = [g]
     for _ in range(poset.a + poset.b - 1):
         window.append(antichain_rowmotion(poset, window[-1]))
+    return window
+
+
+def _window_tables(poset, realm, values):
+    """The orbit window of per-element ``values`` in the tropical ``realm``
+    on [a]x[b], as a+b pairs (values, table), table the labeling's
+    longest-chain table (``realm.up_transfer``).  Each of the a+b-1 steps
+    starts from the table of the labeling before it; the last table is read
+    by the chain-polytope check alone."""
+    window = []
+    for _ in range(poset.a + poset.b - 1):
+        table = realm.up_transfer(poset, values)
+        window.append((values, table))
+        values = rowmotion_pass(poset, table, realm.mul, realm.add, realm.inv_all)
+    window.append((values, realm.up_transfer(poset, values)))
     return window
 
 
@@ -174,6 +194,11 @@ def pl_homomesy_report(a, b, samples, seed):
     check gives the boolean it gives on the point itself with c = 1, and
     the same as over any other common denominator of the point.
 
+    Each window labeling's longest-chain table is built once
+    (``_window_tables``) and read twice: by its rowmotion step and by its
+    chain-polytope check (``in_chain_polytope``).  With the sampler's pass
+    that is a+b+1 longest-chain passes per sample.
+
     The fibers are listed once per report.  Each window's labels are summed
     per element once, and every fiber product is the integer sum of its
     members' window totals: tropical ``mul`` on ints is ``+`` and ``eq`` is
@@ -187,10 +212,11 @@ def pl_homomesy_report(a, b, samples, seed):
     for idx in range(samples):
         sub = derive_seed(seed, "pl-sample", idx)
         numerators, scale = sample_chain_polytope_point(poset, random.Random(sub))
-        window = orbit_window(poset, Labeling(TropicalRealm(scale), numerators))
-        if not all(polytope_membership(poset, lab.values, scale) for lab in window[1:]):
+        window = _window_tables(poset, TropicalRealm(scale), numerators)
+        if not all(in_chain_polytope(poset, values, table, scale)
+                   for values, table in window[1:]):
             membership_failures.append(sub)
-        totals = list(map(sum, zip(*(lab.values for lab in window))))
+        totals = list(map(sum, zip(*(values for values, _ in window))))
         at = totals.__getitem__
         if not (all(sum(map(at, row)) == b * scale for row in positive)
                 and all(sum(map(at, column)) == a * scale for column in negative)

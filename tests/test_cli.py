@@ -256,6 +256,16 @@ def test_homomesy_reports_pinned(args, digest, capsys):
      "a00bc407cfde5099773d42a6b6a882be7d171bb4cf4086d3f152a5c1252d3387"),
     (["orbits", "--chains", "4", "4"],
      "30b9f97edb455fb9d502c248eea291595f72971572ef8f4bb6e4084e1dffb21e"),
+    # the benchmark's pl_homomesy job at its first unit seed (master seed 0)
+    (["homomesy", "--realm", "tropical", "--a", "4", "--b", "5", "--samples", "20",
+      "--seed", "5869391558442554087"],
+     "79bc749d5208f3621d428a5116227ff7d6759889ef769b9cad2cbd4fdaef7636"),
+    # Fraction labels and constant, in both modes
+    (["rowmotion", "--chains", "4", "5", "--realm", "tropical", "--c", "3/2"],
+     "3dc81936918435e0d28c8f7fdcce1d2f4146e98294478f5de1eb9a83a9fe6005"),
+    (["rowmotion", "--chains", "4", "5", "--realm", "tropical", "--c", "3/2", "--mode",
+      "toggles"],
+     "61462a87b27a47fa0d9002ebec85a40a75e2473e088d99e4ef04c8c50312b530"),
 ])
 def test_word_orbit_and_fixture_reports_pinned(args, digest, capsys):
     """The labeling and fiber-word JSON encoding, the fixture details and
@@ -601,6 +611,12 @@ NESTED = "[" * 100_000
                    "in an integer", id=f"key-{name}-past-the-digit-limit")
       for name, key in (("id", "1" * 5000), ("coordinates", "1," + "2" * 5000))),
     pytest.param(_keyed("-1"), "label -1: no element -1 in a 4-element poset", id="key--1"),
+    # a long key is named by its first 20 characters and its length
+    pytest.param(_keyed("1" * 4300), f"label {'1' * 20}... (4300 characters): no element "
+                 f"{'1' * 20}... (4300 characters) in a 4-element poset",
+                 id="key-id-at-the-digit-limit"),
+    pytest.param(_keyed("x" * 5000), f"label {'x' * 20}... (5000 characters): the key is "
+                 'neither an element id nor "i,j" coordinates', id="key-5000-characters"),
     pytest.param({"realm": {"realm": "tropical"}, "labels": {"0": "1", "2": "1"}},
                  "labeling has no label for element 1", id="key-missing"),
 ])

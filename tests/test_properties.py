@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rowmotion import (
@@ -376,16 +376,46 @@ def test_labeling_json_round_trips(case, coordinate_keys):
     assert back.values == g.values
 
 
+# ints, Fractions, and both mixed with ties common (2 against Fraction(2))
+CHAIN_WEIGHTS = st.one_of(
+    weighted_posets(st.integers(-60, 60)), weighted_posets(st.fractions()),
+    weighted_posets(st.integers(-3, 3) | st.integers(-3, 3).map(Fraction)))
+# element 0 is covered by 1 and 2, and the longer chain runs through the second
+FORK = build_poset([(0, 1), (0, 2)], elements=range(3))
+
+
 @PROPERTY
-@given(st.one_of(weighted_posets(st.integers(-60, 60)), weighted_posets(st.fractions())))
+@given(CHAIN_WEIGHTS)
+@example((FORK, [0, 1, 5]))
+@example((FORK, [Fraction(1, 2), Fraction(1, 3), 2]))
 def test_max_chain_sum_is_the_largest_maximal_chain_sum(case):
     """The longest-chain pass agrees with summing over every maximal chain,
-    for int and Fraction weights of any sign."""
+    for int and Fraction weights of any sign, and is the largest entry of
+    the tropical ``up_transfer`` table at a minimal element."""
     poset, weights = case
     got = poset.max_chain_sum(weights)
     assert got == max(sum(weights[x] for x in chain) for chain in poset.maximal_chains())
+    table = TropicalRealm().up_transfer(poset, weights)
+    assert got == max((table[x] for x in poset.minimal), default=0)
     if all(type(w) is int for w in weights):
         assert type(got) is int
+
+
+@PROPERTY
+@given(CHAIN_WEIGHTS, TROPICAL_NUMBERS)
+@example((FORK, [0, 1, 5]), 1)
+@example((FORK, [Fraction(1, 2), Fraction(1, 3), 2]), Fraction(3, 2))
+def test_tropical_up_transfer_is_the_default_fold_and_the_transfer(case, c):
+    """The tropical ``up_transfer`` (the longest-chain DP) returns the
+    values and the int or Fraction types of the default ``add``/``mul``
+    fold, and the values of the inverse-up ``transfer``, at any c."""
+    poset, weights = case
+    r = TropicalRealm(c)
+    got = r.up_transfer(poset, weights)
+    want = Realm.up_transfer(r, poset, weights)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert got == list(transfer(TransferKind.UP_INV, poset, Labeling(r, weights)).values)
 
 
 DENOMINATORS = st.sampled_from((0, 1, 59, 60, 62, 63, 64, 127))

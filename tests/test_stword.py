@@ -539,6 +539,13 @@ def test_pl_homomesy_report_equals_the_fraction_route(a, b, samples):
                 == pl_homomesy_report_by_fractions(a, b, samples, seed))
 
 
+def _with_labeling(window, k, realm, poset, values):
+    """``window`` (``stword._window_tables``) with its labeling k replaced by
+    ``values`` and that labeling's table built from them."""
+    window[k] = (values, realm.up_transfer(poset, values))
+    return window
+
+
 def test_pl_homomesy_report_records_the_failing_samples(monkeypatch):
     """A sample with a numerator above the scale fails membership alone (its
     point is outside the chain polytope, but the fiber identities hold at
@@ -550,7 +557,7 @@ def test_pl_homomesy_report_records_the_failing_samples(monkeypatch):
     more seeds."""
     a, b, seed, samples = 1, 3, 11, 8
     outside, broken = 2, 5
-    real_sample, real_window = stword.sample_chain_polytope_point, stword.orbit_window
+    real_sample, real_window = stword.sample_chain_polytope_point, stword._window_tables
     drawn = []
 
     def sample(poset, rng):
@@ -560,16 +567,17 @@ def test_pl_homomesy_report_records_the_failing_samples(monkeypatch):
         drawn.append(scale)
         return numerators, scale
 
-    def window(poset, g):
-        labelings = real_window(poset, g)
+    def window(poset, realm, values):
+        labelings = real_window(poset, realm, values)
         if len(drawn) - 1 == broken:
-            last = labelings[-1]
+            last = list(labelings[-1][0])
             x = next(x for x in range(poset.n) if last[x] > 0)
-            labelings[-1] = last.replace(x, last[x] - 1)
+            last[x] -= 1
+            _with_labeling(labelings, -1, realm, poset, last)
         return labelings
 
     monkeypatch.setattr(stword, "sample_chain_polytope_point", sample)
-    monkeypatch.setattr(stword, "orbit_window", window)
+    monkeypatch.setattr(stword, "_window_tables", window)
     rep = pl_homomesy_report(a, b, samples, seed)
     assert len(drawn) == samples
     assert rep["membership_failing_sample_seeds"] == [derive_seed(seed, "pl-sample", outside)]
@@ -585,12 +593,12 @@ def test_pl_homomesy_report_checks_rows_and_columns_each(monkeypatch):
     the fiber checks (membership is not checked on the sampled point)."""
     a, b, seed, samples = 3, 4, 17, 6
     along_row, along_column = 1, 4
-    real_window = stword.orbit_window
+    real_window = stword._window_tables
     drawn = []
 
-    def window(poset, g):
-        labelings = real_window(poset, g)
-        first = labelings[0]
+    def window(poset, realm, values):
+        labelings = real_window(poset, realm, values)
+        first = list(labelings[0][0])
         if len(drawn) == along_row:
             src, dst = poset.id(2, 1), poset.id(2, 3)
         elif len(drawn) == along_column:
@@ -598,17 +606,44 @@ def test_pl_homomesy_report_checks_rows_and_columns_each(monkeypatch):
         else:
             src = dst = None
         if src is not None:
-            first = first.replace(src, first[src] - 1)
-            labelings[0] = first.replace(dst, first[dst] + 1)
+            first[src] -= 1
+            first[dst] += 1
+            _with_labeling(labelings, 0, realm, poset, first)
         drawn.append(poset)
         return labelings
 
-    monkeypatch.setattr(stword, "orbit_window", window)
+    monkeypatch.setattr(stword, "_window_tables", window)
     rep = pl_homomesy_report(a, b, samples, seed)
     assert len(drawn) == samples
     assert rep["failing_sample_seeds"] == [derive_seed(seed, "pl-sample", along_row),
                                            derive_seed(seed, "pl-sample", along_column)]
     assert rep["membership_failing_sample_seeds"] == []
+    assert rep["all_exact"] is False
+
+
+def test_pl_homomesy_report_checks_the_last_window_labeling(monkeypatch):
+    """A label of the window's last labeling raised to S + 1 fails
+    membership in that sample: the report checks the last labeling, whose
+    table no rowmotion step reads.  The raise also breaks the fiber sums."""
+    a, b, seed, samples = 2, 3, 4, 5
+    above = 3
+    real_window = stword._window_tables
+    drawn = []
+
+    def window(poset, realm, values):
+        labelings = real_window(poset, realm, values)
+        if len(drawn) == above:
+            last = list(labelings[-1][0])
+            last[poset.id(2, 2)] = realm.c + 1
+            _with_labeling(labelings, -1, realm, poset, last)
+        drawn.append(realm.c)
+        return labelings
+
+    monkeypatch.setattr(stword, "_window_tables", window)
+    rep = pl_homomesy_report(a, b, samples, seed)
+    assert len(drawn) == samples
+    assert rep["membership_failing_sample_seeds"] == [derive_seed(seed, "pl-sample", above)]
+    assert rep["failing_sample_seeds"] == [derive_seed(seed, "pl-sample", above)]
     assert rep["all_exact"] is False
 
 
