@@ -1,4 +1,11 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and how their messages show input."""
+
+
+def shown(value):
+    """``str(value)``, or past 40 characters its first 20 and its length: a
+    4,300-digit key would fill 8 kB of an error line."""
+    text = str(value)
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
 
 
 class PosetError(ValueError):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 
+from .errors import shown
+
 
 class Labeling:
     """Immutable map from dense element ids to values of one realm."""
@@ -58,7 +60,7 @@ def labeling_from_json(obj, poset):
     read or an unlabeled element raises ValueError naming it, except a key
     too long for ``int`` (``realms.refuse_huge_number``), which is not echoed.
     A key or id of more than 40 characters is named by its start and its
-    length (``_shown``), so the message stays one short line.
+    length (``errors.shown``), so the message stays one short line.
     """
     from .realms import json_field, realm_from_config, refuse_huge_number
 
@@ -79,26 +81,18 @@ def labeling_from_json(obj, poset):
             if m[2] is None:
                 x = int(key)
                 if not 0 <= x < poset.n:
-                    raise ValueError(f"no element {_shown(x)} in a {poset.n}-element poset")
+                    raise ValueError(f"no element {shown(x)} in a {poset.n}-element poset")
             elif hasattr(poset, "id"):
                 x = poset.id(int(m[1]), int(m[2]))
             else:
                 raise ValueError("coordinate label keys need a rectangle poset")
             if x in keys:
-                raise ValueError(f"element {x} is already labeled by key {_shown(keys[x])}")
+                raise ValueError(f"element {x} is already labeled by key {shown(keys[x])}")
             keys[x] = key
             values[x] = realm.value_from_json(val)
         except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"label {_shown(key)}: {exc}") from None
+            raise ValueError(f"label {shown(key)}: {exc}") from None
     missing = next((x for x in range(poset.n) if x not in values), None)
     if missing is not None:
         raise ValueError(f"labeling has no label for element {missing}")
     return Labeling(realm, [values[x] for x in range(poset.n)])
-
-
-
-def _shown(key):
-    """``str(key)``, or past 40 characters its first 20 and its length: a
-    4,300-digit key would fill 8 kB of an error line."""
-    text = str(key)
-    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"

@@ -16,6 +16,15 @@ divisibility shows as a borrow into some guard bit.  A product whose total
 degree would pass ``MAX_DEGREE`` raises ``ValueError`` before any field can
 carry into the next.
 
+Every polynomial keeps its leading monomial in ``lead`` (``None`` for
+zero), and every reader takes it from there.  Most operations know it
+without a scan: the order respects multiplication and Z has no zero
+divisors, so a product's lead is ``lead_a + lead_b``; scaling by a nonzero
+int, an exact scale-down and negation keep it; ``shift_down(m)`` makes it
+``lead - m``; and an ``exact_div`` quotient's lead is its first quotient
+monomial.  Only the exponent-dict constructor, a sum whose leading terms
+cancel, and ``exact_div``'s remainder after its first step take a ``max``.
+
 Exponent tuples appear only at the edges: the ``Polynomial(nvars, {exps:
 coeff})`` constructor, ``pack``/``unpack``/``exponents``, ``render`` and
 ``evaluate_mod``.
@@ -61,30 +70,33 @@ def monomial_gcd(nvars, monos):
     return f | ((f * ones >> (shift - FIELD_BITS)) & _FIELD_MASK) << shift
 
 
-def _poly(nvars, terms):
+def _poly(nvars, terms, lead):
+    """The polynomial of ``terms``, whose leading monomial the caller knows."""
     p = Polynomial.__new__(Polynomial)
     p.nvars = nvars
     p.terms = terms
+    p.lead = lead
     return p
 
 
 class Polynomial:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "lead")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
         self.terms = {self.pack(e): c for e, c in terms.items() if c} if terms else {}
+        self.lead = max(self.terms) if self.terms else None
 
     @classmethod
     def constant(cls, nvars, k):
-        return _poly(nvars, {0: int(k)} if k else {})
+        return _poly(nvars, {0: int(k)}, 0) if k else _poly(nvars, {}, None)
 
     @classmethod
     def variable(cls, nvars, index):
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
         mono = 1 << (FIELD_BITS * nvars) | 1 << (FIELD_BITS * (nvars - 1 - index))
-        return _poly(nvars, {mono: 1})
+        return _poly(nvars, {mono: 1}, mono)
 
     def pack(self, exps):
         """The packed monomial of an exponent tuple."""
@@ -128,49 +140,54 @@ class Polynomial:
                 out[e] = s
             else:
                 del out[e]
-        return _poly(self.nvars, out)
+        a, b = self.lead, other.lead
+        lead = a if b is None or (a is not None and a > b) else b
+        if lead not in out:  # the leading terms cancelled, or both sides are zero
+            lead = max(out) if out else None
+        return _poly(self.nvars, out, lead)
 
     def __neg__(self):
-        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()}, self.lead)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         a, b = self.terms, other.terms
+        if not (a and b):
+            return _poly(self.nvars, {}, None)
+        shift = FIELD_BITS * self.nvars
+        degree = (self.lead >> shift) + (other.lead >> shift)
+        if degree > MAX_DEGREE:
+            raise ValueError(f"product of degree {degree} exceeds the monomial "
+                             f"limit {MAX_DEGREE}")
         out = {}
-        if a and b:
-            shift = FIELD_BITS * self.nvars
-            degree = (max(a) >> shift) + (max(b) >> shift)
-            if degree > MAX_DEGREE:
-                raise ValueError(f"product of degree {degree} exceeds the monomial "
-                                 f"limit {MAX_DEGREE}")
-            get = out.get
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    s = get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return _poly(self.nvars, out)
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                s = get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return _poly(self.nvars, out, self.lead + other.lead)
 
     def scale(self, k):
         if not k:
-            return _poly(self.nvars, {})
-        return _poly(self.nvars, {e: c * k for e, c in self.terms.items()})
+            return _poly(self.nvars, {}, None)
+        return _poly(self.nvars, {e: c * k for e, c in self.terms.items()}, self.lead)
 
     def exact_scale_down(self, k):
-        return _poly(self.nvars, {e: c // k for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: c // k for e, c in self.terms.items()}, self.lead)
 
     def total_degree(self):
-        return max(self.terms) >> (FIELD_BITS * self.nvars) if self.terms else 0
+        return self.lead >> (FIELD_BITS * self.nvars) if self.terms else 0
 
     def leading_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms)
+        return self.lead
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
@@ -188,39 +205,36 @@ class Polynomial:
         """Divide every term by ``mono`` (caller guarantees exactness)."""
         if not mono:
             return self
-        return _poly(self.nvars, {e - mono: c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e - mono: c for e, c in self.terms.items()}, self.lead - mono)
 
     def exact_div(self, divisor):
         """Exact quotient self / divisor over the integers, or None.
 
         Standard leading-term division under graded lex; fails (None) as soon
         as a leading monomial or coefficient does not divide.  The quotient
-        monomials come out strictly decreasing, one per step.  The leading
-        terms are tried before the remainder is copied, since most failed
-        probes fail there.
+        monomials come out strictly decreasing, one per step, so the first
+        is the quotient's lead.  The first step divides the two kept leads
+        before the remainder is copied, since most failed probes fail there;
+        only the later steps scan the remainder for its leading monomial.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
-            return _poly(self.nvars, {})
+            return _poly(self.nvars, {}, None)
         guards = _layout(self.nvars)[1]
-        dlm = max(divisor.terms)
+        dlm = divisor.lead
         dlc = divisor.terms[dlm]
-        lead = max(self.terms)
-        if (lead - dlm) & guards or self.terms[lead] % dlc:
+        m = self.lead - dlm
+        if m & guards:
+            return None
+        c, r = divmod(self.terms[self.lead], dlc)
+        if r:
             return None
         dterms = list(divisor.terms.items())
         rem = dict(self.terms)
         get = rem.get
         quo = {}
-        while rem:
-            rlm = max(rem)
-            m = rlm - dlm
-            if m & guards:
-                return None
-            c, r = divmod(rem[rlm], dlc)
-            if r:
-                return None
+        while True:
             quo[m] = c
             for e, dc in dterms:
                 me = m + e
@@ -229,7 +243,15 @@ class Polynomial:
                     rem[me] = s
                 else:
                     del rem[me]
-        return _poly(self.nvars, quo)
+            if not rem:
+                return _poly(self.nvars, quo, self.lead - dlm)
+            rlm = max(rem)
+            m = rlm - dlm
+            if m & guards:
+                return None
+            c, r = divmod(rem[rlm], dlc)
+            if r:
+                return None
 
     def evaluate_mod(self, values, p):
         """Evaluate at integer points mod a prime p."""

@@ -15,7 +15,7 @@ import json
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import PosetError
+from .errors import PosetError, shown
 from .realms import TropicalRealm
 
 
@@ -185,9 +185,11 @@ class RectanglePoset(FinitePoset):
         super().__init__(a * b, covers, names)
 
     def id(self, i, j):
-        """Dense id of coordinate (i, j)."""
+        """Dense id of coordinate (i, j); a long coordinate is shown by its
+        start and length (``errors.shown``)."""
         if not (1 <= i <= self.a and 1 <= j <= self.b):
-            raise PosetError(f"coordinate ({i}, {j}) outside [{self.a}]x[{self.b}]")
+            raise PosetError(f"coordinate ({shown(i)}, {shown(j)}) outside "
+                             f"[{self.a}]x[{self.b}]")
         return rect_id(self.a, i, j)
 
     def coord(self, x):

@@ -10,7 +10,11 @@ other exactly.
 Numerator and denominator key their terms by packed monomials (see
 ``polynomials``): the common monomial is one ``monomial_gcd`` over the terms
 of both, removed by one subtraction per term, and a polynomial is a unit
-when its only term is the constant monomial 0 with coefficient +-1.
+when its only term is the constant monomial 0 with coefficient +-1 (its
+kept lead is 0, the least monomial).
+
+An inverse is the swapped pair with the sign fixed, built without the
+constructor: see ``RationalFunction.inverse``.
 """
 
 from __future__ import annotations
@@ -84,9 +88,24 @@ class RationalFunction:
         return RationalFunction(a * c, b * d)
 
     def inverse(self):
+        """(den, num), negated on both sides when num leads negatively.
+
+        The constructor would change nothing else on a swapped normal form.
+        The common monomial and the joint content are symmetric in the two
+        sides, so both are already 1.  ``_cancel`` then either skips, since
+        one side is a unit, or repeats the two exact divisions that already
+        failed when this value was normalized, in the other order; exact
+        divisibility does not depend on sign.
+        """
         if self.num.is_zero():
             raise SingularValue("inverse of the zero rational function")
-        return RationalFunction(self.den, self.num)
+        num, den = self.den, self.num
+        if den.leading_coefficient() < 0:
+            num, den = -num, -den
+        out = RationalFunction.__new__(RationalFunction)
+        out.num = num
+        out.den = den
+        return out
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -121,7 +140,7 @@ class RationalFunction:
 
 
 def _is_unit(p):
-    return len(p.terms) == 1 and abs(p.terms.get(0, 0)) == 1
+    return p.lead == 0 and abs(p.terms[0]) == 1
 
 
 def _cancel(n, d):

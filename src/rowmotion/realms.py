@@ -279,6 +279,9 @@ class RationalFunctionRealm(Realm):
             seen.add(v)
         self.variable_names = ("C",) + tuple(variables)
         self.nvars = len(self.variable_names)
+        # Values are immutable, so one C and one 1 serve every call.
+        self._one = RationalFunction.constant(self.nvars, 1)
+        self._constant = RationalFunction.variable(self.nvars, 0)
 
     def variable(self, name):
         return RationalFunction.variable(self.nvars, self.variable_names.index(name))
@@ -293,10 +296,10 @@ class RationalFunctionRealm(Realm):
         return x.inverse()
 
     def one(self):
-        return RationalFunction.constant(self.nvars, 1)
+        return self._one
 
     def constant(self):
-        return RationalFunction.variable(self.nvars, 0)
+        return self._constant
 
     def eq(self, x, y):
         return x.equals(y)

@@ -617,6 +617,13 @@ NESTED = "[" * 100_000
                  id="key-id-at-the-digit-limit"),
     pytest.param(_keyed("x" * 5000), f"label {'x' * 20}... (5000 characters): the key is "
                  'neither an element id nor "i,j" coordinates', id="key-5000-characters"),
+    # so is a long coordinate outside the rectangle, either one
+    pytest.param(_keyed("1," + "2" * 4300), f"label 1,{'2' * 18}... (4302 characters): "
+                 f"coordinate (1, {'2' * 20}... (4300 characters)) outside [2]x[2]",
+                 id="key-second-coordinate-at-the-digit-limit"),
+    pytest.param(_keyed("2" * 4300 + ",1"), f"label {'2' * 20}... (4302 characters): "
+                 f"coordinate ({'2' * 20}... (4300 characters), 1) outside [2]x[2]",
+                 id="key-first-coordinate-at-the-digit-limit"),
     pytest.param({"realm": {"realm": "tropical"}, "labels": {"0": "1", "2": "1"}},
                  "labeling has no label for element 1", id="key-missing"),
 ])

@@ -531,36 +531,41 @@ def polynomial_pairs(draw):
 
 def _view(p):
     """A packed or oracle polynomial as {exponent tuple: coefficient}, or None.
-    Every packed monomial must carry the sum of its exponents as its degree."""
+    Every packed monomial must carry the sum of its exponents as its degree,
+    and a packed polynomial's kept lead must be its largest monomial."""
     if p is None:
         return None
     if isinstance(p, OraclePolynomial):
         return p.terms
     assert all(p.pack(p.unpack(m)) == m for m in p.terms)
+    assert p.lead == (max(p.terms) if p.terms else None)
     return p.exponents()
 
 
 @PROPERTY
 @given(polynomial_pairs())
 def test_packed_polynomials_match_the_tuple_oracle(case):
-    """Sums, products, quotients, rendering, leading terms and monomial
-    floors of packed polynomials equal those of the tuple-keyed oracle, and
-    ``exact_div`` refuses exactly where the oracle does."""
+    """Sums, products, quotients, negations, rendering, leading terms and
+    monomial floors of packed polynomials equal those of the tuple-keyed
+    oracle, ``exact_div`` refuses exactly where the oracle does, and every
+    polynomial built keeps its largest monomial as its lead (``_view``)."""
     n, fd, gd = case
     f, g = Polynomial(n, fd), Polynomial(n, gd)
     F, G = OraclePolynomial(n, fd), OraclePolynomial(n, gd)
     names = ("C",) + tuple(f"x{i}" for i in range(1, n))
     assert _view(f) == _view(F)
+    assert _view(g) == _view(G)
     assert _view(f + g) == _view(F + G)
     assert _view(f - g) == _view(F - G)
     product, oracle_product = f * g, F * G
     assert _view(product) == _view(oracle_product)
-    for p, P in ((f, F), (product, oracle_product)):
+    for p, P in ((f, F), (g, G), (f + g, F + G), (f - g, F - G), (product, oracle_product)):
         assert p.render(names) == P.render(names)
         assert p.total_degree() == P.total_degree()
         floor = monomial_gcd(p.nvars, p.terms) if p.terms else 0
         assert p.unpack(floor) == P.monomial_floor()
         assert _view(p.shift_down(floor)) == _view(P.shift_down(P.monomial_floor()))
+        assert _view(-p) == _view(p.scale(-1)) == _view(-P)
         if P.terms:
             assert p.unpack(p.leading_monomial()) == P.leading_monomial()
             assert p.leading_coefficient() == P.leading_coefficient()

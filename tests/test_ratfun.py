@@ -4,7 +4,10 @@ import random
 
 from rowmotion.errors import SingularValue
 from rowmotion.polynomials import Polynomial
+from rowmotion.poset import product_of_chains
 from rowmotion.ratfun import RationalFunction, _is_unit
+from rowmotion.sampling import symbolic_labeling
+from rowmotion.stword import fiber_product_checks, orbit_window
 
 import pytest
 
@@ -154,3 +157,56 @@ def test_units_are_the_constants_plus_and_minus_one():
     for p in (Polynomial.constant(3, 2), x, x.scale(-1), x + Polynomial.constant(3, 1),
               Polynomial(3)):
         assert not _is_unit(p)
+
+
+def test_inverse_is_the_constructor_on_the_swapped_pair():
+    """``inverse`` swaps the sides and fixes the sign without the
+    constructor; the constructor on (den, num) stays the oracle, term for
+    term on both sides.  The values are built by arithmetic and include a
+    denominator that would lead negatively, content on both sides, and a
+    unit on either side."""
+    x, y, c = var("x"), var("y"), var("C")
+    minus = RationalFunction.constant(3, -1)
+    two, three = RationalFunction.constant(3, 2), RationalFunction.constant(3, 3)
+    cases = [x, x + y, y + minus * x, minus * two, two * x / (three * y),
+             (x + y) / (c + minus * x * y), one() / (y + minus * x), c * c / (x * x + minus * y)]
+    rng = random.Random(29)
+    for _ in range(60):
+        f, g = rand_fraction(rng), rand_fraction(rng)
+        cases += [f + g, f * g] if not f.is_zero() else [g * g]
+    for f in cases:
+        if f.is_zero():
+            continue
+        got, oracle = f.inverse(), RationalFunction(f.den, f.num)
+        assert got.num.terms == oracle.num.terms and got.den.terms == oracle.den.terms
+        assert (got.num.lead, got.den.lead) == (oracle.num.lead, oracle.den.lead)
+        assert got.den.leading_coefficient() > 0
+    assert (y + minus * x).inverse().den.leading_coefficient() == 1
+    assert (minus * two).inverse().render(NAMES) == "-1/2"
+
+
+def test_2x4_window_and_fiber_checks_make_781_divisions(monkeypatch):
+    """Building the symbolic [2]x[4] labeling, its ``orbit_window`` and
+    ``fiber_product_checks`` make 781 ``exact_div`` calls and 244
+    normalizations (the labeling's 8 variables and its realm's C and 1 among
+    them).  When an inverse ran the constructor on the swapped pair and
+    every ``constant()`` of the realm built a fresh C, they made 881 and
+    363; this path never calls ``one()``."""
+    poset = product_of_chains(2, 4)
+    divisions, normalizations = [], []
+    exact_div, init = Polynomial.exact_div, RationalFunction.__init__
+
+    def counting_exact_div(self, divisor):
+        divisions.append(1)
+        return exact_div(self, divisor)
+
+    def counting_init(self, num, den):
+        normalizations.append(1)
+        init(self, num, den)
+
+    monkeypatch.setattr(Polynomial, "exact_div", counting_exact_div)
+    monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+    fibers = fiber_product_checks(poset, orbit_window(poset, symbolic_labeling(poset)))
+    monkeypatch.undo()
+    assert all(f["pass"] for f in fibers)
+    assert (len(divisions), len(normalizations)) == (781, 244)
