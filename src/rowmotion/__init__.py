@@ -8,9 +8,6 @@ and a seeded periodicity fuzzer on top.
 
 from .combinatorial import (
     combinatorial_orbits,
-    complement,
-    downward_saturation,
-    minimal_elements,
     rowmotion_antichain,
     st_word_combinatorial,
 )

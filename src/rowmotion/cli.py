@@ -136,7 +136,8 @@ def _build_parser():
     _realm_flags(p)
     p.add_argument("--mode", choices=["transfer", "toggles"], default="transfer")
     _int_option(p, "--steps", least=1,
-                help="iteration bound (default 4(a+b) on [a]x[b], else 4n on n elements)")
+                help="iteration bound (default 4(a+b) on [a]x[b], else 4n on n "
+                     "elements, and at least 1)")
     p.set_defaults(handler=_cmd_rowmotion)
 
     p = sub.add_parser("stword", parents=[common],

@@ -1,11 +1,15 @@
-"""Set-level antichain rowmotion and its orbit statistics.
+"""Antichain rowmotion on the lifted pass, and its orbit statistics.
 
-Rowmotion factors as: downward-saturate the antichain to an order ideal,
-complement the ideal to an order filter, take the filter's minimal elements.
+An antichain's 0/1 indicator labeling, in the tropical realm with c = 1, is
+a vertex of the chain polytope, and piecewise-linear rowmotion there is
+combinatorial rowmotion (Einstein and Propp, arXiv 1310.5294).  So the map
+on antichains is the one transfer-mode step, ``dynamics.antichain_rowmotion``,
+at the indicator, read back as the image's support; the set-level stages
+(saturate downward, complement, take minimal elements) are the test oracle.
 On [a]x[b] each antichain also has a binary word of length a+b (one entry per
 fiber) that rotates one place rightward under rowmotion, which is what makes
 the fiber counting statistics homomesic.  It is the piecewise-linear word
-(``stword.st_word``) at the antichain's 0/1 indicator labeling, with c = 1.
+(``stword.st_word``) at the same indicator.
 """
 
 from __future__ import annotations
@@ -13,45 +17,47 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .dynamics import antichain_rowmotion
+from .errors import shown
 from .labeling import Labeling
 from .poset import enumerate_antichains, product_of_chains
 from .realms import TropicalRealm
 from .stword import st_word
 
 
-def downward_saturation(poset, antichain):
-    """Smallest order ideal containing ``antichain``: all x below some member."""
-    a = frozenset(antichain)
-    if not poset.is_antichain(a):
-        raise ValueError(f"not an antichain: {sorted(a)}")
-    mask = 0
-    for x in a:
-        mask |= poset.down_mask[x]
-    return _mask_to_set(mask)
-
-
-def complement(poset, ideal):
-    """Set complement of an order ideal; the result is an order filter."""
-    i = frozenset(ideal)
-    if not poset.is_ideal(i):
-        raise ValueError(f"not an order ideal: {sorted(i)}")
-    return frozenset(x for x in range(poset.n) if x not in i)
-
-
-def minimal_elements(poset, filt):
-    """Minimal members of an order filter; the result is an antichain.
-
-    A member is minimal when no lower cover of it is a member: a filter that
-    holds some y < x also holds the lower cover of x above y."""
-    f = frozenset(filt)
-    if not poset.is_filter(f):
-        raise ValueError(f"not an order filter: {sorted(f)}")
-    return frozenset(x for x in f if not any(y in f for y in poset.down_covers[x]))
+def _indicator(poset, antichain):
+    """The 0/1 indicator labeling of ``antichain`` in the tropical realm with
+    c = 1.  An id that is not an element of ``poset`` (an int in 0..n-1)
+    raises ValueError naming it, and then a set that is not an antichain
+    does."""
+    s = frozenset(antichain)
+    outside = [x for x in s if not (isinstance(x, int) and 0 <= x < poset.n)]
+    if outside:
+        raise ValueError(f"no element {shown(min(outside, key=repr))} "
+                         f"in a {poset.n}-element poset")
+    if not poset.is_antichain(s):
+        raise ValueError(f"not an antichain: {sorted(s)}")
+    values = [0] * poset.n
+    for x in s:
+        values[x] = 1
+    return Labeling(TropicalRealm(1), values)
 
 
 def rowmotion_antichain(poset, antichain):
-    """One rowmotion step: minimal elements of the complement of the saturation."""
-    return minimal_elements(poset, complement(poset, downward_saturation(poset, antichain)))
+    """One rowmotion step on an antichain: ``antichain_rowmotion`` at its
+    indicator, whose image is the indicator of the image antichain.
+
+    The inverse-up transfer of the indicator of A is the indicator of the
+    ideal A generates: the longest chain sum from x upward is 1 when x lies
+    below a member, since a chain meets A at most once, and 0 otherwise.
+    Complementing gives E = 1 - that, the indicator of the leftover filter
+    F.  The down-transfer gives E(x) - max of E over the lower covers of x
+    (E(x) at a minimal x).  F is closed upward, so a lower cover in F puts x
+    in F: the value is 0 or 1, and it is 1 exactly at the minimal elements
+    of F.  Raises ValueError as ``_indicator`` does.
+    """
+    image = antichain_rowmotion(poset, _indicator(poset, antichain))
+    return frozenset(x for x, v in enumerate(image.values) if v)
 
 
 def st_word_combinatorial(a, b, antichain):
@@ -61,13 +67,11 @@ def st_word_combinatorial(a, b, antichain):
     Entry i <= a is 1 iff the antichain meets positive fiber i; entry a+l is
     1 iff it misses negative fiber l.  Fibers are chains, so an antichain
     meets each at most once: a row sums to 0 or 1, and a column entry is
-    1 minus its sum.  The entries are ints.
+    1 minus its sum.  The entries are ints.  Raises ValueError as
+    ``_indicator`` does.
     """
     poset = product_of_chains(a, b)
-    s = frozenset(antichain)
-    if not poset.is_antichain(s):
-        raise ValueError(f"not an antichain: {sorted(s)}")
-    return st_word(poset, Labeling(TropicalRealm(1), [int(x in s) for x in range(poset.n)]))
+    return st_word(poset, _indicator(poset, antichain))
 
 
 class CombinatorialOrbit(NamedTuple):
@@ -141,10 +145,3 @@ def _orbit_stats(a, b, cycle):
 def _key(antichain):
     return tuple(sorted(antichain))
 
-
-def _mask_to_set(mask):
-    out = set()
-    while mask:
-        out.add((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)

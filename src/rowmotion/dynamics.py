@@ -278,13 +278,14 @@ def iterate(poset, g, steps=None, mode="transfer"):
 
     Detects the first return to the initial labeling (exact realm equality)
     within ``steps`` applications; default bound is 4(a+b) on rectangles and
-    4n otherwise.  Fiber words are recorded on rectangle posets only.
+    4n otherwise, and at least 1, so the empty poset's one labeling returns
+    at step 1.  Fiber words are recorded on rectangle posets only.
     """
     from .stword import st_word
 
     rect = isinstance(poset, RectanglePoset)
     if steps is None:
-        steps = 4 * (poset.a + poset.b) if rect else 4 * poset.n
+        steps = max(1, 4 * (poset.a + poset.b) if rect else 4 * poset.n)
     cur = g
     labelings = [cur]
     words = [st_word(poset, cur) if rect else None]

@@ -16,10 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorial import (
+    _indicator,
     combinatorial_orbits,
-    complement,
-    downward_saturation,
-    minimal_elements,
     rowmotion_antichain,
     st_word_combinatorial,
 )
@@ -78,17 +76,19 @@ def _fx_stword_3x5(samples, seed):
 def _fx_rowmotion_3x5(samples, seed):
     p = product_of_chains(3, 5)
     a = frozenset({p.id(2, 4), p.id(3, 1)})
-    ideal = downward_saturation(p, a)
-    filt = complement(p, ideal)
-    image = minimal_elements(p, filt)
+    # The ideal, the filter and the image are the transfers' 0/1 labelings.
+    ideal = transfer(TransferKind.UP_INV, p, _indicator(p, a))
+    filt = transfer(TransferKind.COMPLEMENT, p, ideal)
+    image = transfer(TransferKind.DOWN, p, filt)
     expected_filter = {p.id(i, j) for (i, j) in
                        [(1, 5), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5)]}
+    expected_image = {p.id(1, 5), p.id(3, 2)}
     checks = [
-        len(ideal) == 9,
-        filt == frozenset(expected_filter),
-        image == frozenset({p.id(1, 5), p.id(3, 2)}),
-        st_word_combinatorial(3, 5, image) == (1, 0, 1, 1, 0, 1, 1, 0),
-        rowmotion_antichain(p, a) == image,
+        sorted(ideal.values) == [0] * 6 + [1] * 9,
+        filt.values == tuple(int(x in expected_filter) for x in range(p.n)),
+        image.values == _indicator(p, expected_image).values,
+        st_word_combinatorial(3, 5, expected_image) == (1, 0, 1, 1, 0, 1, 1, 0),
+        rowmotion_antichain(p, a) == expected_image,
     ]
     return all(checks), f"checks {checks}"
 

@@ -119,16 +119,6 @@ class FinitePoset:
     def is_antichain(self, subset):
         return all(not (self.leq(x, y) or self.leq(y, x)) for x, y in combinations(subset, 2))
 
-    def is_ideal(self, subset):
-        s = frozenset(subset)
-        mask = sum(1 << x for x in s)
-        return all(not self.down_mask[x] & ~mask for x in s)
-
-    def is_filter(self, subset):
-        s = frozenset(subset)
-        mask = sum(1 << x for x in s)
-        return all(not self.up_mask[x] & ~mask for x in s)
-
     def maximal_chains(self):
         """All maximal chains, each as a tuple from a minimal to a maximal element."""
         out = []

@@ -60,6 +60,18 @@ def test_poset_rejects_cycle(tmp_path, capsys):
     assert main(["poset", "--poset", str(src)]) == 2
 
 
+def test_empty_poset_returns_at_step_one(tmp_path, capsys):
+    """The default bound 4n is 0 on the empty poset; the bound is at least
+    1, so its one labeling returns at step 1, as with --steps 1."""
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps({"elements": [], "covers": []}))
+    for extra in ([], ["--steps", "1"]):
+        code, rep = run(["rowmotion", "--poset", str(src), "--realm", "tropical", *extra], capsys)
+        assert code == 0
+        assert rep["period"] == 1
+        assert rep["steps"] == [{"labels": {}, "st_word": None}] * 2
+
+
 def test_orbits_report(capsys):
     code, rep = run(["orbits", "--chains", "2", "2", "--realm", "comb"], capsys)
     assert code == 0
@@ -1234,3 +1246,19 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
         assert main(args) == 0, args
     capsys.readouterr()
     assert json.loads((tmp_path / "orbit.json").read_text())["period"] == 4
+
+
+def test_readme_layout_names_every_module():
+    """The file map under ``## Layout`` in README.md lists exactly the
+    package's module files, other than ``__init__.py`` and ``__main__.py``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Layout\n", 1)[1].split("```\n", 1)[1].split("\n```", 1)[0]
+    package = block.split("src/rowmotion/\n", 1)[1]
+    listed = []
+    for line in package.splitlines():
+        if not line.startswith("  "):
+            break
+        if not line.startswith("   "):
+            listed.append(line.split()[0])
+    modules = {f.name for f in Path(rowmotion.__file__).parent.glob("*.py")}
+    assert sorted(listed) == sorted(modules - {"__init__.py", "__main__.py"})

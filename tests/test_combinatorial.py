@@ -1,5 +1,7 @@
-"""Antichain rowmotion at the set level, with brute-force oracles."""
+"""Antichain rowmotion on the lifted pass, checked against the set-level
+oracle and brute-force word and orbit oracles."""
 
+import re
 from fractions import Fraction
 from math import comb, lcm
 
@@ -7,15 +9,13 @@ import pytest
 
 from rowmotion import (
     combinatorial_orbits,
-    complement,
-    downward_saturation,
     enumerate_antichains,
-    minimal_elements,
     product_of_chains,
     rowmotion_antichain,
     st_word_combinatorial,
 )
 from rowmotion.combinatorial import orbit_report
+from set_rowmotion import complement, downward_saturation, minimal_elements, set_rowmotion
 
 
 def indicator_word(a, b, antichain, poset):
@@ -74,6 +74,32 @@ def test_rowmotion_3x5():
     p = product_of_chains(3, 5)
     image = rowmotion_antichain(p, {p.id(2, 4), p.id(3, 1)})
     assert image == {p.id(1, 5), p.id(3, 2)}
+
+
+@pytest.mark.parametrize("antichain,named", [
+    ({-1}, "-1"), ({4}, "4"), ({7}, "7"), ({0, 7}, "7"), ({-1, 3}, "-1"), ({-1, 7}, "-1"),
+    ({"a"}, "a"), ({1.5}, "1.5"), ({1.0}, "1.0"),
+], ids=repr)
+def test_an_id_outside_the_poset_is_refused(antichain, named):
+    """An id that is not an element is refused, naming it, before the
+    antichain check reads the poset's tables at it."""
+    p = product_of_chains(2, 2)
+    msg = f"no element {named} in a 4-element poset"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        rowmotion_antichain(p, antichain)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        st_word_combinatorial(2, 2, antichain)
+    with pytest.raises(ValueError):
+        downward_saturation(p, antichain)
+
+
+def test_a_set_that_is_not_an_antichain_is_refused():
+    p = product_of_chains(2, 2)
+    for s in [{p.id(1, 1), p.id(2, 2)}, {p.id(1, 1), p.id(2, 1)}, set(range(4))]:
+        with pytest.raises(ValueError, match="not an antichain"):
+            rowmotion_antichain(p, s)
+        with pytest.raises(ValueError, match="not an antichain"):
+            st_word_combinatorial(2, 2, s)
 
 
 def test_rowmotion_of_empty_is_minima():
@@ -182,8 +208,9 @@ def test_orbit_report_shape():
 
 
 def test_indicator_consistency_with_tropical_rowmotion():
-    """0/1 indicator labelings pushed through the tropical realm reproduce
-    set-level rowmotion, exhaustively for a, b <= 3."""
+    """0/1 indicator labelings pushed through the tropical realm, with a
+    ``Fraction`` constant, reproduce the set-level oracle, exhaustively for
+    a, b <= 3."""
     from fractions import Fraction
 
     from rowmotion import Labeling, TropicalRealm, antichain_rowmotion
@@ -195,7 +222,7 @@ def test_indicator_consistency_with_tropical_rowmotion():
             for s in enumerate_antichains(p):
                 g = Labeling(realm, [Fraction(1 if x in s else 0) for x in range(p.n)])
                 image = antichain_rowmotion(p, g)
-                expected = rowmotion_antichain(p, s)
+                expected = set_rowmotion(p, s)
                 assert image.values == tuple(
                     Fraction(1 if x in expected else 0) for x in range(p.n)
                 )

@@ -11,7 +11,8 @@ Packed polynomials in 1 to 10 variables, with exponents up to just below
 the field limit, are checked against the tuple-keyed oracle.  Symbolic
 orbits on rectangles up to [2]x[4] and [3]x[3] tropicalize, at rational
 points, to the tropical orbit.  The CLI's report writer is checked against
-``json.dumps`` on JSON values of every kind.
+``json.dumps`` on JSON values of every kind.  Antichain rowmotion on random
+posets is checked against the set-level oracle on every antichain.
 """
 
 import json
@@ -32,6 +33,7 @@ from rowmotion import (
     antichain_rowmotion,
     build_poset,
     check_rotation,
+    enumerate_antichains,
     fiber_product_checks,
     iterate,
     kernel,
@@ -39,6 +41,7 @@ from rowmotion import (
     orbit_window,
     polytope_membership,
     product_of_chains,
+    rowmotion_antichain,
     transfer,
 )
 from rowmotion import cli
@@ -47,6 +50,7 @@ from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, Realm, _MatrixR
 from rowmotion.sampling import sample_chain_polytope_point, symbolic_labeling
 
 from poly_oracle import OraclePolynomial
+from set_rowmotion import set_rowmotion
 from toggle_fold import check_sweep_against_folds, random_linear_extension
 
 PRIMES = (2, 3, 5, 101, 2**61 - 1, 2**64 - 59)
@@ -457,6 +461,16 @@ def test_chain_polytope_sampler_draws_like_randrange(poset, seed, denominator):
     assert polytope_membership(poset, point)
     assert all((scale * v).denominator == 1 for v in point)
     assert (poset.max_chain_sum(point) == 1) == (worst >= denominator)
+
+
+@PROPERTY
+@given(posets())
+def test_antichain_rowmotion_is_the_set_level_oracle(poset):
+    """On every antichain of a random poset, the lifted step at its
+    indicator (``rowmotion_antichain``) is saturate, complement, take
+    minimal elements."""
+    for s in enumerate_antichains(poset):
+        assert rowmotion_antichain(poset, s) == set_rowmotion(poset, s)
 
 
 @PROPERTY
