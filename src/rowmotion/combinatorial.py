@@ -56,8 +56,7 @@ def rowmotion_antichain(poset, antichain):
     in F: the value is 0 or 1, and it is 1 exactly at the minimal elements
     of F.  Raises ValueError as ``_indicator`` does.
     """
-    image = antichain_rowmotion(poset, _indicator(poset, antichain))
-    return frozenset(x for x, v in enumerate(image.values) if v)
+    return frozenset(_support(antichain_rowmotion(poset, _indicator(poset, antichain))))
 
 
 def st_word_combinatorial(a, b, antichain):
@@ -92,20 +91,25 @@ def combinatorial_orbits(a, b):
     """Partition all antichains of [a]x[b] into rowmotion orbits.
 
     Each orbit starts at its lexicographically least antichain, and orbits are
-    listed by that representative.  Averages are exact rationals.
+    listed by that representative.  Averages are exact rationals.  An orbit
+    is walked on indicator labelings: only its enumerated start is checked
+    (``_indicator``), since every image of rowmotion is an antichain's
+    indicator, and each word is read off the labeling the step returned.
     """
     poset = product_of_chains(a, b)
     remaining = {_key(s): s for s in enumerate_antichains(poset)}
     orbits = []
     while remaining:
         rep_key = min(remaining)
-        cycle = [remaining.pop(rep_key)]
-        cur = rowmotion_antichain(poset, cycle[0])
-        while _key(cur) != rep_key:
-            remaining.pop(_key(cur))
+        cycle = [_indicator(poset, remaining.pop(rep_key))]
+        while True:
+            cur = antichain_rowmotion(poset, cycle[-1])
+            key = _support(cur)
+            if key == rep_key:
+                break
+            del remaining[key]
             cycle.append(cur)
-            cur = rowmotion_antichain(poset, cur)
-        orbits.append(_orbit_stats(a, b, cycle))
+        orbits.append(_orbit_stats(poset, cycle))
     orbits.sort(key=lambda o: _key(o.antichains[0]))
     return orbits
 
@@ -133,15 +137,22 @@ def orbit_report(a, b):
     }
 
 
-def _orbit_stats(a, b, cycle):
-    m = len(cycle)
-    words = [st_word_combinatorial(a, b, s) for s in cycle]
-    card = Fraction(sum(len(s) for s in cycle), m)
+def _orbit_stats(poset, cycle):
+    """The ``CombinatorialOrbit`` of a cycle of indicator labelings of the
+    rectangle ``poset``."""
+    a, b, m = poset.a, poset.b, len(cycle)
+    antichains = tuple(frozenset(_support(g)) for g in cycle)
+    words = tuple(st_word(poset, g) for g in cycle)
+    card = Fraction(sum(map(len, antichains)), m)
     pos = tuple(Fraction(sum(w[k] for w in words), m) for k in range(a))
     neg = tuple(Fraction(sum(1 - w[a + l] for w in words), m) for l in range(b))
-    return CombinatorialOrbit(tuple(cycle), tuple(words), card, pos, neg)
+    return CombinatorialOrbit(antichains, words, card, pos, neg)
+
+
+def _support(g):
+    """The sorted ids where the 0/1 labeling g is 1: its antichain's key."""
+    return tuple(x for x, v in enumerate(g.values) if v)
 
 
 def _key(antichain):
     return tuple(sorted(antichain))
-

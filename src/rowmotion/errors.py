@@ -16,14 +16,18 @@ class SingularValue(ArithmeticError):
     """Raised when a realm value has no inverse (singular matrix, zero fraction).
 
     ``element`` carries the poset element id at which a transfer map or toggle
-    hit the singular value, when that context is known.
+    hit the singular value, when that context is known.  ``trial`` carries the
+    component of a product-ring value that is singular (``realms.fp_product_ops``,
+    one fuzz trial of a batch); it is not in the message, so a trial refused
+    in a batch reads as it would alone.
     """
 
-    def __init__(self, message, element=None):
+    def __init__(self, message, element=None, trial=None):
         if element is not None:
             message = f"{message} (at element {element})"
         super().__init__(message)
         self.element = element
+        self.trial = trial
 
 
 class SamplingExhausted(RuntimeError):

@@ -25,7 +25,7 @@ from .dynamics import TransferKind, iterate, transfer
 from .labeling import Labeling
 from .poset import product_of_chains
 from .realms import FUZZ_PRIME, FpMatrixRealm, TropicalRealm
-from .sampling import derive_seed, redraw, sample_generic_labeling, symbolic_labeling
+from .sampling import derive_seed, redraw_one, sample_generic_labeling, symbolic_labeling
 from .stword import constant_power, fiber_product_checks, orbit_window, st_word, word_rotation
 
 
@@ -336,7 +336,8 @@ def _fx_skew_inverse_sum(samples, seed):
     """inv(inv(x) + inv(y)) equals y*inv(x+y)*x and x*inv(x+y)*y on every
     sampled pair, and each of four wrong forms differs from it on some pair
     at each d >= 2 (none at d = 1).  Pair ``idx`` is drawn by the one redraw
-    rule, ``sampling.redraw``, under (seed, "skew", d, idx)."""
+    rule, ``sampling.redraw`` on a batch of one (``redraw_one``), under
+    (seed, "skew", d, idx)."""
     per_d = max(1, samples)
     wrong_forms_missed = []
     for d in (1, 2, 3):
@@ -356,7 +357,7 @@ def _fx_skew_inverse_sum(samples, seed):
 
         wrong_seen = [False] * 4
         for idx in range(per_d):
-            (lhs, (first, second, *wrong)), _ = redraw(draw, forms, seed, "skew", d, idx)
+            (lhs, (first, second, *wrong)), _ = redraw_one(draw, forms, seed, "skew", d, idx)
             if not realm.eq(lhs, first):
                 return False, f"first good form failed at d={d}"
             if not realm.eq(lhs, second):

@@ -2,11 +2,14 @@
 
 Each trial draws a matrix labeling of [a]x[b] over F_p, runs antichain
 rowmotion a+b times through the kernel's engine, and checks exact return to
-the start.  The engine steps with ``dynamics.rowmotion_pass``, the
-transfer-mode step of every realm, which raises ``SingularValue`` on exactly
-the draws where toggle-mode rowmotion would, so resample counts are those of
-toggle mode; a counterexample is replayed through generic toggle mode (see
-``_reverify`` for what that replay shares with the engine).  Grinberg and
+the start.  A cell's pending trials step together, as one labeling over the
+product of their matrix rings (``realms.fp_product_ops``), so each step is
+one ``dynamics.rowmotion_pass`` and one modular inverse per batch of
+inverses for all of them.  That pass, the transfer-mode step of every
+realm, refuses a trial on exactly the draws where toggle-mode rowmotion
+would, so resample counts are those of toggle mode; a counterexample is
+replayed through generic toggle mode (see ``_reverify`` for what that
+replay shares with the engine).  Grinberg and
 Roby claim a proof that the order is a+b for general (a, b) once labels stop
 commuting (arXiv 2208.10655, stated for order rowmotion, which is conjugate
 to antichain rowmotion through the down-transfer); that proof has not been
@@ -16,7 +19,10 @@ counterexample points first to a bug in this code.
 Reports are deterministic functions of the master seed: every trial is
 redrawn (``sampling.redraw``, a bare ``draw_fp_labels`` per attempt, no
 realm) under a sub-seed derived by hashing (seed, cell, trial index), so
-scheduling cannot change the output.
+scheduling cannot change the output.  The redraw rule is that of one trial
+at a time: a refused trial alone is redrawn, attempt k from its own
+sub-seed and k, within its own ``RESAMPLE_LIMIT``, and the report is the
+one the per-trial loop gives (``tests/fuzz_oracle.py``).
 """
 
 from __future__ import annotations
@@ -50,29 +56,28 @@ def fuzz_nar_periodicity(a, b, d, trials, seed, p=FUZZ_PRIME):
     """Run one (a, b, d, p) fuzz cell; returns its report dict.
 
     A trial passes when the first return time divides a+b (an earlier return
-    is recorded, not failed).  A draw that meets a singular value is redrawn;
-    after the retry bound the trial counts as exhausted.  A counterexample
-    records the seed of its accepted attempt and is re-verified once from
-    it, through the generic realm code path, before being reported.
+    is recorded, not failed).  The pending trials are walked as one batch
+    (``engine.first_return``); a draw that meets a singular value is redrawn
+    in the next batch, and after the retry bound the trial counts as
+    exhausted.  A counterexample records the seed of its accepted attempt
+    and is re-verified once from it, through the generic realm code path,
+    before being reported.
     """
     poset = product_of_chains(a, b)
     engine = kernel.make_engine(poset, d, p)
     steps = a + b
     passes = failures = exhausted = early_returns = singular_resamples = 0
     counterexamples = []
-    draw = partial(draw_fp_labels, n=poset.n, d=d, p=p)
-
-    def walk(drawn):
-        return engine.first_return(*drawn, steps)
-
-    for t in range(trials):
-        trial_seed = derive_seed(seed, "nar-trial", a, b, d, t)
-        try:
-            m, k = redraw(draw, walk, trial_seed)
-        except SamplingExhausted:
+    trial_seeds = [derive_seed(seed, "nar-trial", a, b, d, t) for t in range(trials)]
+    outcomes = redraw(partial(draw_fp_labels, n=poset.n, d=d, p=p),
+                      lambda drawn: engine.first_return(drawn, steps),
+                      [(trial_seed,) for trial_seed in trial_seeds])
+    for t, (trial_seed, outcome) in enumerate(zip(trial_seeds, outcomes)):
+        if isinstance(outcome, SamplingExhausted):
             exhausted += 1
             singular_resamples += RESAMPLE_LIMIT
             continue
+        m, k = outcome
         singular_resamples += k
         if 0 < m < steps:
             early_returns += 1

@@ -9,7 +9,9 @@ provided:
 * multivariate rational functions over the integers, with the constant as a
   distinguished variable; the birational realm,
 * square matrices over a prime field, in closed form for d <= 3 by
-  ``fp_ops``, a batch inverted with one modular inverse (``inv_all``),
+  ``fp_ops``, a batch inverted with one modular inverse (``inv_all``); the
+  fuzzer steps its trials together over a product of copies of that ring
+  (``fp_product_ops``),
 * square matrices over the exact rationals.
 
 Matrix values are flat row-major tuples of d*d entries; only their JSON
@@ -30,7 +32,8 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, repeat
 
 from .errors import SingularValue
 from .ratfun import RationalFunction
@@ -428,7 +431,8 @@ def fp_ops(d, p):
     Inputs are reduced, entries in 0..p-1.  ``mul`` reduces its result;
     ``det`` returns a residue; ``adj(m, k)`` is k times the adjugate,
     reduced, so ``adj(m, pow(det(m), -1, p))`` is the inverse.  Cached,
-    since the fuzzer's engine builds a realm per trial.
+    since every matp realm and every fuzz batch's product ring
+    (``fp_product_ops``) takes them.
     """
     if d == 1:
         def mul(x, y):
@@ -475,6 +479,85 @@ def fp_ops(d, p):
     return mul, det, adj
 
 
+def _fp_inverses(p, adj, values, dets, scales):
+    """adj(m, s * det(m)^-1) mod p for each matrix m of ``values``, with its
+    nonzero det in ``dets`` and its scale s from ``scales`` (1 when
+    ``scales`` is false): Montgomery's trick, one modular inverse and 3(k-1)
+    products for k matrices, plus one per scale."""
+    prefix = []
+    acc = 1
+    for t in dets:
+        prefix.append(acc)
+        acc = acc * t % p
+    if scales:
+        prefix = [a * s % p for a, s in zip(prefix, scales)]
+    inv = pow(acc, -1, p)
+    out = []
+    for m, a, t in zip(reversed(values), reversed(prefix), reversed(dets)):
+        out.append(adj(m, inv * a % p))
+        inv = inv * t % p
+    out.reverse()
+    return out
+
+
+def fp_product_ops(d, p, cs):
+    """(up_transfer, mul, add, inv_all) of the product ring of T = len(cs) >= 1
+    copies of the d x d matrices over F_p, with central constant
+    (c_1 I, ..., c_T I): T labelings, one per c, as one.
+
+    A value is a tuple of T matrices, component t a flat row-major tuple of
+    the labeling with constant cs[t].  The operations act componentwise, so
+    a rowmotion pass over the product is the T passes over F_p at once, and
+    a value is a unit exactly when every component is.  ``mul`` maps the
+    product of ``fp_ops`` (the general one for d >= 4) and ``add`` the matp
+    sum over the components; ``up_transfer(poset, values)`` is
+    ``Realm.up_transfer`` on them.  For d <= 3 ``inv_all`` inverts every
+    determinant of the batch with one modular inverse (``_fp_inverses``),
+    each component scaled by its own c when ``scaled``; for d >= 4 it runs
+    the Gauss-Jordan inverse one component at a time.  A batch with a
+    singular component raises the refusal of its first one, in element
+    order, with that component's own matp message and element and, as
+    ``trial``, the component.
+    """
+    T, cs = len(cs), tuple(cs)
+    base = FpMatrixRealm(p, d)
+    fmul, fadd = base._mul, base.add
+
+    def mul(x, y):
+        return tuple(map(fmul, x, y))
+
+    def add(x, y):
+        return tuple(map(fadd, x, y))
+
+    message = f"singular {d}x{d} matrix"
+    if d <= 3:
+        det, adj = base._det, base._adj
+
+        def inv_all(values, elements, scaled=False):
+            flat = list(chain.from_iterable(values))
+            dets = list(map(det, flat))
+            if 0 in dets:
+                i = dets.index(0)
+                raise SingularValue(message, element=tuple(elements)[i // T], trial=i % T)
+            out = _fp_inverses(p, adj, flat, dets, scaled and cs * len(values))
+            return list(zip(*[iter(out)] * T))
+    else:
+        def inv_all(values, elements, scaled=False):
+            out = []
+            for x, v in zip(elements, values):
+                row = []
+                for t, m in enumerate(v):
+                    try:
+                        w = base.inv(m)
+                    except SingularValue:
+                        raise SingularValue(message, element=x, trial=t) from None
+                    row.append(tuple(cs[t] * e % p for e in w) if scaled else w)
+                out.append(tuple(row))
+            return out
+
+    return partial(_up_fold, mul=mul, add=add), mul, add, inv_all
+
+
 class FpMatrixRealm(_MatrixRealm):
     """d-by-d matrices over the prime field F_p; entries stored in 0..p-1.
 
@@ -512,25 +595,15 @@ class FpMatrixRealm(_MatrixRealm):
 
     def inv_all(self, values, elements, scaled=False):
         """``Realm.inv_all``.  For d <= 3, adj(m) * det(m)^-1 with every det
-        inverted at once by Montgomery's trick (one modular inverse, c folded
-        in, 3(k-1) products for k matrices)."""
+        inverted at once (``_fp_inverses``: one modular inverse, c folded
+        in); a zero det refuses at the first such element."""
         if self._det is None:
             return super().inv_all(values, elements, scaled)
-        p, det, adj = self.p, self._det, self._adj
-        dets = [det(m) for m in values]
-        prefix = []
-        acc = 1
-        for x, t in zip(elements, dets):
-            if not t:
-                raise SingularValue(f"singular {self.d}x{self.d} matrix", element=x)
-            prefix.append(acc)
-            acc = acc * t % p
-        inv = pow(acc, -1, p) * (self.c if scaled else 1) % p
-        out = [None] * len(dets)
-        for i in range(len(dets) - 1, -1, -1):
-            out[i] = adj(values[i], inv * prefix[i] % p)
-            inv = inv * dets[i] % p
-        return out
+        dets = list(map(self._det, values))
+        if 0 in dets:
+            raise SingularValue(f"singular {self.d}x{self.d} matrix",
+                                element=tuple(elements)[dets.index(0)])
+        return _fp_inverses(self.p, self._adj, values, dets, scaled and repeat(self.c))
 
     def config(self):
         return {"realm": "matp", "p": self.p, "d": self.d, "c": self.c}

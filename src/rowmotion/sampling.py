@@ -43,7 +43,7 @@ def sample_generic_labeling(poset, realm_config, seed, walk):
 
     Symbolic realms are deterministic (fresh variables), and tropical realms
     draw rationals in [0, 1] with bounded denominators; each is walked once.
-    A matrix labeling (matp, matq) is the first draw that ``redraw`` accepts
+    A matrix labeling (matp, matq) is the first draw that ``redraw_one`` accepts
     under (seed, "matrix"): one whose walk, the caller's own work on it,
     meets no singular value.  A draw takes the central constant first
     (``draw_fp_labels`` for matp, a small rational for matq), then the
@@ -67,7 +67,7 @@ def sample_generic_labeling(poset, realm_config, seed, walk):
         realm = shape if "c" in realm_config else realm_from_config({**realm_config, "c": drawn})
         return Labeling(realm, labels)
 
-    return redraw(draw, walk, seed, "matrix")[0]
+    return redraw_one(draw, walk, seed, "matrix")[0]
 
 
 def sample_chain_polytope_point(poset, rng, denominator=60):
@@ -94,20 +94,53 @@ def _bounded_rational(rng):
     return Fraction(rng.randrange(den + 1), den)
 
 
-def redraw(draw, walk, *context):
-    """``(walk(draw(rng)), k)`` for the first attempt k whose walk meets no
-    singular value; attempt k draws from ``derive_seed(*context, k)``.  The
-    one redraw rule of every sampled check (commands, fuzzer, fixtures).
-    After ``RESAMPLE_LIMIT`` singular attempts raises ``SamplingExhausted``
-    naming ``context[0]``, the seed to replay."""
+def redraw(draw, walk, contexts):
+    """Per context, in order, ``(outcome, k)`` for the first attempt k whose
+    walk met no singular value, or, after ``RESAMPLE_LIMIT`` singular
+    attempts, a ``SamplingExhausted`` naming the context's first part, the
+    seed to replay.  Attempt k of a context draws ``draw(rng)`` from
+    ``derive_seed(*context, k)``.  The one redraw rule of every sampled
+    check (commands, fuzzer, fixtures).
+
+    ``walk`` takes the draws of the contexts still pending, in context
+    order, and returns one outcome per draw: a ``SingularValue`` where that
+    draw met one.  So the fuzzer walks the pending trials of a cell as one
+    batch (one pass per step over the product of their matrix rings,
+    ``kernel.FpToggleEngine.first_return``), and each trial's own attempts,
+    seeds and limit are those of a batch of one (``redraw_one``)."""
+    out = [None] * len(contexts)
+    pending = list(range(len(contexts)))
     for k in range(RESAMPLE_LIMIT):
-        drawn = draw(random.Random(derive_seed(*context, k)))
+        if not pending:
+            break
+        drawn = [draw(random.Random(derive_seed(*contexts[i], k))) for i in pending]
+        singular = []
+        for i, outcome in zip(pending, walk(drawn)):
+            if isinstance(outcome, SingularValue):
+                singular.append(i)
+            else:
+                out[i] = (outcome, k)
+        pending = singular
+    for i in pending:
+        out[i] = SamplingExhausted(f"no nonsingular labeling after {RESAMPLE_LIMIT} attempts",
+                                   seed=contexts[i][0])
+    return out
+
+
+def redraw_one(draw, walk, *context):
+    """``redraw`` on a batch of one, ``context``, for a ``walk`` of one draw
+    that raises ``SingularValue``: ``(walk(draw(rng)), k)``, or raises the
+    ``SamplingExhausted``."""
+    def walk_batch(drawn):
         try:
-            return walk(drawn), k
-        except SingularValue:
-            continue
-    raise SamplingExhausted(f"no nonsingular labeling after {RESAMPLE_LIMIT} attempts",
-                            seed=context[0])
+            return [walk(drawn[0])]
+        except SingularValue as exc:
+            return [exc]
+
+    (outcome,) = redraw(draw, walk_batch, [context])
+    if isinstance(outcome, SamplingExhausted):
+        raise outcome
+    return outcome
 
 
 def draw_fp_labels(rng, n, d, p):

@@ -16,6 +16,8 @@ from rowmotion.poset import product_of_chains
 from rowmotion.realms import FUZZ_PRIME, FpMatrixRealm
 from rowmotion.sampling import derive_seed, draw_fp_labels, redraw
 
+from fuzz_oracle import fuzz_cell, single_first_return
+
 
 def test_cell_accounting_and_passes():
     cell = fuzz_nar_periodicity(2, 2, 2, trials=25, seed=3)
@@ -89,20 +91,18 @@ def test_counterexample_records_its_accepted_attempt(monkeypatch):
     poset = product_of_chains(a, b)
     engine = kernel.make_engine(poset, d, p)
     trial_seeds = [derive_seed(seed, "nar-trial", a, b, d, t) for t in range(trials)]
-    accepted = []
-    for ts in trial_seeds:
-        try:
-            accepted.append(redraw(lambda rng: draw_fp_labels(rng, poset.n, d, p),
-                                   lambda drawn: engine.first_return(*drawn, a + b), ts)[1])
-        except SamplingExhausted:
-            accepted.append(None)
+    accepted = [None if isinstance(outcome, SamplingExhausted) else outcome[1]
+                for outcome in redraw(lambda rng: draw_fp_labels(rng, poset.n, d, p),
+                                      lambda drawn: engine.first_return(drawn, a + b),
+                                      [(ts,) for ts in trial_seeds])]
     t, k = next((t, k) for t, k in enumerate(accepted) if k)
     target = draw_fp_labels(random.Random(derive_seed(trial_seeds[t], k)), poset.n, d, p)
     original = kernel.FpToggleEngine.first_return
 
-    def first_return(self, labels, c, max_steps):
-        m = original(self, labels, c, max_steps)
-        return 0 if (list(labels), c) == target else m
+    def first_return(self, batch, max_steps):
+        returns = original(self, batch, max_steps)
+        return [0 if (list(labels), c) == target else m
+                for (labels, c), m in zip(batch, returns)]
 
     monkeypatch.setattr(kernel.FpToggleEngine, "first_return", first_return)
     cell = fuzz_nar_periodicity(a, b, d, trials=trials, seed=seed, p=p)
@@ -130,3 +130,59 @@ def test_replay_that_meets_a_singular_value_does_not_confirm():
 
     seed = next(s for s in range(100) if singular(s))
     assert _reverify(poset, d, p, seed, poset.a + poset.b) is False
+
+
+ORACLE_PRIMES = [2, 3, 5, 7, 101, FUZZ_PRIME]
+CELLS = [(a, b, d) for a in (1, 2, 3) for b in (1, 2, 3) for d in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_batched_cell_equals_the_per_trial_oracle(p):
+    """Stepping a cell's trials together over the product of their matrix
+    rings gives the report of stepping them one at a time
+    (``fuzz_oracle.fuzz_cell``): every cell up to (3, 3, 4), at 1, 5 and 12
+    trials, a seed per cell and trial count."""
+    for i, (a, b, d) in enumerate(CELLS):
+        for trials in (1, 5, 12):
+            seed = 1000 * trials + i
+            assert fuzz_nar_periodicity(a, b, d, trials, seed, p) == \
+                fuzz_cell(a, b, d, trials, seed, p), (a, b, d, trials, seed)
+
+
+def test_a_cell_of_no_trials():
+    assert fuzz_nar_periodicity(2, 2, 2, trials=0, seed=3) == fuzz_cell(2, 2, 2, 0, 3, FUZZ_PRIME)
+    assert sum(fuzz_nar_periodicity(2, 3, 1, trials=0, seed=0, p=5)[key] for key in (
+        "trials", "passes", "failures", "exhausted", "singular_resamples")) == 0
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_trials_singular_at_one_step_each_keep_their_own_refusal(d):
+    """Two trials of a batch turn singular in one step, at different
+    elements; each gets the refusal it meets alone, naming its own element,
+    and its trial (the step refuses the first, then, run again, the
+    second), and the others step on to the returns they have alone."""
+    poset, p = product_of_chains(2, 3), 101
+    rng = random.Random(d)
+    zero = (0,) * (d * d)
+    batch = []
+    for t in range(5):
+        labels, c = draw_fp_labels(rng, poset.n, d, p)
+        if t in (1, 3):
+            labels[2 if t == 1 else 4] = zero
+        batch.append((labels, c))
+    engine = kernel.make_engine(poset, d, p)
+    outcomes = engine.first_return(batch, poset.n)
+    for t, ((labels, c), got) in enumerate(zip(batch, outcomes)):
+        try:
+            want = single_first_return(poset, d, p, labels, c, poset.n)
+        except SingularValue as exc:
+            want = exc
+        if t in (1, 3):
+            assert isinstance(got, SingularValue) and got.trial == t
+            element = 2 if t == 1 else 4
+            assert str(got) == str(want) == f"singular {d}x{d} matrix (at element {element})"
+        else:
+            assert got == want
+    for t in (1, 3):  # both refused at the first step
+        with pytest.raises(SingularValue):
+            engine.step(*batch[t])

@@ -13,7 +13,10 @@ from rowmotion import (
     product_of_chains,
 )
 from rowmotion.labeling import Labeling
-from rowmotion.realms import FUZZ_PRIME, FpMatrixRealm, is_prime
+from rowmotion.dynamics import rowmotion_pass
+from rowmotion.realms import FUZZ_PRIME, FpMatrixRealm, fp_product_ops, is_prime
+
+from fuzz_oracle import engine_return
 
 NON_RECTANGLE = build_poset([(0, 2), (1, 2), (2, 3), (1, 4)], elements=[0, 1, 2, 3, 4])
 LARGE_PRIME = 2**64 - 59
@@ -49,6 +52,14 @@ def test_kernel_matches_generic_path():
                 expected = antichain_rowmotion(poset, g, mode="toggles")
                 got = Labeling(realm, eng.step(labels, c))
                 assert got.eq(expected)
+
+
+def _refusal(f):
+    """``f()``, or the message of the ``SingularValue`` it raises."""
+    try:
+        return f()
+    except SingularValue as exc:
+        return str(exc)
 
 
 def _outcome(f):
@@ -99,7 +110,7 @@ def test_first_return_matches_generic_period():
                 labels, c = draw_labels(rng, poset.n, d, FUZZ_PRIME)
                 g = Labeling(FpMatrixRealm(FUZZ_PRIME, d, c=c), labels)
                 period = iterate(poset, g, steps=k, mode="toggles").period
-                assert (eng.first_return(labels, c, k) or None) == period
+                assert (engine_return(eng, labels, c, k) or None) == period
                 periods.add(period)
     assert {None, 5, 6} <= periods
 
@@ -121,7 +132,7 @@ def test_first_return_refuses_exactly_where_transfer_mode_does(p):
                 g = Labeling(FpMatrixRealm(p, d, c=c), labels)
                 steps = poset.n + 1
                 expected = _outcome(lambda: iterate(poset, g, steps=steps).period or 0)
-                assert _outcome(lambda: eng.first_return(labels, c, steps)) == expected
+                assert _outcome(lambda: engine_return(eng, labels, c, steps)) == expected
                 outcomes.add(expected if expected in (0, SingularValue) else "period")
     assert {SingularValue, "period"} <= outcomes
 
@@ -133,8 +144,40 @@ def test_first_return_period_2x2():
         eng = kernel.make_engine(poset, d, FUZZ_PRIME)
         for _ in range(20):
             labels, c = draw_labels(rng, poset.n, d, FUZZ_PRIME)
-            m = eng.first_return(labels, c, 4)
+            m = engine_return(eng, labels, c, 4)
             assert m in (1, 2, 4)  # a divisor of 4 (1 only for fixed points)
+
+
+@pytest.mark.parametrize("p", [5, FUZZ_PRIME])
+def test_product_pass_steps_each_trial_with_its_own_constant(p):
+    """One pass over the product ring of six trials, each with its own c,
+    gives in component t the step of trial t alone; a pass that refuses
+    names a trial whose own step refuses, with its message, and the pass
+    over the others gives their steps."""
+    rng = random.Random(p)
+    refused = 0
+    for poset in (product_of_chains(2, 3), NON_RECTANGLE):
+        for d in (1, 2, 3, 4):
+            eng = kernel.make_engine(poset, d, p)
+            batch = [draw_labels(rng, poset.n, d, p) for _ in range(6)]
+            alone = [_refusal(lambda: eng.step(labels, c)) for labels, c in batch]
+            got = {}
+            live = list(range(len(batch)))
+            while live:
+                up_transfer, mul, add, inv_all = fp_product_ops(d, p, [batch[t][1] for t in live])
+                values = list(zip(*[batch[t][0] for t in live]))
+                try:
+                    cols = zip(*rowmotion_pass(poset, up_transfer(poset, values), mul, add,
+                                               inv_all))
+                except SingularValue as exc:
+                    out = {live[exc.trial]: str(exc)}
+                    refused += 1
+                else:
+                    out = {t: list(col) for t, col in zip(live, cols)}
+                got.update(out)
+                live = [t for t in live if t not in out]
+            assert [got[t] for t in range(len(batch))] == alone
+    assert refused or p == FUZZ_PRIME
 
 
 def test_singular_raises():

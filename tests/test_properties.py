@@ -49,6 +49,7 @@ from rowmotion.polynomials import MAX_DEGREE, Polynomial, monomial_gcd
 from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, Realm, _MatrixRealm
 from rowmotion.sampling import sample_chain_polytope_point, symbolic_labeling
 
+from fuzz_oracle import engine_return
 from poly_oracle import OraclePolynomial
 from set_rowmotion import set_rowmotion
 from toggle_fold import check_sweep_against_folds, random_linear_extension
@@ -264,7 +265,7 @@ def test_engine_steps_are_transfer_mode_steps(case, steps):
     ``first_return`` is the first step back at the start, or that refusal."""
     poset, d, p, labels, c, g = case
     eng = kernel.make_engine(poset, d, p)
-    returned = _refusal(lambda: eng.first_return(labels, c, steps))
+    returned = _refusal(lambda: engine_return(eng, labels, c, steps))
     start = g.values
     for m in range(1, steps + 1):
         got = _refusal(lambda: eng.step(labels, c))

@@ -19,7 +19,13 @@ from rowmotion import (
     sample_generic_labeling,
 )
 from rowmotion.realms import FUZZ_PRIME, symbolic_variable_names
-from rowmotion.sampling import RESAMPLE_LIMIT, derive_seed, redraw, symbolic_labeling
+from rowmotion.sampling import (
+    RESAMPLE_LIMIT,
+    derive_seed,
+    redraw,
+    redraw_one,
+    symbolic_labeling,
+)
 
 PRIME = 10007
 
@@ -324,7 +330,8 @@ def test_sampling_exhausted():
 def test_redraw_returns_the_first_nonsingular_attempt():
     """Attempt k draws from ``derive_seed(*context, k)``; the first whose
     walk meets no singular value is returned with its k, and once the bound
-    is spent the refusal names ``context[0]``."""
+    is spent the refusal names ``context[0]``.  ``redraw_one`` is the batch
+    of one."""
     walked = []
 
     def walk(x):
@@ -333,7 +340,7 @@ def test_redraw_returns_the_first_nonsingular_attempt():
             raise SingularValue("singular")
         return -x
 
-    value, k = redraw(lambda rng: rng.random(), walk, 5, "ctx")
+    value, k = redraw_one(lambda rng: rng.random(), walk, 5, "ctx")
     assert k == 2 and len(walked) == 3
     assert value == -random.Random(derive_seed(5, "ctx", 2)).random()
 
@@ -341,9 +348,37 @@ def test_redraw_returns_the_first_nonsingular_attempt():
         raise SingularValue("singular")
 
     with pytest.raises(SamplingExhausted) as info:
-        redraw(lambda rng: None, singular, 5, "ctx")
+        redraw_one(lambda rng: None, singular, 5, "ctx")
     assert info.value.seed == 5
     assert str(info.value) == f"no nonsingular labeling after {RESAMPLE_LIMIT} attempts (seed 5)"
+
+
+def test_redraw_walks_the_pending_contexts_as_one_batch():
+    """Each context of a batch keeps its own attempts: a context is redrawn,
+    in the next batch, only after its own walk met a singular value, and
+    attempt k of it draws from ``derive_seed(*context, k)``; a context that
+    never passes ends as a ``SamplingExhausted`` naming its seed, while the
+    others still return."""
+    contexts = [(5, "a"), (6, "b"), (7, "c")]
+    batches = []
+
+    def walk(drawn):
+        batches.append(drawn)
+        k = len(batches) - 1
+        out = []
+        for x in drawn:
+            ctx = next(c for c in contexts
+                       if random.Random(derive_seed(*c, k)).random() == x)
+            ok = ctx == (5, "a") or (ctx == (6, "b") and k == 1)
+            out.append(-x if ok else SingularValue("singular"))
+        return out
+
+    first, second, third = redraw(lambda rng: rng.random(), walk, contexts)
+    assert first == (-random.Random(derive_seed(5, "a", 0)).random(), 0)
+    assert second == (-random.Random(derive_seed(6, "b", 1)).random(), 1)
+    assert isinstance(third, SamplingExhausted) and third.seed == 7
+    assert [len(b) for b in batches] == [3, 2] + [1] * (RESAMPLE_LIMIT - 2)
+    assert redraw(lambda rng: rng.random(), walk, []) == []
 
 
 def test_nc_scalar_matches_commutative():
