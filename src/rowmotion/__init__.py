@@ -17,7 +17,6 @@ from .dynamics import (
     antichain_rowmotion,
     closed_form_first_pass,
     iterate,
-    order_rowmotion,
     polytope_membership,
     toggle,
     transfer,

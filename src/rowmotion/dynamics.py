@@ -19,17 +19,18 @@ expansion as sums over saturated chains (with factors ordered from the top
 of the chain down) lives in the test suite as an oracle, since chain counts
 grow fast.
 
-Antichain rowmotion is (down-transfer o complementation o inverse-up): the
-inverse-up is the realm's batch ``up_transfer``, and the rest is fused into
-one pass by ``rowmotion_pass``, with ``transfer`` as the test oracle of
-both.  In the tropical realm the inverse-up transfer is the longest-chain
-table, so a caller that holds it also has the chain-polytope test
-(``in_chain_polytope``) for free; tropical homomesy reads each table twice.
-Order rowmotion is (complementation o inverse-up o down-transfer).  Both are
-also toggle products along any linear extension, bottom to top; toggle-mode
-antichain rowmotion is that product along ``poset.topo_order``, run as one
-sweep that computes each dynamic-program value a toggle needs once, with the
-literal fold of single toggles as its test oracle.
+Antichain rowmotion is (down-transfer o complementation o inverse-up), as
+two realm batch operations: ``up_transfer``, then ``rowmotion_pass`` for the
+rest in one pass, with ``transfer`` as the test oracle of both.
+``rowmotion_pass`` here is the generic fold on explicit ops, which every
+realm but the tropical one, and the fuzz engine, run; the tropical realm's
+subtracts, and its inverse-up transfer is the longest-chain table, so a
+caller that holds it has the chain-polytope test (``in_chain_polytope``)
+for free.  Antichain rowmotion is also the toggle product along any linear
+extension, bottom to top; toggle mode is that product along
+``poset.topo_order``, run as one sweep that computes each dynamic-program
+value a toggle needs once, with the literal fold of single toggles as its
+test oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import NamedTuple
 from .errors import SingularValue
 from .labeling import Labeling
 from .poset import RectanglePoset
-from .realms import TropicalRealm
+from .realms import TropicalRealm, _rowmotion_fold as rowmotion_pass
 
 
 class TransferKind(Enum):
@@ -104,46 +105,11 @@ def toggle(poset, g, v, *, up=None, down=None):
     return g.replace(v, r.mul(r.scaled_inv_pair(up, down, v), g[v]))
 
 
-def rowmotion_pass(poset, D, mul, add, inv_all):
-    """One antichain-rowmotion step from the inverse-up transfer ``D`` of a
-    labeling g (``Realm.up_transfer`` of its values), as a list in id order:
-    E = C * inv(D); out(x) = E(x) * inv(sum of E over lower covers), or E(x)
-    at a minimal x.  ``inv_all`` (``Realm.inv_all``) inverts each batch;
-    ``mul`` and ``add`` agree with the realm's, and sums fold left to right.
-
-    The second batch is in id order, so a refusal names the element, with the
-    message, of the ``transfer`` composition.  Toggle mode inverts, at each
-    v, the up-value D(v) and the down-value g(v) * (sum of W over lower
-    covers), as one product down * up in a matrix realm, with W its own
-    inverse-down values of the toggled labels; W equals E, though toggle
-    mode forms it by other products.  So it refuses exactly when some D(v),
-    g(v) or lower-cover sum is singular; a singular g(v) makes D(v)
-    singular, so the batches agree.
-
-    The lower covers are read from ``poset.down_sweep`` over ``nonminimal``,
-    built once per poset, so no element's covers are looked up, tested or
-    sliced per step; the realm calls and the batch are those of walking
-    ``down_covers`` in the same order.
-    """
-    E = inv_all(D, range(poset.n), scaled=True)
-    sums = []
-    for x, first, rest in poset.down_sweep:
-        s = E[first]
-        for y in rest:
-            s = add(s, E[y])
-        sums.append(s)
-    out = list(E)
-    nonminimal = poset.nonminimal
-    for x, s in zip(nonminimal, inv_all(sums, nonminimal)):
-        out[x] = mul(E[x], s)
-    return out
-
-
 def antichain_rowmotion(poset, g, mode="transfer"):
     """One step of antichain rowmotion on a labeling.
 
-    mode="transfer" runs ``rowmotion_pass`` on the realm's operations, from
-    the realm's ``up_transfer`` of g.
+    mode="transfer" runs the realm's two batch operations, ``rowmotion_pass``
+    from its ``up_transfer`` of g.
     mode="toggles" toggles once at each element along ``poset.topo_order``,
     bottom to top, in one sweep that reuses both values each toggle needs.
     Elements above v come after v, so the up-value at v is D(v), the
@@ -158,8 +124,7 @@ def antichain_rowmotion(poset, g, mode="transfer"):
     """
     r = g.realm
     if mode == "transfer":
-        D = r.up_transfer(poset, g.values)
-        return Labeling(r, rowmotion_pass(poset, D, r.mul, r.add, r.inv_all))
+        return Labeling(r, r.rowmotion_pass(poset, r.up_transfer(poset, g.values)))
     if mode == "toggles":
         D = transfer(TransferKind.UP_INV, poset, g)
         W = [None] * poset.n  # set as each element is toggled
@@ -172,15 +137,6 @@ def antichain_rowmotion(poset, g, mode="transfer"):
                 W[v] = r.mul(g[v], s)
         return g
     raise ValueError(f"unknown rowmotion mode {mode!r}")
-
-
-def order_rowmotion(poset, g):
-    """One step of order rowmotion (transfer composition only)."""
-    return transfer(
-        TransferKind.COMPLEMENT, poset, transfer(
-            TransferKind.UP_INV, poset, transfer(TransferKind.DOWN, poset, g)
-        )
-    )
 
 
 def closed_form_first_pass(poset, g):

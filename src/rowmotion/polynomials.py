@@ -26,8 +26,7 @@ monomial.  Only the exponent-dict constructor, a sum whose leading terms
 cancel, and ``exact_div``'s remainder after its first step take a ``max``.
 
 Exponent tuples appear only at the edges: the ``Polynomial(nvars, {exps:
-coeff})`` constructor, ``pack``/``unpack``/``exponents``, ``render`` and
-``evaluate_mod``.
+coeff})`` constructor, ``pack``/``unpack``/``exponents`` and ``render``.
 """
 
 from __future__ import annotations
@@ -252,17 +251,6 @@ class Polynomial:
             c, r = divmod(rem[rlm], dlc)
             if r:
                 return None
-
-    def evaluate_mod(self, values, p):
-        """Evaluate at integer points mod a prime p."""
-        total = 0
-        for m, c in self.terms.items():
-            t = c % p
-            for v, k in zip(values, self.unpack(m)):
-                if k:
-                    t = t * pow(v, k, p) % p
-            total = (total + t) % p
-        return total
 
     def render(self, names):
         """Human-readable form, terms in descending graded-lex order."""

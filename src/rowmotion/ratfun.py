@@ -118,12 +118,6 @@ class RationalFunction:
 
     __hash__ = None
 
-    def evaluate_mod(self, values, p):
-        den = self.den.evaluate_mod(values, p)
-        if den == 0:
-            raise SingularValue("denominator vanishes at the sample point")
-        return self.num.evaluate_mod(values, p) * pow(den, -1, p) % p
-
     def render(self, names):
         num = self.num.render(names)
         if self.den == Polynomial.constant(self.den.nvars, 1):

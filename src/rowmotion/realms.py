@@ -1,9 +1,10 @@
 """Value domains for poset labelings, behind one small contract.
 
 A realm supplies ``add``, ``mul``, ``inv``, ``one`` and a central constant,
-plus exact equality, and two batch operations with defaults built on those
-that a realm may replace: ``inv_all`` and ``up_transfer``.  Four realms are
-provided:
+plus exact equality, and three batch operations with defaults built on
+those that a realm may replace: ``inv_all``, and the two halves of a
+transfer-mode rowmotion step, ``up_transfer`` and ``rowmotion_pass``.  Four
+realms are provided:
 
 * tropical rationals (max, +); the piecewise-linear realm,
 * multivariate rational functions over the integers, with the constant as a
@@ -131,6 +132,11 @@ class Realm:
         ``up_covers`` in ``reversed(topo_order)``."""
         return _up_fold(poset, values, self.mul, self.add)
 
+    def rowmotion_pass(self, poset, D):
+        """The rest of a transfer-mode step from the inverse-up transfer
+        ``D``: ``_rowmotion_fold`` on ``mul``, ``add`` and ``inv_all``."""
+        return _rowmotion_fold(poset, D, self.mul, self.add, self.inv_all)
+
     def scaled_inv_pair(self, up, down, element):
         """C * inv(up) * inv(down), the toggle's factor at ``element``; a
         singular up, then down, re-raises naming ``element``.  This default
@@ -180,6 +186,43 @@ def _up_fold(poset, values, mul, add):
     return D
 
 
+def _rowmotion_fold(poset, D, mul, add, inv_all):
+    """One antichain-rowmotion step from the inverse-up transfer ``D`` of a
+    labeling g (``Realm.up_transfer`` of its values), as a list in id order:
+    E = C * inv(D); out(x) = E(x) * inv(sum of E over lower covers), or E(x)
+    at a minimal x.  ``inv_all`` (``Realm.inv_all``) inverts each batch;
+    ``mul`` and ``add`` agree with the realm's, and sums fold left to right.
+    It is ``Realm.rowmotion_pass``, and ``dynamics.rowmotion_pass`` on
+    explicit ops (the fuzz engine's product ring).
+
+    The second batch is in id order, so a refusal names the element, with the
+    message, of the ``dynamics.transfer`` composition.  Toggle mode inverts,
+    at each v, the up-value D(v) and the down-value g(v) * (sum of W over
+    lower covers), as one product down * up in a matrix realm, with W its
+    own inverse-down values of the toggled labels; W equals E, though toggle
+    mode forms it by other products.  So it refuses exactly when some D(v),
+    g(v) or lower-cover sum is singular; a singular g(v) makes D(v)
+    singular, so the batches agree.
+
+    The lower covers are read from ``poset.down_sweep`` over ``nonminimal``,
+    built once per poset, so no element's covers are looked up, tested or
+    sliced per step; the realm calls and the batch are those of walking
+    ``down_covers`` in the same order.
+    """
+    E = inv_all(D, range(poset.n), scaled=True)
+    sums = []
+    for x, first, rest in poset.down_sweep:
+        s = E[first]
+        for y in rest:
+            s = add(s, E[y])
+        sums.append(s)
+    out = list(E)
+    nonminimal = poset.nonminimal
+    for x, s in zip(nonminimal, inv_all(sums, nonminimal)):
+        out[x] = mul(E[x], s)
+    return out
+
+
 class TropicalRealm(Realm):
     """Exact rationals under (max, +): add is max, mul is +, inv is negation.
 
@@ -192,9 +235,10 @@ class TropicalRealm(Realm):
 
     Negation cannot fail, so ``inv_all`` is one pass with no per-element
     refusal: c - v when scaled, else -v, the values and the int or
-    ``Fraction`` types of the default c + (-v) and -v.  ``up_transfer`` is
-    the longest-chain table, so the table a rowmotion step starts from also
-    decides chain-polytope membership (``dynamics.in_chain_polytope``).
+    ``Fraction`` types of the default c + (-v) and -v.  Both halves of a
+    rowmotion step are its own: ``up_transfer`` is the longest-chain table,
+    which also decides chain-polytope membership
+    (``dynamics.in_chain_polytope``), and ``rowmotion_pass`` subtracts.
     """
 
     name = "tropical"
@@ -238,6 +282,23 @@ class TropicalRealm(Realm):
                     m = best[y]
             best[x] += m
         return best
+
+    def rowmotion_pass(self, poset, D):
+        """``Realm.rowmotion_pass`` read tropically, E(x) * inv(s) as one
+        subtraction: E = c - D, and out(x) = E(x) - (max of E over lower
+        covers), folded with ``add`` in ``down_sweep`` order, so with no
+        second inverse batch and no ``mul`` call.  The values and types are
+        those of the default fold, ties included (a tie keeps the first
+        cover's value), and negation never refuses."""
+        c, add = self.c, self.add
+        E = [c - v for v in D]
+        out = list(E)  # kept at the minimal elements
+        for x, first, rest in poset.down_sweep:
+            s = E[first]
+            for y in rest:
+                s = add(s, E[y])
+            out[x] = E[x] - s
+        return out
 
     def one(self):
         return 0

@@ -22,7 +22,8 @@ labels, where the realm's product is ``+``, so it sums each element's label
 across the window once and checks each fiber as the integer sum of those
 window totals: the same boolean as the realm fold, without its products.
 Its window builds each labeling's longest-chain table (the tropical
-``up_transfer``) once, for the rowmotion step and the chain-polytope check.
+``up_transfer``) once, for the rowmotion step (``rowmotion_pass``) and the
+chain-polytope check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynamics import antichain_rowmotion, in_chain_polytope, rowmotion_pass
+from .dynamics import antichain_rowmotion, in_chain_polytope
 from .poset import RectanglePoset, fibers, product_of_chains
 from .realms import TropicalRealm
 from .sampling import derive_seed, sample_chain_polytope_point
@@ -100,13 +101,13 @@ def _window_tables(poset, realm, values):
     """The orbit window of per-element ``values`` in the tropical ``realm``
     on [a]x[b], as a+b pairs (values, table), table the labeling's
     longest-chain table (``realm.up_transfer``).  Each of the a+b-1 steps
-    starts from the table of the labeling before it; the last table is read
-    by the chain-polytope check alone."""
+    is the tropical ``realm.rowmotion_pass`` from the table of the labeling
+    before it; the last table is read by the chain-polytope check alone."""
     window = []
     for _ in range(poset.a + poset.b - 1):
         table = realm.up_transfer(poset, values)
         window.append((values, table))
-        values = rowmotion_pass(poset, table, realm.mul, realm.add, realm.inv_all)
+        values = realm.rowmotion_pass(poset, table)
     window.append((values, realm.up_transfer(poset, values)))
     return window
 

@@ -5,12 +5,16 @@ into ints, kept as an independent reference: terms map exponent tuples to
 nonzero ints, graded-lex order is the key ``(sum(exps), exps)``, and every
 product, quotient and exponentwise minimum is computed tuple by tuple.
 ``tests/test_properties.py`` checks the package's ``Polynomial`` against it
-operation by operation.
+operation by operation.  ``evaluate_mod`` and ``evaluate_ratfun_mod`` read
+the package's polynomials and rational functions at integer points mod a
+prime, for the tests that check symbolic results against numeric ones.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+from rowmotion.errors import SingularValue
 
 
 def grlex_key(exps):
@@ -214,3 +218,18 @@ class OraclePolynomial:
 
     def __repr__(self):
         return f"OraclePolynomial({self.nvars}, {self.terms!r})"
+
+
+def evaluate_mod(poly, values, p):
+    """A package ``Polynomial`` at integer points mod a prime p, term by term
+    over its exponent tuples."""
+    return OraclePolynomial(poly.nvars, poly.exponents()).evaluate_mod(values, p)
+
+
+def evaluate_ratfun_mod(f, values, p):
+    """A package ``RationalFunction`` at integer points mod a prime p; a
+    denominator that vanishes there raises SingularValue."""
+    den = evaluate_mod(f.den, values, p)
+    if den == 0:
+        raise SingularValue("denominator vanishes at the sample point")
+    return evaluate_mod(f.num, values, p) * pow(den, -1, p) % p

@@ -287,6 +287,23 @@ def test_word_orbit_and_fixture_reports_pinned(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode,digest", [
+    ("transfer", "a1dbd12bc514e5d8b80da5c1b0d28fc4be1e86b13919ae1765f5d01fa526bfca"),
+    ("toggles", "467ffc003db446c24af0843922a5bdbb5c1086f283a5388a54fe8e2389a9c87c"),
+])
+def test_tropical_orbit_on_a_non_rectangle_pinned(mode, digest, tmp_path, capsys):
+    """A tropical orbit on a poset that is not a rectangle, pinned in both
+    modes: element 2 has two lower covers, so a step folds a lower-cover sum
+    of two values there."""
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"elements": [0, 1, 2, 3, 4],
+                                "covers": [[0, 2], [1, 2], [2, 3], [1, 4]]}))
+    assert main(["rowmotion", "--poset", str(path), "--realm", "tropical", "--seed", "3",
+                 "--mode", mode]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args,steps", [
     (["--realm", "ratfun", "--a", "2", "--b", "3"], 4),
     (["--realm", "matp", "--a", "2", "--b", "3", "--samples", "7"], 7 * 4),

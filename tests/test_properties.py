@@ -45,6 +45,7 @@ from rowmotion import (
     transfer,
 )
 from rowmotion import cli
+from rowmotion.dynamics import rowmotion_pass
 from rowmotion.polynomials import MAX_DEGREE, Polynomial, monomial_gcd
 from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, Realm, _MatrixRealm
 from rowmotion.sampling import sample_chain_polytope_point, symbolic_labeling
@@ -410,6 +411,7 @@ def test_max_chain_sum_is_the_largest_maximal_chain_sum(case):
 @given(CHAIN_WEIGHTS, TROPICAL_NUMBERS)
 @example((FORK, [0, 1, 5]), 1)
 @example((FORK, [Fraction(1, 2), Fraction(1, 3), 2]), Fraction(3, 2))
+@example((FORK, [0, 1, Fraction(1)]), 1)  # the covers tie as 1 and Fraction(1)
 def test_tropical_up_transfer_is_the_default_fold_and_the_transfer(case, c):
     """The tropical ``up_transfer`` (the longest-chain DP) returns the
     values and the int or Fraction types of the default ``add``/``mul``
@@ -421,6 +423,30 @@ def test_tropical_up_transfer_is_the_default_fold_and_the_transfer(case, c):
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
     assert got == list(transfer(TransferKind.UP_INV, poset, Labeling(r, weights)).values)
+
+
+# element 0 covers 1 and 2; at the example's weights and c = 2 their E values
+# tie as the int 1 and Fraction(1), and the lower-cover fold keeps the first
+JOIN = build_poset([(1, 0), (2, 0)], elements=range(3))
+
+
+@PROPERTY
+@given(CHAIN_WEIGHTS, TROPICAL_NUMBERS)
+@example((FORK, [0, 1, 5]), 1)
+@example((FORK, [Fraction(1, 2), Fraction(1, 3), 2]), Fraction(3, 2))
+@example((JOIN, [0, 1, Fraction(1)]), 2)
+def test_tropical_rowmotion_pass_is_the_default_fold(case, c):
+    """The tropical ``rowmotion_pass`` (c - v, then E(x) - the max over
+    lower covers) returns the values and the int or Fraction types of the
+    generic fold on the realm's ``mul``, ``add`` and ``inv_all``, from the
+    tropical ``up_transfer``, at any c."""
+    poset, weights = case
+    r = TropicalRealm(c)
+    D = r.up_transfer(poset, weights)
+    got = r.rowmotion_pass(poset, D)
+    want = rowmotion_pass(poset, D, r.mul, r.add, r.inv_all)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
 
 
 DENOMINATORS = st.sampled_from((0, 1, 59, 60, 62, 63, 64, 127))

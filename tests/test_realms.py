@@ -27,6 +27,8 @@ from rowmotion.sampling import (
     symbolic_labeling,
 )
 
+from poly_oracle import evaluate_ratfun_mod
+
 PRIME = 10007
 
 
@@ -397,4 +399,4 @@ def test_nc_scalar_matches_commutative():
     sym_word = st_word(p, sym)
     vals = [realm.c] + scalars  # variable 0 is the constant
     for got, expr in zip(word, sym_word):
-        assert got[0] == expr.evaluate_mod(vals, PRIME)
+        assert got[0] == evaluate_ratfun_mod(expr, vals, PRIME)
