@@ -21,16 +21,16 @@ grow fast.
 
 Antichain rowmotion is (down-transfer o complementation o inverse-up), as
 two realm batch operations: ``up_transfer``, then ``rowmotion_pass`` for the
-rest in one pass, with ``transfer`` as the test oracle of both.
-``rowmotion_pass`` here is the generic fold on explicit ops, which every
-realm but the tropical one, and the fuzz engine, run; the tropical realm's
-subtracts, and its inverse-up transfer is the longest-chain table, so a
-caller that holds it has the chain-polytope test (``in_chain_polytope``)
-for free.  Antichain rowmotion is also the toggle product along any linear
-extension, bottom to top; toggle mode is that product along
-``poset.topo_order``, run as one sweep that computes each dynamic-program
-value a toggle needs once, with the literal fold of single toggles as its
-test oracle.
+rest in one pass, with ``transfer`` as the test oracle of both.  Every
+realm but the tropical one, and the fuzz engine's product ring
+(``realms.FpProductRealm``), runs the generic ``Realm.rowmotion_pass``; the
+tropical realm's subtracts, and its inverse-up transfer is the
+longest-chain table, so a caller that holds it has the chain-polytope test
+(``in_chain_polytope``) for free.  Antichain rowmotion is also the toggle
+product along any linear extension, bottom to top; toggle mode is that
+product along ``poset.topo_order``, run as one sweep that computes each
+dynamic-program value a toggle needs once, with the literal fold of single
+toggles as its test oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import NamedTuple
 from .errors import SingularValue
 from .labeling import Labeling
 from .poset import RectanglePoset
-from .realms import TropicalRealm, _rowmotion_fold as rowmotion_pass
+from .realms import TropicalRealm
 
 
 class TransferKind(Enum):

@@ -17,7 +17,7 @@ class SingularValue(ArithmeticError):
 
     ``element`` carries the poset element id at which a transfer map or toggle
     hit the singular value, when that context is known.  ``trial`` carries the
-    component of a product-ring value that is singular (``realms.fp_product_ops``,
+    component of a product-ring value that is singular (``realms.FpProductRealm``,
     one fuzz trial of a batch); it is not in the message, so a trial refused
     in a batch reads as it would alone.
     """

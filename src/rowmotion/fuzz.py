@@ -3,18 +3,18 @@
 Each trial draws a matrix labeling of [a]x[b] over F_p, runs antichain
 rowmotion a+b times through the kernel's engine, and checks exact return to
 the start.  A cell's pending trials step together, as one labeling over the
-product of their matrix rings (``realms.fp_product_ops``), so each step is
-one ``dynamics.rowmotion_pass`` and one modular inverse per batch of
-inverses for all of them.  That pass, the transfer-mode step of every
-realm, refuses a trial on exactly the draws where toggle-mode rowmotion
-would, so resample counts are those of toggle mode; a counterexample is
-replayed through generic toggle mode (see ``_reverify`` for what that
-replay shares with the engine).  Grinberg and
-Roby claim a proof that the order is a+b for general (a, b) once labels stop
-commuting (arXiv 2208.10655, stated for order rowmotion, which is conjugate
-to antichain rowmotion through the down-transfer); that proof has not been
-checked here, so the grid gathers evidence, nothing more, and a confirmed
-counterexample points first to a bug in this code.
+product of their matrix rings (``realms.FpProductRealm``), so each step is
+one ``Realm.rowmotion_pass`` of that ring, with one modular inverse per
+batch of inverses for all of them (d <= 3).  That pass, the transfer-mode
+step of every realm, refuses a trial on exactly the draws where
+toggle-mode rowmotion would, so resample counts are those of toggle mode;
+a counterexample is replayed through generic toggle mode (see
+``_reverify`` for what that replay shares with the engine).  Grinberg and
+Roby claim a proof that the order is a+b for general (a, b) once labels
+stop commuting (arXiv 2208.10655, stated for order rowmotion, which is
+conjugate to antichain rowmotion through the down-transfer); that proof
+has not been checked here, so the grid gathers evidence, nothing more, and
+a confirmed counterexample points first to a bug in this code.
 
 Reports are deterministic functions of the master seed: every trial is
 redrawn (``sampling.redraw``, a bare ``draw_fp_labels`` per attempt, no
@@ -133,13 +133,15 @@ def _reverify(poset, d, p, attempt_seed, steps):
 
     The labeling is re-derived from its recorded seed with a fresh generator
     rather than trusted from memory, then iterated by toggles instead of the
-    engine's rowmotion pass.  The replay still shares the draw
-    (``draw_fp_labels``) and the realm's closed-form products and adjugates
-    (``realms.fp_ops``) with the engine.  It does not share the pass or its
-    Montgomery batch: it inverts one value at a time (``inv_at``) inside the
-    toggle formula, C * inv(down * up) * g(v) in a matrix realm, and forms
-    the down-values from the toggled labels, not from C * inv(D).  Returns
-    True when the failure stands.
+    engine's rowmotion pass.  The replay still shares with the engine the
+    draw (``draw_fp_labels``), the matp product and sum, and the one matrix
+    inverse (``_MatrixRealm._invert``: the closed form of ``realms.fp_ops``
+    for d <= 3, Gauss-Jordan past it), which it runs on batches of one
+    (``FpMatrixRealm.inv``, through ``inv_at``).  It does not share the
+    pass: it inverts inside the toggle formula, C * inv(down * up) * g(v),
+    applying c by a product rather than as the batch's scale, and forms the
+    down-values from the toggled labels, not from C * inv(D).  Returns True
+    when the failure stands.
     """
     from .dynamics import antichain_rowmotion
 

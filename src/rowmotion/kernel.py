@@ -1,9 +1,10 @@
-"""The periodicity fuzzer's engine: ``dynamics.rowmotion_pass`` on prime-field
-matrices held as n per-element flat row-major tuples.  A fuzz cell's trials
-step together over the product of their matrix rings
-(``realms.fp_product_ops``): one pass per step for the batch, and one
-modular inverse per batch of inverses, not one per trial.  Only the names
-that the fuzz report and the benchmark harness (``perfbench/``,
+"""The periodicity fuzzer's engine: transfer-mode rowmotion on prime-field
+matrices held as n per-element flat row-major tuples, through a realm's two
+batch operations, ``up_transfer`` and ``rowmotion_pass``.  A fuzz cell's
+trials step together over the product of their matrix rings
+(``realms.FpProductRealm``): one pass per step for the batch, and for
+d <= 3 one modular inverse per batch of inverses, not one per trial.  Only
+the names that the fuzz report and the benchmark harness (``perfbench/``,
 ``benchmarks/bench_kernels.py``) call are kept: the backend registry,
 ``make_engine``, and the engine's ``step`` and ``first_return``.
 """
@@ -12,9 +13,8 @@ from __future__ import annotations
 
 import sys
 
-from .dynamics import rowmotion_pass
 from .errors import SingularValue
-from .realms import FpMatrixRealm, fp_product_ops, require_prime
+from .realms import FpMatrixRealm, FpProductRealm, require_prime
 
 BACKEND = "pure-python"
 
@@ -45,12 +45,13 @@ class FpToggleEngine:
     Transfer-mode ``antichain_rowmotion`` on bare label lists.
     ``first_return`` steps a batch of trials, one labeling per central
     constant c, as one labeling over the product of their matrix rings
-    (``realms.fp_product_ops``): rowmotion acts on each component alone, so
+    (``realms.FpProductRealm``): rowmotion acts on each component alone, so
     one pass steps every trial, and each of its two batches of inverses
-    takes one modular inverse for all of them.  ``step`` is one trial's step
-    over its own matp realm, from the same products, sums and inverses.  The
-    labels are reduced, and a trial's refusal has the message of its own
-    matp step.
+    takes one modular inverse for all of them (d <= 3).  ``step`` is one
+    trial's step over its own matp realm.  Both run the realm's
+    ``rowmotion_pass`` on its ``up_transfer``, and every inverse is the
+    matp batch inverse.  The labels are reduced, and a trial's refusal has
+    the message of its own matp step.
     """
 
     def __init__(self, poset, d, p):
@@ -64,8 +65,7 @@ class FpToggleEngine:
         own matp realm; returns the new list.  ``first_return`` steps the
         same labels, as a batch of one, to the same values."""
         realm = FpMatrixRealm(self.p, self.d, c=c)
-        return rowmotion_pass(self.poset, realm.up_transfer(self.poset, labels), realm._mul,
-                              realm.add, realm.inv_all)
+        return realm.rowmotion_pass(self.poset, realm.up_transfer(self.poset, labels))
 
     def first_return(self, batch, max_steps):
         """For each trial (labels, c) of ``batch``, in order: the smallest
@@ -82,13 +82,11 @@ class FpToggleEngine:
         live, cols = list(range(len(batch))), starts  # the trials stepping, their labels
         m = 0
         while live and m < max_steps:
-            up_transfer, mul, add, inv_all = fp_product_ops(self.d, self.p,
-                                                            [batch[t][1] for t in live])
+            ring = FpProductRealm(self.d, self.p, [batch[t][1] for t in live])
             values = list(zip(*cols))
             try:
                 while m < max_steps:
-                    values = rowmotion_pass(self.poset, up_transfer(self.poset, values), mul, add,
-                                            inv_all)
+                    values = ring.rowmotion_pass(self.poset, ring.up_transfer(self.poset, values))
                     m += 1
                     cols = list(zip(*values)) or [()] * len(live)
                     done = {i for i, t in enumerate(live) if cols[i] == starts[t]}

@@ -211,14 +211,14 @@ def build_poset(covers, elements=None):
     if elements is not None:
         for e in elements:
             if e in seen_ids:
-                raise PosetError(f"duplicate element {e!r}")
+                raise PosetError(f"duplicate element {shown(repr(e))}")
             seen_ids.add(e)
             ids.append(e)
     for lo, hi in covers:
         for e in (lo, hi):
             if e not in seen_ids:
                 if elements is not None:
-                    raise PosetError(f"cover references undeclared element {e!r}")
+                    raise PosetError(f"cover references undeclared element {shown(repr(e))}")
                 seen_ids.add(e)
                 ids.append(e)
     index = {e: k for k, e in enumerate(ids)}
@@ -288,7 +288,8 @@ def poset_from_json(obj):
         raise PosetError("poset must be a JSON object")
     for key in obj:
         if key not in _POSET_KEYS:
-            raise PosetError(f"poset key {key!r} is not one of {', '.join(_POSET_KEYS)}")
+            raise PosetError(f"poset key {shown(repr(key))} is not one of "
+                             f"{', '.join(_POSET_KEYS)}")
     if "chains" in obj:
         chains = obj["chains"]
         if not (isinstance(chains, (list, tuple)) and len(chains) == 2

@@ -12,8 +12,12 @@ realms are provided:
 * square matrices over a prime field, in closed form for d <= 3 by
   ``fp_ops``, a batch inverted with one modular inverse (``inv_all``); the
   fuzzer steps its trials together over a product of copies of that ring
-  (``fp_product_ops``),
+  (``FpProductRealm``),
 * square matrices over the exact rationals.
+
+Every matrix inverse, single or batched, scaled or not, and the product
+ring's, runs one routine, ``_MatrixRealm._invert``: Gauss-Jordan, which
+matp replaces for d <= 3 by the closed form.
 
 Matrix values are flat row-major tuples of d*d entries; only their JSON
 form has rows.  A value is checked where it enters (its JSON reader, or a
@@ -33,10 +37,10 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, repeat
 
-from .errors import SingularValue
+from .errors import SingularValue, shown
 from .ratfun import RationalFunction
 
 FUZZ_PRIME = 2**61 - 1
@@ -134,8 +138,38 @@ class Realm:
 
     def rowmotion_pass(self, poset, D):
         """The rest of a transfer-mode step from the inverse-up transfer
-        ``D``: ``_rowmotion_fold`` on ``mul``, ``add`` and ``inv_all``."""
-        return _rowmotion_fold(poset, D, self.mul, self.add, self.inv_all)
+        ``D`` of a labeling g (``up_transfer`` of its values), as a list in
+        id order: E = C * inv(D); out(x) = E(x) * inv(sum of E over lower
+        covers), or E(x) at a minimal x.  ``inv_all`` inverts each batch,
+        and sums fold left to right with ``add``.
+
+        The second batch is in id order, so a refusal names the element,
+        with the message, of the ``dynamics.transfer`` composition.  Toggle
+        mode inverts, at each v, the up-value D(v) and the down-value
+        g(v) * (sum of W over lower covers), as one product down * up in a
+        matrix realm, with W its own inverse-down values of the toggled
+        labels; W equals E, though toggle mode forms it by other products.
+        So it refuses exactly when some D(v), g(v) or lower-cover sum is
+        singular; a singular g(v) makes D(v) singular, so the batches agree.
+
+        The lower covers are read from ``poset.down_sweep`` over
+        ``nonminimal``, built once per poset, so no element's covers are
+        looked up, tested or sliced per step; the realm calls and the batch
+        are those of walking ``down_covers`` in the same order.
+        """
+        mul, add, inv_all = self.mul, self.add, self.inv_all
+        E = inv_all(D, range(poset.n), scaled=True)
+        sums = []
+        for x, first, rest in poset.down_sweep:
+            s = E[first]
+            for y in rest:
+                s = add(s, E[y])
+            sums.append(s)
+        out = list(E)
+        nonminimal = poset.nonminimal
+        for x, s in zip(nonminimal, inv_all(sums, nonminimal)):
+            out[x] = mul(E[x], s)
+        return out
 
     def scaled_inv_pair(self, up, down, element):
         """C * inv(up) * inv(down), the toggle's factor at ``element``; a
@@ -184,43 +218,6 @@ def _up_fold(poset, values, mul, add):
             s = add(s, D[y])
         D[x] = mul(s, values[x])
     return D
-
-
-def _rowmotion_fold(poset, D, mul, add, inv_all):
-    """One antichain-rowmotion step from the inverse-up transfer ``D`` of a
-    labeling g (``Realm.up_transfer`` of its values), as a list in id order:
-    E = C * inv(D); out(x) = E(x) * inv(sum of E over lower covers), or E(x)
-    at a minimal x.  ``inv_all`` (``Realm.inv_all``) inverts each batch;
-    ``mul`` and ``add`` agree with the realm's, and sums fold left to right.
-    It is ``Realm.rowmotion_pass``, and ``dynamics.rowmotion_pass`` on
-    explicit ops (the fuzz engine's product ring).
-
-    The second batch is in id order, so a refusal names the element, with the
-    message, of the ``dynamics.transfer`` composition.  Toggle mode inverts,
-    at each v, the up-value D(v) and the down-value g(v) * (sum of W over
-    lower covers), as one product down * up in a matrix realm, with W its
-    own inverse-down values of the toggled labels; W equals E, though toggle
-    mode forms it by other products.  So it refuses exactly when some D(v),
-    g(v) or lower-cover sum is singular; a singular g(v) makes D(v)
-    singular, so the batches agree.
-
-    The lower covers are read from ``poset.down_sweep`` over ``nonminimal``,
-    built once per poset, so no element's covers are looked up, tested or
-    sliced per step; the realm calls and the batch are those of walking
-    ``down_covers`` in the same order.
-    """
-    E = inv_all(D, range(poset.n), scaled=True)
-    sums = []
-    for x, first, rest in poset.down_sweep:
-        s = E[first]
-        for y in rest:
-            s = add(s, E[y])
-        sums.append(s)
-    out = list(E)
-    nonminimal = poset.nonminimal
-    for x, s in zip(nonminimal, inv_all(sums, nonminimal)):
-        out[x] = mul(E[x], s)
-    return out
 
 
 class TropicalRealm(Realm):
@@ -333,13 +330,13 @@ class RationalFunctionRealm(Realm):
         for v in variables:
             if not (isinstance(v, str) and v):
                 raise ValueError(f"a ratfun variable must be a nonempty string, "
-                                 f"got {json.dumps(v, default=str)}")
+                                 f"got {shown(json.dumps(v, default=str))}")
             if v == "C":
                 raise ValueError("ratfun variable 'C' is the constant's name")
             if not v.isidentifier():
-                raise ValueError(f"ratfun variable {v!r} is not an identifier")
+                raise ValueError(f"ratfun variable {shown(repr(v))} is not an identifier")
             if v in seen:
-                raise ValueError(f"ratfun variable {v!r} is declared twice")
+                raise ValueError(f"ratfun variable {shown(repr(v))} is declared twice")
             seen.add(v)
         self.variable_names = ("C",) + tuple(variables)
         self.nvars = len(self.variable_names)
@@ -377,8 +374,8 @@ class RationalFunctionRealm(Realm):
     def value_from_json(self, obj):
         # Input labelings are plain variable names; outputs are display strings.
         if obj not in self.variable_names:
-            raise ValueError(f"{obj!r} is not a declared variable "
-                             f"({', '.join(self.variable_names)})")
+            raise ValueError(f"{shown(repr(obj))} is not a declared variable "
+                             f"({', '.join(map(shown, self.variable_names))})")
         return self.variable(obj)
 
 
@@ -390,9 +387,10 @@ class _MatrixRealm(Realm):
     anything but d lists of d entries, and the samplers build d*d entries.
     The operations trust it, as the tropical and ratfun realms trust theirs.
     ``_norm`` brings an exact entry into the realm (reduced mod p for matp,
-    a ``Fraction`` for matq), so ``add`` and ``mul`` serve both realms.
-    ``mul`` is ``_mul``, the general product, which matp replaces with the
-    unrolled products of ``fp_ops`` for d <= 3.
+    a ``Fraction`` for matq), so ``add``, ``mul`` and the inverses serve
+    both realms.  ``mul`` is ``_mul``, the general product, and every
+    inverse is ``_invert``, Gauss-Jordan; matp replaces both with the closed
+    forms of ``fp_ops`` for d <= 3.
     """
 
     def __init__(self, d, c):
@@ -401,6 +399,7 @@ class _MatrixRealm(Realm):
         self.d = d
         self.c = c
         self.commutative = d == 1
+        self._singular = f"singular {d}x{d} matrix"
         self._one = self.identity(1)
         self._constant = self.identity(c)
 
@@ -438,29 +437,54 @@ class _MatrixRealm(Realm):
         return tuple(m)
 
     def inv(self, x):
-        """Gauss-Jordan inverse; raises SingularValue when no pivot exists.
+        """``_invert`` on a batch of one; a singular x names no element."""
+        out, bad = self._invert((x,))
+        if bad is not None:
+            raise SingularValue(self._singular)
+        return out[0]
 
-        The row operations that reduce x to the identity turn the identity
-        into the inverse; row r of either is the slice [r*d, r*d + d).
+    def inv_all(self, values, elements, scaled=False):
+        """``Realm.inv_all`` as one ``_invert`` batch, each inverse scaled
+        by c when ``scaled``; a refusal names the first singular value's
+        element."""
+        out, bad = self._invert(values, scaled and repeat(self.c))
+        if bad is not None:
+            raise SingularValue(self._singular, element=tuple(elements)[bad])
+        return out
+
+    def _invert(self, values, scales=None):
+        """The one batch inverse of the matrix realms: ``(out, None)`` with
+        out[i] = s * inv(values[i]) for the i-th scale s of ``scales`` (1
+        when ``scales`` is false), or ``(None, i)`` at the first singular
+        values[i].  ``inv``, ``inv_all`` and ``FpProductRealm.inv_all`` only
+        map that index to what their refusal names.
+
+        Gauss-Jordan, one matrix at a time: the row operations that reduce
+        m to the identity turn s * I into s * inv(m).  Row r of either is
+        the slice [r*d, r*d + d).  matp replaces this for d <= 3 with the
+        closed form of ``fp_ops``.
         """
         d, norm = self.d, self._norm
         zero = norm(0)
         rows = [slice(r, r + d) for r in range(0, d * d, d)]
-        a, b = list(x), list(self._one)
-        for col, rc in enumerate(rows):
-            pivot = next((r for r in range(col, d) if a[r * d + col] != zero), None)
-            if pivot is None:
-                raise SingularValue(f"singular {d}x{d} matrix")
-            pinv = self._scalar_inv(a[pivot * d + col])
-            for m in (a, b):
-                m[rc], m[rows[pivot]] = m[rows[pivot]], m[rc]
-                m[rc] = [norm(v * pinv) for v in m[rc]]
-            for r, rr in enumerate(rows):
-                f = a[r * d + col]
-                if r != col and f != zero:
-                    for m in (a, b):
-                        m[rr] = [norm(u - f * v) for u, v in zip(m[rr], m[rc])]
-        return tuple(b)
+        out = []
+        for i, (x, s) in enumerate(zip(values, scales or repeat(1))):
+            a, b = list(x), list(self.identity(s))
+            for col, rc in enumerate(rows):
+                pivot = next((r for r in range(col, d) if a[r * d + col] != zero), None)
+                if pivot is None:
+                    return None, i
+                pinv = self._scalar_inv(a[pivot * d + col])
+                for m in (a, b):
+                    m[rc], m[rows[pivot]] = m[rows[pivot]], m[rc]
+                    m[rc] = [norm(v * pinv) for v in m[rc]]
+                for r, rr in enumerate(rows):
+                    f = a[r * d + col]
+                    if r != col and f != zero:
+                        for m in (a, b):
+                            m[rr] = [norm(u - f * v) for u, v in zip(m[rr], m[rc])]
+            out.append(tuple(b))
+        return out, None
 
     def value_to_json(self, x):
         d = self.d
@@ -485,15 +509,13 @@ def mat_product(d, x, y):
 
 @lru_cache(maxsize=64)
 def fp_ops(d, p):
-    """(mul, det, adj) for d x d matrices mod p as flat row-major tuples,
-    for d = 1, 2, 3: unrolled products and closed-form determinants and
-    adjugates.
+    """(mul, invert) for d x d matrices mod p as flat row-major tuples, for
+    d = 1, 2, 3: the unrolled product, and ``_MatrixRealm._invert`` in
+    closed form, from the determinant and k times the adjugate.
 
-    Inputs are reduced, entries in 0..p-1.  ``mul`` reduces its result;
-    ``det`` returns a residue; ``adj(m, k)`` is k times the adjugate,
-    reduced, so ``adj(m, pow(det(m), -1, p))`` is the inverse.  Cached,
+    Inputs are reduced, entries in 0..p-1, and so are the results.  Cached,
     since every matp realm and every fuzz batch's product ring
-    (``fp_product_ops``) takes them.
+    (``FpProductRealm``) takes them.
     """
     if d == 1:
         def mul(x, y):
@@ -537,100 +559,43 @@ def fp_ops(d, p):
             return ((f * j - g * i) * k % p, (c * i - b * j) * k % p, (b * g - c * f) * k % p,
                     (g * h - e * j) * k % p, (a * j - c * h) * k % p, (c * e - a * g) * k % p,
                     (e * i - f * h) * k % p, (b * h - a * i) * k % p, (a * f - b * e) * k % p)
-    return mul, det, adj
 
+    def invert(values, scales=None):
+        """adj(m, s * det(m)^-1) for each matrix m of ``values`` and its
+        scale s: Montgomery's trick, one modular inverse and 3(k-1) products
+        for k matrices, plus one per scale.  A zero det is singular."""
+        dets = list(map(det, values))
+        if 0 in dets:
+            return None, dets.index(0)
+        prefix = []
+        acc = 1
+        for t in dets:
+            prefix.append(acc)
+            acc = acc * t % p
+        if scales:
+            prefix = [a * s % p for a, s in zip(prefix, scales)]
+        inv = pow(acc, -1, p)
+        out = []
+        for m, a, t in zip(reversed(values), reversed(prefix), reversed(dets)):
+            out.append(adj(m, inv * a % p))
+            inv = inv * t % p
+        out.reverse()
+        return out, None
 
-def _fp_inverses(p, adj, values, dets, scales):
-    """adj(m, s * det(m)^-1) mod p for each matrix m of ``values``, with its
-    nonzero det in ``dets`` and its scale s from ``scales`` (1 when
-    ``scales`` is false): Montgomery's trick, one modular inverse and 3(k-1)
-    products for k matrices, plus one per scale."""
-    prefix = []
-    acc = 1
-    for t in dets:
-        prefix.append(acc)
-        acc = acc * t % p
-    if scales:
-        prefix = [a * s % p for a, s in zip(prefix, scales)]
-    inv = pow(acc, -1, p)
-    out = []
-    for m, a, t in zip(reversed(values), reversed(prefix), reversed(dets)):
-        out.append(adj(m, inv * a % p))
-        inv = inv * t % p
-    out.reverse()
-    return out
-
-
-def fp_product_ops(d, p, cs):
-    """(up_transfer, mul, add, inv_all) of the product ring of T = len(cs) >= 1
-    copies of the d x d matrices over F_p, with central constant
-    (c_1 I, ..., c_T I): T labelings, one per c, as one.
-
-    A value is a tuple of T matrices, component t a flat row-major tuple of
-    the labeling with constant cs[t].  The operations act componentwise, so
-    a rowmotion pass over the product is the T passes over F_p at once, and
-    a value is a unit exactly when every component is.  ``mul`` maps the
-    product of ``fp_ops`` (the general one for d >= 4) and ``add`` the matp
-    sum over the components; ``up_transfer(poset, values)`` is
-    ``Realm.up_transfer`` on them.  For d <= 3 ``inv_all`` inverts every
-    determinant of the batch with one modular inverse (``_fp_inverses``),
-    each component scaled by its own c when ``scaled``; for d >= 4 it runs
-    the Gauss-Jordan inverse one component at a time.  A batch with a
-    singular component raises the refusal of its first one, in element
-    order, with that component's own matp message and element and, as
-    ``trial``, the component.
-    """
-    T, cs = len(cs), tuple(cs)
-    base = FpMatrixRealm(p, d)
-    fmul, fadd = base._mul, base.add
-
-    def mul(x, y):
-        return tuple(map(fmul, x, y))
-
-    def add(x, y):
-        return tuple(map(fadd, x, y))
-
-    message = f"singular {d}x{d} matrix"
-    if d <= 3:
-        det, adj = base._det, base._adj
-
-        def inv_all(values, elements, scaled=False):
-            flat = list(chain.from_iterable(values))
-            dets = list(map(det, flat))
-            if 0 in dets:
-                i = dets.index(0)
-                raise SingularValue(message, element=tuple(elements)[i // T], trial=i % T)
-            out = _fp_inverses(p, adj, flat, dets, scaled and cs * len(values))
-            return list(zip(*[iter(out)] * T))
-    else:
-        def inv_all(values, elements, scaled=False):
-            out = []
-            for x, v in zip(elements, values):
-                row = []
-                for t, m in enumerate(v):
-                    try:
-                        w = base.inv(m)
-                    except SingularValue:
-                        raise SingularValue(message, element=x, trial=t) from None
-                    row.append(tuple(cs[t] * e % p for e in w) if scaled else w)
-                out.append(tuple(row))
-            return out
-
-    return partial(_up_fold, mul=mul, add=add), mul, add, inv_all
+    return mul, invert
 
 
 class FpMatrixRealm(_MatrixRealm):
     """d-by-d matrices over the prime field F_p; entries stored in 0..p-1.
 
-    For d <= 3, ``mul`` is the unrolled product of ``fp_ops``, and ``inv``
-    is ``inv_all`` on a batch of one: det(m)^-1 * adj(m), singular exactly
-    when det(m) = 0; for d >= 4 the general product and the Gauss-Jordan
-    inverse.
+    For d <= 3 the product and the batch inverse are the closed forms of
+    ``fp_ops``: a batch of k inverses takes one modular inverse, singular
+    exactly where a det is 0.  For d >= 4 they are the general product and
+    Gauss-Jordan.
     """
 
     name = "matp"
     _entry_to_json = int
-    _det = _adj = None  # no closed form past d = 3
 
     def __init__(self, p, d, c=1):
         require_prime(p)
@@ -641,7 +606,7 @@ class FpMatrixRealm(_MatrixRealm):
         self._norm = p.__rmod__  # v % p, with no Python frame per entry
         super().__init__(d, c)
         if d <= 3:
-            self._mul, self._det, self._adj = fp_ops(d, p)
+            self._mul, self._invert = fp_ops(d, p)
 
     def _scalar_inv(self, v):
         return pow(v, -1, self.p)
@@ -649,25 +614,46 @@ class FpMatrixRealm(_MatrixRealm):
     def _entry_from_json(self, v):
         return json_number(v, int, "a matp entry") % self.p
 
-    def inv(self, x):
-        if self._det is None:
-            return super().inv(x)
-        return self.inv_all((x,), (None,))[0]
-
-    def inv_all(self, values, elements, scaled=False):
-        """``Realm.inv_all``.  For d <= 3, adj(m) * det(m)^-1 with every det
-        inverted at once (``_fp_inverses``: one modular inverse, c folded
-        in); a zero det refuses at the first such element."""
-        if self._det is None:
-            return super().inv_all(values, elements, scaled)
-        dets = list(map(self._det, values))
-        if 0 in dets:
-            raise SingularValue(f"singular {self.d}x{self.d} matrix",
-                                element=tuple(elements)[dets.index(0)])
-        return _fp_inverses(self.p, self._adj, values, dets, scaled and repeat(self.c))
-
     def config(self):
         return {"realm": "matp", "p": self.p, "d": self.d, "c": self.c}
+
+
+class FpProductRealm(Realm):
+    """The product ring of T = len(cs) >= 1 copies of the d x d matrices
+    over F_p, with central constant (c_1 I, ..., c_T I): T labelings, one
+    per c, as one.  The fuzz engine steps a cell's trials on it.
+
+    A value is a tuple of T matrices, component t a flat row-major tuple of
+    the labeling with constant cs[t].  The operations act componentwise, so
+    a rowmotion pass over the product is the T passes over F_p at once, and
+    a value is a unit exactly when every component is.  ``mul`` and ``add``
+    map the matp product and sum over the components, and ``inv_all``
+    inverts every component of the batch as one ``_invert`` batch of the
+    matp realm (for d <= 3 one modular inverse), each scaled by its own c
+    when ``scaled``.  A batch with a singular component raises the refusal
+    of its first one, in element order, with that component's own matp
+    message and element and, as ``trial``, the component.
+    """
+
+    def __init__(self, d, p, cs):
+        self.cs = tuple(cs)
+        self._base = FpMatrixRealm(p, d)
+        self._mul, self._add = self._base._mul, self._base.add
+
+    def mul(self, x, y):
+        return tuple(map(self._mul, x, y))
+
+    def add(self, x, y):
+        return tuple(map(self._add, x, y))
+
+    def inv_all(self, values, elements, scaled=False):
+        T = len(self.cs)
+        flat = list(chain.from_iterable(values))
+        out, bad = self._base._invert(flat, scaled and self.cs * len(values))
+        if bad is not None:
+            raise SingularValue(self._base._singular, element=tuple(elements)[bad // T],
+                                trial=bad % T)
+        return list(zip(*[iter(out)] * T))
 
 
 class FractionMatrixRealm(_MatrixRealm):
@@ -714,10 +700,10 @@ def realm_from_config(cfg):
     kind = json_field(cfg, "realm", "realm config")
     keys = CONFIG_KEYS.get(kind) if isinstance(kind, str) else None
     if keys is None:
-        raise ValueError(f"unknown realm {kind!r}")
+        raise ValueError(f"unknown realm {shown(repr(kind))}")
     for key in cfg:
         if key not in keys:
-            raise ValueError(f"realm config {key!r} is not read by realm {kind}, "
+            raise ValueError(f"realm config {shown(repr(key))} is not read by realm {kind}, "
                              f"which reads {', '.join(keys)}")
     if kind == "tropical":
         return TropicalRealm(field("c", Fraction, 1))
@@ -725,7 +711,7 @@ def realm_from_config(cfg):
         variables = json_field(cfg, "variables", "realm config")
         if not isinstance(variables, list):
             raise ValueError(f"realm config 'variables' must be a list of names, "
-                             f"got {json.dumps(variables, default=str)}")
+                             f"got {shown(json.dumps(variables, default=str))}")
         return RationalFunctionRealm(variables)
     if kind == "matp":
         return FpMatrixRealm(field("p", int), field("d", int), field("c", int, 1))
@@ -764,8 +750,9 @@ def json_number(v, kind, what):
 
 def _as_written(v):
     """``v`` as a JSON input wrote it: a ``FloatLiteral`` by its text, so
-    1e2 shows unquoted, and anything else as JSON, so a string is quoted."""
-    return v.text if isinstance(v, FloatLiteral) else json.dumps(v, default=str)
+    1e2 shows unquoted, and anything else as JSON, so a string is quoted;
+    a long one by its start and length (``errors.shown``)."""
+    return shown(v.text if isinstance(v, FloatLiteral) else json.dumps(v, default=str))
 
 
 def refuse_huge_number(v, what):

@@ -1,7 +1,7 @@
 """A fuzz cell one trial at a time: the test oracle for the batched engine.
 
 ``fuzz.fuzz_nar_periodicity`` steps all of a cell's pending trials together
-over the product of their matrix rings (``realms.fp_product_ops``), and
+over the product of their matrix rings (``realms.FpProductRealm``), and
 redraws through the batched ``sampling.redraw``.  This module is the loop
 that it replaced: each trial redraws alone, with its own attempt loop, and
 steps through its own matp realm, so its report must equal the package's
@@ -11,7 +11,6 @@ one.
 
 import random
 
-from rowmotion.dynamics import rowmotion_pass
 from rowmotion.errors import SamplingExhausted, SingularValue
 from rowmotion.fuzz import _reverify
 from rowmotion.poset import product_of_chains
@@ -34,8 +33,7 @@ def single_first_return(poset, d, p, labels, c, max_steps):
     realm = FpMatrixRealm(p, d, c=c)
     initial = cur = list(labels)
     for m in range(1, max_steps + 1):
-        cur = rowmotion_pass(poset, realm.up_transfer(poset, cur), realm.mul, realm.add,
-                             realm.inv_all)
+        cur = realm.rowmotion_pass(poset, realm.up_transfer(poset, cur))
         if cur == initial:
             return m
     return 0

@@ -278,6 +278,14 @@ def test_homomesy_reports_pinned(args, digest, capsys):
     (["rowmotion", "--chains", "4", "5", "--realm", "tropical", "--c", "3/2", "--mode",
       "toggles"],
      "61462a87b27a47fa0d9002ebec85a40a75e2473e088d99e4ef04c8c50312b530"),
+    # d = 4 has no closed form: the Gauss-Jordan inverse, in transfer mode
+    (["rowmotion", "--chains", "2", "3", "--realm", "matp", "--d", "4", "--seed", "4"],
+     "ea61fc871bbba9213bee9cd691fef4c7f92a464dea723499d6e14937f0012c2e"),
+    (["rowmotion", "--chains", "2", "3", "--realm", "matq", "--d", "4", "--seed", "1"],
+     "d1bfddac98acf898896f9536a0c5047d9e0421b2197a62392c6fc3028b80c597"),
+    # the fuzz grid through d = 4, where the product ring inverts by Gauss-Jordan
+    (["fuzz-nar", "--amax", "2", "--bmax", "2", "--dmax", "4", "--trials", "3"],
+     "62b90b62e864d71efa34e87dfc2a8ba2961baeb894c86efb4c62fdfa030e4b12"),
 ])
 def test_word_orbit_and_fixture_reports_pinned(args, digest, capsys):
     """The labeling and fiber-word JSON encoding, the fixture details and
@@ -1018,6 +1026,61 @@ def test_canonical_poset_reads_back(args, tmp_path, capsys):
     src.write_text(json.dumps(rep["poset"]))
     code, echo = run(["poset", "--poset", str(src)], capsys)
     assert code == 0 and echo["poset"] == rep["poset"]
+
+
+A5000 = "a" * 5000
+
+
+def _ratfun(variables, first="w"):
+    """A ratfun [2]x[2] labeling declaring ``variables``, ``first`` at 0."""
+    return _labels({"realm": "ratfun", "variables": variables}, first, "x")
+
+
+@pytest.mark.parametrize("flag,payload,field", [
+    ("--poset", {"chains": [2, 2], A5000: 1}, "error: poset key 'aaa"),
+    ("--poset", {"elements": ["a", "a" * 4300, "a" * 4300], "covers": []},
+     "error: duplicate element 'aaa"),
+    ("--poset", {"elements": ["a", "b"], "covers": [["a", "a" * 4300]]},
+     "error: cover references undeclared element 'aaa"),
+    ("--in", {"realm": {"realm": A5000}, "labels": {}}, "error: unknown realm 'aaa"),
+    ("--in", {"realm": {"realm": "tropical", A5000: 1}, "labels": {}},
+     "error: realm config 'aaa"),
+    ("--in", _labels({"realm": "tropical"}, A5000, "1"),
+     'error: label 0: a tropical label must be a rational number, got "aaa'),
+    ("--in", _labels(MATP1, [[A5000]], [[2]]),
+     'error: label 0: a matp entry must be an integer, got "aaa'),
+    ("--in", _labels(MATQ2, [[A5000, "0"], ["0", "1"]], I2),
+     'error: label 0: a matq entry must be a rational number, got "aaa'),
+    ("--in", _labels({"realm": "tropical", "c": A5000}, "1", "1"),
+     "error: realm config 'c' must be a rational number, got \"aaa"),
+    ("--c", A5000, "error: realm config 'c' must be a rational number, got \"aaa"),
+    ("--in", _ratfun(["w", "x"], A5000), "error: label 0: 'aaa"),
+    ("--in", _ratfun(["w", A5000], "y"),
+     "error: label 0: 'y' is not a declared variable (C, w, aaa"),
+    ("--in", _ratfun([[A5000]]), 'error: a ratfun variable must be a nonempty string, got ["aaa'),
+    ("--in", _ratfun(["-" * 5000]), "error: ratfun variable '---"),
+    ("--in", _ratfun([A5000, A5000]), "error: ratfun variable 'aaa"),
+    ("--in", _ratfun(A5000), "error: realm config 'variables' must be a list of names, got \"aaa"),
+], ids=["poset-key", "duplicate-element", "undeclared-element", "unknown-realm",
+        "realm-config-key", "tropical-label", "matp-entry", "matq-entry", "realm-block-c",
+        "c-option", "undeclared-variable", "declared-variables", "variable-not-a-string",
+        "variable-not-an-identifier", "variable-declared-twice", "variables-not-a-list"])
+def test_long_input_value_is_shown_by_its_start_and_length(flag, payload, field, tmp_path,
+                                                           capsys):
+    """A refusal that names a long input value, a key, an id, a label, an
+    entry, a constant or a variable, shows it by its first 20 characters
+    and its length (``errors.shown``): one short line naming the field."""
+    if flag == "--c":
+        args = ["rowmotion", "--chains", "2", "2", "--realm", "tropical", "--c", payload]
+    else:
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(payload))
+        args = (["poset", "--poset", str(src)] if flag == "--poset"
+                else ["rowmotion", "--chains", "2", "2", "--in", str(src)])
+    code, err = _refused(args, capsys)
+    assert code == 2
+    assert err.startswith(field) and err.count("\n") == 1 and " characters)" in err
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("args,text,key", [

@@ -13,8 +13,7 @@ from rowmotion import (
     product_of_chains,
 )
 from rowmotion.labeling import Labeling
-from rowmotion.dynamics import rowmotion_pass
-from rowmotion.realms import FUZZ_PRIME, FpMatrixRealm, fp_product_ops, is_prime
+from rowmotion.realms import FUZZ_PRIME, FpMatrixRealm, FpProductRealm, is_prime
 
 from fuzz_oracle import engine_return
 
@@ -164,11 +163,10 @@ def test_product_pass_steps_each_trial_with_its_own_constant(p):
             got = {}
             live = list(range(len(batch)))
             while live:
-                up_transfer, mul, add, inv_all = fp_product_ops(d, p, [batch[t][1] for t in live])
+                ring = FpProductRealm(d, p, [batch[t][1] for t in live])
                 values = list(zip(*[batch[t][0] for t in live]))
                 try:
-                    cols = zip(*rowmotion_pass(poset, up_transfer(poset, values), mul, add,
-                                               inv_all))
+                    cols = zip(*ring.rowmotion_pass(poset, ring.up_transfer(poset, values)))
                 except SingularValue as exc:
                     out = {live[exc.trial]: str(exc)}
                     refused += 1

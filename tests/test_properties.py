@@ -45,7 +45,6 @@ from rowmotion import (
     transfer,
 )
 from rowmotion import cli
-from rowmotion.dynamics import rowmotion_pass
 from rowmotion.polynomials import MAX_DEGREE, Polynomial, monomial_gcd
 from rowmotion.realms import FpMatrixRealm, FractionMatrixRealm, Realm, _MatrixRealm
 from rowmotion.sampling import sample_chain_polytope_point, symbolic_labeling
@@ -213,20 +212,14 @@ def test_transfers_undo_their_inverses(case):
         assert back.eq(g)
 
 
-def _inverse_or_refusal(realm, inv, m):
-    try:
-        return inv(realm, m)
-    except SingularValue as exc:
-        return str(exc)
-
-
 @PROPERTY
 @given(fp_matrices())
 def test_fp_matrix_ops_match_loops_and_gauss_jordan(case):
     """The realm's sum is entrywise mod p, its product is the triple-loop
     product mod p, and its inverse is the Gauss-Jordan one, refusing the
     same singular matrices with the same message (for d <= 3 the realm
-    computes products and inverses in closed form)."""
+    computes products and inverses in closed form, which replaces the
+    Gauss-Jordan ``_MatrixRealm._invert``)."""
     realm, x, y = case
     d, p = realm.d, realm.p
     assert realm.add(x, y) == tuple(
@@ -234,8 +227,9 @@ def test_fp_matrix_ops_match_loops_and_gauss_jordan(case):
     assert realm.mul(x, y) == tuple(
         sum(x[i * d + k] * y[k * d + j] for k in range(d)) % p
         for i in range(d) for j in range(d))
-    assert (_inverse_or_refusal(realm, FpMatrixRealm.inv, x)
-            == _inverse_or_refusal(realm, _MatrixRealm.inv, x))
+    out, bad = _MatrixRealm._invert(realm, (x,))
+    assert _refusal(lambda: realm.inv(x)) == (f"singular {d}x{d} matrix" if bad == 0
+                                              else out[0])
 
 
 def _reduced(realm, m):
@@ -352,6 +346,57 @@ def test_tropical_inv_all_is_the_default_batch(c, values, scaled):
     assert [type(v) for v in got] == [type(v) for v in want]
 
 
+@st.composite
+def matrix_batches(draw, kind, d):
+    """(realm, values): a ``kind`` realm of d x d matrices, with a constant
+    c other than 1, and zero to five of its values.  A quarter of the
+    values are made singular (the second row a copy of the first, or 0 when
+    d = 1), so refusals come at every place and most batches invert."""
+    if kind == "matp":
+        p = draw(st.sampled_from(PRIMES[1:]))
+        realm = FpMatrixRealm(p, d, c=draw(st.integers(2, p - 1)))
+        entries = st.integers(0, p - 1) | st.sampled_from((0, 1, p - 1))
+    else:
+        entries = st.fractions(-9, 9, max_denominator=9)
+        realm = FractionMatrixRealm(d, c=draw(entries.filter(lambda c: c not in (0, 1))))
+    values = []
+    for _ in range(draw(st.integers(0, 5))):
+        m = [realm._norm(e) for e in draw(st.tuples(*[entries] * (d * d)))]
+        if draw(st.sampled_from((False, False, False, True))):
+            m[d:2 * d] = m[:d] if d > 1 else [realm._norm(0)]
+        values.append(tuple(m))
+    return realm, values
+
+
+def _batch_or_refusal(f):
+    """``f()``, or the message and element of the ``SingularValue`` it
+    raises."""
+    try:
+        return f()
+    except SingularValue as exc:
+        return str(exc), exc.element
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("kind,d", [("matp", d) for d in range(1, 6)]
+                         + [("matq", d) for d in range(1, 5)])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_matrix_inv_all_is_the_default_batch(kind, d, scaled, data):
+    """The one batch inverse of the matrix realms (closed form for matp
+    with d <= 3, Gauss-Jordan past it and for matq) returns the values and
+    entry types of ``Realm.inv_all``, which inverts each value by
+    ``inv_at`` and then multiplies by C * I, scaled or not; where the
+    default refuses, it raises the same message naming the same element."""
+    r, values = data.draw(matrix_batches(kind, d))
+    elements = [10 + k for k in range(len(values))]
+    got = _batch_or_refusal(lambda: r.inv_all(values, elements, scaled))
+    want = _batch_or_refusal(lambda: Realm.inv_all(r, values, elements, scaled))
+    assert got == want
+    if isinstance(want, list):
+        assert [type(v) for m in got for v in m] == [type(v) for m in want for v in m]
+
+
 @PROPERTY
 @given(tropical_labelings())
 def test_tropical_fiber_sums_hit_their_constants(case):
@@ -438,13 +483,14 @@ JOIN = build_poset([(1, 0), (2, 0)], elements=range(3))
 def test_tropical_rowmotion_pass_is_the_default_fold(case, c):
     """The tropical ``rowmotion_pass`` (c - v, then E(x) - the max over
     lower covers) returns the values and the int or Fraction types of the
-    generic fold on the realm's ``mul``, ``add`` and ``inv_all``, from the
-    tropical ``up_transfer``, at any c."""
+    default ``Realm.rowmotion_pass``, the generic fold on the realm's
+    ``mul``, ``add`` and ``inv_all``, from the tropical ``up_transfer``, at
+    any c."""
     poset, weights = case
     r = TropicalRealm(c)
     D = r.up_transfer(poset, weights)
     got = r.rowmotion_pass(poset, D)
-    want = rowmotion_pass(poset, D, r.mul, r.add, r.inv_all)
+    want = Realm.rowmotion_pass(r, poset, D)
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
 
